@@ -51,12 +51,11 @@ def table_from_degrees(dtilde: np.ndarray, link: LinkKind,
         rows = tuple(ResultRow(v, float(d[k]), None, None, None, None)
                      for k, v in enumerate(labs))
         return ResultTable(rows, False, res.reason, res)
-    rows = []
-    for k, v in enumerate(labs):
-        lo, hi = confidence_interval(res, k, None, level)
-        rows.append(ResultRow(v, float(d[k]), float(res.alpha_hat[k]),
-                              lo, hi, float(1.0 / np.sqrt(res.v_hat[k]))))
-    return ResultTable(tuple(rows), True, None, res)
+    lo, hi = confidence_interval(res, np.arange(d.size), None, level)
+    se = 1.0 / np.sqrt(res.v_hat)
+    rows = tuple(ResultRow(*row) for row in zip(
+        labs, d.tolist(), res.alpha_hat.tolist(), lo.tolist(), hi.tolist(), se.tolist()))
+    return ResultTable(rows, True, None, res)
 
 
 def analyze_dataset(e: EdgeList, link: LinkKind,

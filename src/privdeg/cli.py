@@ -80,8 +80,20 @@ def _mechanism(args) -> noise_mod.NoiseMechanism | None:
 
 def _solver_options(args) -> "SolverOptions":
     from .estimator import SolverOptions
-    return SolverOptions(tol=args.tol, max_iter=args.max_iter,
-                         approx_jacobian=args.approx_jacobian)
+    return SolverOptions(tol=args.tol, max_iter=args.max_iter)
+
+
+def _report_fit(link: LinkKind, table: ResultTable) -> int:
+    """Exit code of a single fit; nonexistence and suspect fits go to stderr."""
+    if not table.exists:
+        print(f"estimate does not exist: {table.reason}", file=sys.stderr)
+        return EXIT_NONEXISTENT
+    if link == LinkKind.LOG:
+        top = float(np.sort(table.result.alpha_hat)[-2:].sum())
+        if top >= 0:
+            print(f"warning: log-link fit has a pair sum alpha_i + alpha_j = {top:+.3g} "
+                  ">= 0, so some fitted edge probabilities exceed 1", file=sys.stderr)
+    return EXIT_OK
 
 
 def cmd_sample(args) -> int:
@@ -115,10 +127,7 @@ def cmd_estimate(args) -> int:
     table = table_from_degrees(d, link, level=args.level,
                                options=_solver_options(args))
     _write(args.out, _result_table_csv(table, []))
-    if not table.exists:
-        print(f"estimate does not exist: {table.reason}", file=sys.stderr)
-        return EXIT_NONEXISTENT
-    return EXIT_OK
+    return _report_fit(link, table)
 
 
 def cmd_analyze(args) -> int:
@@ -137,10 +146,7 @@ def cmd_analyze(args) -> int:
     table = table_from_degrees(d, link, labels=labels, level=args.level,
                                options=_solver_options(args))
     _write(args.out, _result_table_csv(table, removed))
-    if not table.exists:
-        print(f"estimate does not exist: {table.reason}", file=sys.stderr)
-        return EXIT_NONEXISTENT
-    return EXIT_OK
+    return _report_fit(link, table)
 
 
 def cmd_simulate(args) -> int:
@@ -255,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--tol", type=float, default=1e-8,
                         help="relative sup-norm residual tolerance")
         pp.add_argument("--max-iter", type=int, default=200)
-        pp.add_argument("--approx-jacobian", action="store_true",
-                        help="diagonal quasi-Newton steps (for large n)")
 
     p = sub.add_parser("estimate", help="fit vertex parameters from noisy degrees")
     _add_common(p, noise=False)

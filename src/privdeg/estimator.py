@@ -3,14 +3,28 @@
 Given a noisy degree sequence dtilde, the estimate alpha_hat solves the
 moment system
 
-    F_i(alpha) = dtilde_i - sum_{j != i} p(alpha_i + alpha_j) = 0,
+    F_i(alpha) = dtilde_i - sum_{j != i} p(alpha_i + alpha_j) = 0.
 
-by damped Newton iteration on the full system. The negated Jacobian
-V = -F'(alpha) is symmetric, has positive off-diagonal entries
-V_ij = p'(alpha_i + alpha_j), and is diagonally balanced:
-V_ii = sum_{j != i} V_ij. Its diagonal doubles as the plug-in
-asymptotic precision of alpha_hat_i (variance 1 / V_ii), which feeds
-the confidence intervals and the standardized pair statistic.
+Its root is unique and the system does not change when vertices are
+permuted, so vertices with equal released degrees share one alpha.
+``solve`` therefore runs damped Newton on the collapsed system over the
+k distinct values u_a of dtilde, with multiplicities m_a and class
+parameters beta_a:
+
+    G_a(beta) = u_a - sum_b W_ab p(beta_a + beta_b),  W = m[None, :] - I,
+
+where W_ab counts the partners of class b that one vertex of class a
+has. Its negated Jacobian is diag(sum_b W_ab D_ab) + W o D with
+D_ab = p'(beta_a + beta_b). The result is expanded back to the n
+vertices. Without ties W = 1 - I and this is the full n x n system,
+operation for operation.
+
+On the full system the negated Jacobian V = -F'(alpha) is symmetric,
+has positive off-diagonal entries V_ij = p'(alpha_i + alpha_j), and is
+diagonally balanced: V_ii = sum_{j != i} V_ij. Its diagonal doubles as
+the plug-in asymptotic precision of alpha_hat_i (variance 1 / V_ii),
+which feeds the confidence intervals and the standardized pair
+statistic; in the collapsed system it is v_a = sum_b W_ab D_ab.
 
 For the log link the moment function is evaluated through the analytic
 extension exp(alpha_i + alpha_j), defined for all real pair sums; see
@@ -37,6 +51,7 @@ __all__ = [
     "approx_inverse_s",
     "initial_point",
     "solve",
+    "normal_quantile",
     "confidence_interval",
     "xi_statistic",
 ]
@@ -53,15 +68,11 @@ class SolverOptions:
     tol is relative: convergence requires the sup-norm residual to drop
     below tol * max(1, max|dtilde|). Step halving (at most max_halvings
     per iteration) enforces a monotone decrease of the residual norm.
-    approx_jacobian replaces the exact linear solve by the diagonal
-    approximate inverse S = diag(1 / V_ii); useful at large n, converges
-    to the same root where both converge.
     """
 
     tol: float = 1e-8
     max_iter: int = 200
     max_halvings: int = 40
-    approx_jacobian: bool = False
 
 
 @dataclass(frozen=True)
@@ -120,8 +131,28 @@ def _dpm_extended(link: LinkKind, X: np.ndarray) -> np.ndarray:
     return np.exp(Xc - np.exp(Xc))
 
 
-def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray) -> np.ndarray:
+def _weighted(f, link: LinkKind, beta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """W o f(beta_a + beta_b) with W = m[None, :] - I.
+
+    Diagonal entries with W_aa = 0 are set to zero rather than multiplied
+    by it, so an overflowing f there cannot turn the row sum into NaN.
+    """
+    out = f(link, pair_sum_matrix(beta))
+    diag = np.zeros(m.size)
+    np.multiply(out.diagonal(), m - 1.0, out=diag, where=m > 1)
+    out *= m
+    np.fill_diagonal(out, diag)
+    return out
+
+
+def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray,
+                    counts: Optional[np.ndarray] = None) -> np.ndarray:
     """Residual vector F_i = dtilde_i - sum_{j != i} p(alpha_i + alpha_j).
+
+    With counts m given, alpha and dtilde hold one entry per class of
+    tied vertices and the residual is that of the collapsed system,
+    G_a = u_a - sum_b (m_b - [a == b]) p(beta_a + beta_b); all-ones
+    counts (the default) give the full system above.
 
     For the log link the sum is evaluated through exp() on all of R, not
     just on pair sums below zero: the moment system itself is smooth
@@ -136,9 +167,10 @@ def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray) -> np
     d = np.asarray(dtilde, dtype=float).reshape(-1)
     if a.size != d.size:
         raise ValueError(f"length mismatch: alpha has {a.size}, dtilde has {d.size}")
-    P = _pm_extended(link, pair_sum_matrix(a))
-    np.fill_diagonal(P, 0.0)
-    return d - P.sum(axis=1)
+    m = np.ones(a.size) if counts is None else np.asarray(counts, dtype=float)
+    if m.shape != a.shape:
+        raise ValueError(f"counts must have length {a.size}")
+    return d - _weighted(_pm_extended, link, a, m).sum(axis=1)
 
 
 def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
@@ -187,6 +219,23 @@ def _nonexistence_reason(link: LinkKind, d: np.ndarray) -> Optional[str]:
     return None
 
 
+def _classes(d: np.ndarray, x0: Optional[np.ndarray]):
+    """Group vertices by released degree (and start, when x0 is given).
+
+    Returns (first, inverse, counts): the first vertex of each class, the
+    class of each vertex and the class sizes, with classes in order of
+    first occurrence, so untied input keeps its vertex order.
+    """
+    key = d if x0 is None else np.column_stack((d, x0))
+    _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True,
+                                          return_counts=True,
+                                          axis=None if x0 is None else 0)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(-1)], counts[order].astype(float)
+
+
 def solve(link: LinkKind, dtilde: np.ndarray,
           options: SolverOptions | None = None,
           x0: Optional[np.ndarray] = None) -> EstimateResult:
@@ -198,6 +247,10 @@ def solve(link: LinkKind, dtilde: np.ndarray,
     event are themselves a quantity of interest. Structural problems
     (wrong lengths, n < 2, non-finite input) do raise. x0 overrides the
     default starting point.
+
+    Newton runs on the collapsed system over distinct released degrees
+    (see the module docstring); iterations, residuals and diagnostics are
+    those of the full system, whose residual has the same entries.
     """
     opts = options or SolverOptions()
     d = np.asarray(dtilde, dtype=float).reshape(-1)
@@ -214,57 +267,47 @@ def solve(link: LinkKind, dtilde: np.ndarray,
         return fail(reason, 0, float("inf"))
 
     tol = opts.tol * max(1.0, float(np.max(np.abs(d))))
-    a = (np.asarray(x0, dtype=float).reshape(-1).copy()
-         if x0 is not None else initial_point(link, d))
-    if a.size != d.size:
-        raise ValueError("x0 length must match dtilde")
-    F = moment_residual(link, a, d)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        if x0.size != d.size:
+            raise ValueError("x0 length must match dtilde")
+    first, inverse, m = _classes(d, x0)
+    u = d[first]
+    b = (x0 if x0 is not None else initial_point(link, d))[first]
+    F = moment_residual(link, b, u, m)
     res = float(np.max(np.abs(F)))
 
-    for it in range(opts.max_iter):
+    for it in range(opts.max_iter + 1):
+        V = _weighted(_dpm_extended, link, b, m)
+        v = V.sum(axis=1)
         if res <= tol:
-            jac = jacobian(link, a)
-            pair_abs = np.abs(pair_sum_matrix(a))
-            np.fill_diagonal(pair_abs, 0.0)
-            return EstimateResult(a, np.diag(jac.matrix).copy(), True, it, res,
-                                  True, None, float(pair_abs.max()))
-        V = _dpm_extended(link, pair_sum_matrix(a))
-        np.fill_diagonal(V, 0.0)
-        diag = V.sum(axis=1)
-        if opts.approx_jacobian:
-            if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-                return fail("degenerate Jacobian diagonal", it, res)
-            step = F / diag
-        else:
-            np.fill_diagonal(V, diag)
-            try:
-                step = np.linalg.solve(V, F)
-            except np.linalg.LinAlgError:
-                return fail("singular Jacobian", it, res)
+            pair_abs = np.abs(pair_sum_matrix(b))
+            alone = np.flatnonzero(m == 1)  # W_aa = 0: no pair within the class
+            pair_abs[alone, alone] = 0.0
+            return EstimateResult(b[inverse], v[inverse], True, it, res, True, None,
+                                  float(pair_abs.max()))
+        if it == opts.max_iter:
+            break
+        V[np.diag_indices(m.size)] += v
+        try:
+            step = np.linalg.solve(V, F)
+        except np.linalg.LinAlgError:
+            return fail("singular Jacobian", it, res)
         if not np.all(np.isfinite(step)):
             return fail("non-finite Newton step", it, res)
 
         # damping: halve until the sup-norm residual strictly decreases
         scale = 1.0
-        accepted = False
         for _ in range(opts.max_halvings + 1):
-            a_try = a + scale * step
-            F_try = moment_residual(link, a_try, d)
+            b_try = b + scale * step
+            F_try = moment_residual(link, b_try, u, m)
             res_try = float(np.max(np.abs(F_try)))
             if np.isfinite(res_try) and res_try < res:
-                a, F, res = a_try, F_try, res_try
-                accepted = True
+                b, F, res = b_try, F_try, res_try
                 break
             scale *= 0.5
-        if not accepted:
+        else:
             return fail("step stalled (no residual decrease)", it, res)
-
-    if res <= tol:
-        jac = jacobian(link, a)
-        pair_abs = np.abs(pair_sum_matrix(a))
-        np.fill_diagonal(pair_abs, 0.0)
-        return EstimateResult(a, np.diag(jac.matrix).copy(), True, opts.max_iter,
-                              res, True, None, float(pair_abs.max()))
     return fail("iteration limit reached", opts.max_iter, res)
 
 
@@ -273,8 +316,15 @@ def _require(result: EstimateResult) -> None:
         raise NonexistentEstimateError(result.reason or "estimate does not exist")
 
 
-def confidence_interval(result: EstimateResult, i: int, j: Optional[int] = None,
-                        level: float = 0.95) -> tuple[float, float]:
+def normal_quantile(level: float) -> float:
+    """Two-sided standard normal quantile z with P(|Z| <= z) = level."""
+    if not (0 < level < 1):
+        raise ValueError("confidence level must be in (0, 1)")
+    return float(norm.ppf(0.5 + level / 2.0))
+
+
+def confidence_interval(result: EstimateResult, i: int | np.ndarray,
+                        j: Optional[int] = None, level: float = 0.95) -> tuple:
     """Normal-theory confidence interval from the fitted precision diagonal.
 
     With j given (0-based, j != i), the interval is for the difference
@@ -283,16 +333,16 @@ def confidence_interval(result: EstimateResult, i: int, j: Optional[int] = None,
         (ahat_i - ahat_j) +/- z * sqrt(1/v_ii + 1/v_jj).
 
     With j omitted, the single-coordinate interval
-    ahat_i +/- z / sqrt(v_ii).
+    ahat_i +/- z / sqrt(v_ii); i may then be an index array, which gives
+    arrays of bounds from one quantile evaluation.
     """
     _require(result)
-    if not (0 < level < 1):
-        raise ValueError("confidence level must be in (0, 1)")
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = normal_quantile(level)
     a, v = result.alpha_hat, result.v_hat
     if j is None:
         half = z / np.sqrt(v[i])
-        return float(a[i] - half), float(a[i] + half)
+        lo, hi = a[i] - half, a[i] + half
+        return (float(lo), float(hi)) if np.ndim(lo) == 0 else (lo, hi)
     if i == j:
         raise ValueError("difference interval needs two distinct coordinates")
     half = z * np.sqrt(1.0 / v[i] + 1.0 / v[j])

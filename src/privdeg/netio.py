@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -50,11 +51,9 @@ class EdgeList:
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
     def degree_vector(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        for (i, j) in self.edges:
-            d[i - 1] += 1
-            d[j - 1] += 1
-        return d
+        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
+                           count=2 * len(self.edges))
+        return np.bincount(ends - 1, minlength=self.n).astype(np.int64, copy=False)
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype=np.uint8)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import noise as noise_mod
-from .estimator import SolverOptions, confidence_interval, solve, xi_statistic
+from .estimator import SolverOptions, normal_quantile, solve, xi_statistic
 from .links import LinkKind, degrees, expected_degrees, sample_graph
 from .netio import ParseError
 
@@ -115,7 +115,7 @@ def qq_export(report: CoverageReport, pair: tuple[int, int]) -> list[tuple[float
 # replicate execution
 # ---------------------------------------------------------------------------
 
-def _one_replicate(scenario: Scenario, child: np.random.SeedSequence):
+def _one_replicate(scenario: Scenario, z: float, child: np.random.SeedSequence):
     rng = np.random.default_rng(child)
     truth = truth_vector(scenario.n, scenario.L)
     if scenario.exact:
@@ -129,7 +129,6 @@ def _one_replicate(scenario: Scenario, child: np.random.SeedSequence):
     res = solve(scenario.link, dt, scenario.solver)
     if not res.exists:
         return None
-    z = float(norm.ppf(0.5 + scenario.level / 2.0))
     out = []
     for (i, j) in scenario.pairs:
         a, b = i - 1, j - 1
@@ -142,8 +141,7 @@ def _one_replicate(scenario: Scenario, child: np.random.SeedSequence):
 
 
 def _replicate_task(args):
-    scenario, child = args
-    return _one_replicate(scenario, child)
+    return _one_replicate(*args)
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
@@ -154,7 +152,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
     produces an identical report.
     """
     children = np.random.SeedSequence(scenario.seed).spawn(scenario.replicates)
-    tasks = [(scenario, c) for c in children]
+    z = normal_quantile(scenario.level)
+    tasks = [(scenario, z, c) for c in children]
     if workers <= 1:
         records = [_replicate_task(t) for t in tasks]
     else:

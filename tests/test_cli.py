@@ -122,3 +122,29 @@ def test_bounds_subcommand(tmp_path):
 def test_sample_rejects_bad_link(tmp_path):
     assert main(["sample", "--link", "nope", "--n", "5",
                  "--out", str(tmp_path / "g")]) == 2
+
+
+LOG_FIT_DEGREES = [26, 17, 16, 15, 5, 3, 2, 1, 6, 9]
+
+
+def test_estimate_warns_on_positive_log_pair_sum(tmp_path, capsys):
+    d = tmp_path / "d.txt"
+    d.write_text("".join(f"{v}\n" for v in LOG_FIT_DEGREES))
+    out = tmp_path / "fit.csv"
+    assert main(["estimate", str(d), "--link", "log", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: log-link fit" in err and "+1.84" in err
+    # the table itself carries no trace of the warning
+    assert not any(line.startswith("#") for line in out.read_text().splitlines())
+    assert main(["estimate", str(d), "--link", "logit",
+                 "--out", str(tmp_path / "logit.csv")]) == 3
+    assert "warning" not in capsys.readouterr().err
+
+
+def test_analyze_warns_on_positive_log_pair_sum(tmp_path, capsys, tailorshop_text):
+    src = tmp_path / "shop.dl"
+    src.write_text(tailorshop_text)
+    for link, warned in (("log", True), ("logit", False)):
+        assert main(["analyze", str(src), "--link", link, "--no-noise",
+                     "--out", str(tmp_path / f"{link}.csv")]) == 0
+        assert ("warning: log-link fit" in capsys.readouterr().err) == warned

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privdeg.estimator import (NonexistentEstimateError, SolverOptions,
-                               approx_inverse_s, confidence_interval, jacobian,
-                               moment_residual, solve, xi_statistic)
+                               approx_inverse_s, confidence_interval,
+                               initial_point, jacobian, moment_residual, solve,
+                               xi_statistic)
 from privdeg.links import LinkKind, expected_degrees
 
 LINKS = [LinkKind.LOG, LinkKind.LOGIT, LinkKind.CLOGLOG]
@@ -54,6 +55,24 @@ def test_residual_against_extended_precision_sum():
                 else:
                     acc -= -np.expm1(-np.exp(x))
             assert abs(got[i] - float(acc)) < 1e-12
+
+
+def test_residual_overflowing_self_pair_stays_finite():
+    # exp(2 * 400) overflows, but alpha_0 + alpha_0 is not a pair of the system
+    with np.errstate(over="ignore"):
+        F = moment_residual(LinkKind.LOG, np.array([400.0, 0.0, 0.0]), np.ones(3))
+    assert np.all(np.isfinite(F))
+
+
+def test_collapsed_residual_matches_full_system():
+    rng = np.random.default_rng(9)
+    counts = np.array([3, 1, 2])
+    for link in LINKS:
+        beta = rand_alpha(rng, link, 3)
+        u = rng.uniform(0.5, 4.5, 3)
+        full = moment_residual(link, np.repeat(beta, counts), np.repeat(u, counts))
+        collapsed = moment_residual(link, beta, u, counts)
+        assert np.max(np.abs(np.repeat(collapsed, counts) - full)) < 1e-13
 
 
 def test_residual_length_mismatch():
@@ -246,23 +265,95 @@ def test_solve_structural_errors_do_raise():
         solve(LinkKind.LOGIT, np.array([1.0, np.inf, 1.0]))
 
 
-def test_approx_jacobian_mode_same_root():
-    rng = np.random.default_rng(8)
-    for link in LINKS:
-        truth = rand_alpha(rng, link, 25)
-        d = expected_degrees(link, truth) + rng.uniform(-0.2, 0.2, 25)
-        exact = solve(link, d)
-        approx = solve(link, d, SolverOptions(approx_jacobian=True, max_iter=500))
-        assert exact.exists and approx.exists
-        assert np.max(np.abs(exact.alpha_hat - approx.alpha_hat)) < 1e-6
-
-
 def test_log_fit_reports_pair_sum_diagnostic():
     # a release sequence whose fit strays beyond the probability domain
     d = np.array([26.0, 17.0, 16.0, 15.0, 5.0, 3.0, 2.0, 1.0, 6.0, 9.0])
     res = solve(LinkKind.LOG, d)
     assert res.exists
     assert res.max_abs_pair_sum is not None and res.max_abs_pair_sum > 0
+
+
+def dense_newton(link, d, opts=SolverOptions()):
+    """Reference: damped Newton on the full n x n system, no grouping."""
+    tol = opts.tol * max(1.0, np.max(np.abs(d)))
+    a = initial_point(link, d)
+    F = moment_residual(link, a, d)
+    res = np.max(np.abs(F))
+    for it in range(opts.max_iter + 1):
+        V = jacobian(link, a).matrix
+        if res <= tol:
+            return a, np.diag(V), it
+        if it == opts.max_iter:
+            return None
+        try:
+            step = np.linalg.solve(V, F)
+        except np.linalg.LinAlgError:
+            return None
+        scale = 1.0
+        for _ in range(opts.max_halvings + 1):
+            a_try = a + scale * step
+            F_try = moment_residual(link, a_try, d)
+            if np.max(np.abs(F_try)) < res:
+                a, F, res = a_try, F_try, np.max(np.abs(F_try))
+                break
+            scale *= 0.5
+        else:
+            return None
+
+
+def rounding_bound(link, alpha):
+    """Agreement bound for two solves that differ only in rounding.
+
+    cond(V) amplifies rounding differences; it is large where the root
+    drifts off to infinity, e.g. d = [1, 1, 2, 2] under logit stops at
+    |alpha| = 9.2 with cond(V) = 5e7.
+    """
+    return max(1e-12, 1e-15 * np.linalg.cond(jacobian(link, alpha).matrix))
+
+
+@st.composite
+def tied_degrees(draw):
+    n = draw(st.integers(4, 40))
+    pool = draw(st.lists(st.integers(1, n - 2), min_size=1, max_size=4))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                    dtype=float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LINKS), tied_degrees())
+def test_tied_solve_matches_dense_newton(link, d):
+    res = solve(link, d)
+    ref = dense_newton(link, d)
+    assert res.exists == (ref is not None)
+    if ref is None:
+        return
+    alpha, v, iterations = ref
+    bound = rounding_bound(link, alpha)
+    assert np.max(np.abs(res.alpha_hat - alpha)) <= bound
+    assert np.max(np.abs(res.v_hat / v - 1.0)) <= bound
+    assert res.iterations == iterations
+    for value in np.unique(d):
+        assert np.unique(res.alpha_hat[d == value]).size == 1
+
+
+@st.composite
+def untied_degrees_and_permutation(draw):
+    n = draw(st.integers(3, 30))
+    d = draw(st.lists(st.floats(0.5, n - 1.5), min_size=n, max_size=n, unique=True))
+    return np.array(d), np.array(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LINKS), untied_degrees_and_permutation())
+def test_untied_solve_is_permutation_equivariant(link, case):
+    d, perm = case
+    base = solve(link, d)
+    permuted = solve(link, d[perm])
+    assert base.exists == permuted.exists
+    if base.exists:
+        assert (np.max(np.abs(permuted.alpha_hat - base.alpha_hat[perm]))
+                <= rounding_bound(link, base.alpha_hat))
+        assert base.iterations == permuted.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +369,13 @@ def test_confidence_interval_formula():
     assert hi == pytest.approx(z * 2.0, abs=1e-9)
     slo, shi = confidence_interval(res, 0, level=0.95)
     assert shi - slo == pytest.approx(2 * z / math.sqrt(0.5), abs=1e-9)
+
+
+def test_confidence_interval_index_array_matches_scalar_calls():
+    res = solve(LinkKind.LOGIT, np.array([1.0, 2.0, 2.0, 3.0, 1.5]))
+    lo, hi = confidence_interval(res, np.arange(5), level=0.9)
+    assert [(a, b) for a, b in zip(lo, hi)] == [
+        confidence_interval(res, k, level=0.9) for k in range(5)]
 
 
 def test_confidence_interval_validation():

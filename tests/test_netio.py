@@ -21,6 +21,23 @@ def test_parse_edgelist_with_declared_n_and_comments():
     assert list(e.degree_vector()) == [1, 1, 0, 1, 1]
 
 
+def test_degree_vector_counts_isolated_vertices():
+    rng = np.random.default_rng(0)
+    n = 30
+    pairs = {(int(min(i, j)), int(max(i, j)))
+             for i, j in rng.integers(1, n - 5, size=(40, 2)) if i != j}
+    e = EdgeList(n, tuple(pairs))
+    ref = np.zeros(n, dtype=np.int64)
+    for (i, j) in e.edges:
+        ref[i - 1] += 1
+        ref[j - 1] += 1
+    d = e.degree_vector()
+    assert d.dtype == np.int64 and np.array_equal(d, ref)
+    assert not d[n - 5:].any()
+    empty = EdgeList(4, ()).degree_vector()
+    assert empty.dtype == np.int64 and np.array_equal(empty, np.zeros(4))
+
+
 def test_parse_edgelist_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_edges("1 2\n3 3\n", "edgelist")
