@@ -102,9 +102,7 @@ def cmd_sample(args) -> int:
              if args.alpha_file else truth_vector(args.n, args.L))
     rng = np.random.default_rng(args.seed)
     g = sample_graph(link, alpha, rng)
-    iu = np.triu_indices(g.n, k=1)
-    edges = tuple((int(i + 1), int(j + 1))
-                  for i, j in zip(*iu) if g.adjacency[i, j])
+    edges = np.argwhere(np.triu(g.adjacency, 1)) + 1
     _write(args.out, serialize_edges(EdgeList(g.n, edges)))
     return EXIT_OK
 
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="tail bound vs Monte Carlo survival CSV")
     p.add_argument("--kind", default="subgamma",
-                   help="subexp | bernstein | subgamma | subgammamax")
+                   help="subexp | bernstein | subgamma | subgammamax | hermite")
     p.add_argument("--noise", default=None,
                    help="mechanism grammar string (default herm2:a1=1,a2=1)")
     p.add_argument("--n", type=int, default=10, help="terms in the sum / max")

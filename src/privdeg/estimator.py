@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .links import LinkKind, link_inverse, pair_sum_matrix
 
@@ -320,7 +320,7 @@ def normal_quantile(level: float) -> float:
     """Two-sided standard normal quantile z with P(|Z| <= z) = level."""
     if not (0 < level < 1):
         raise ValueError("confidence level must be in (0, 1)")
-    return float(norm.ppf(0.5 + level / 2.0))
+    return float(ndtri(0.5 + level / 2.0))
 
 
 def confidence_interval(result: EstimateResult, i: int | np.ndarray,

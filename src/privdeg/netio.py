@@ -5,20 +5,28 @@ Two input formats:
 * ``edgelist``: whitespace-separated 1-indexed integer pairs, one edge
   per line, ``#`` comments; an optional directive line ``n=<count>``
   declares the vertex count (otherwise the largest index seen is used).
+  A vertex token is ASCII digits with an optional sign (``[+-]?[0-9]+``,
+  what ``np.loadtxt`` reads as int64); a token that Python's ``int``
+  would also take, such as ``1_000`` or non-ASCII digits, is rejected as
+  a non-integer vertex. A parse error names the first faulty line in
+  file order.
 * ``ucinet-dl``: the minimal fullmatrix subset: a ``dl n=<count>``
   header, a ``format = fullmatrix`` line, then ``data:`` followed by an
   n x n 0/1 matrix, which must be symmetric with a zero diagonal.
 
-Vertices are 1-indexed in files and 0-indexed inside arrays.
+Vertices are 1-indexed in files and in ``EdgeList.edges``, and 0-indexed
+inside degree vectors and adjacency matrices.
 """
 
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class ParseError(ValueError):
@@ -29,36 +37,70 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass(frozen=True)
+def _lex_order(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows (a, b), and a mask of the
+    rows that repeat an earlier row."""
+    m = a.size
+    if np.all((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))):
+        return np.arange(m), np.zeros(m, dtype=bool)   # already canonical
+    order = np.lexsort((b, a))
+    sa, sb = a[order], b[order]
+    repeat = np.zeros(m, dtype=bool)
+    repeat[order[1:]] = (sa[1:] == sa[:-1]) & (sb[1:] == sb[:-1])
+    return order, repeat
+
+
+@dataclass(frozen=True, eq=False)
 class EdgeList:
-    """Canonical edge list: n and sorted unique (i, j) pairs with i < j (1-indexed)."""
+    """Canonical edge list: n and a read-only (m, 2) int64 array of unique
+    1-indexed pairs (i, j) with i < j, rows in lexicographic order.
+
+    The constructor takes any sequence of pairs, including ``()``.
+    """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
-        for (i, j) in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        try:
+            e = np.array(self.edges, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"edge index out of range for n={self.n}") from None
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("edges must be (i, j) pairs")
+        i, j = e[:, 0], e[:, 1]
+        order, repeat = _lex_order(i, j)
+        loop = i == j
+        out_of_range = ~((1 <= i) & (i < j) & (j <= self.n))
+        bad = np.flatnonzero(loop | out_of_range | repeat)
+        if bad.size:
+            r = bad[0]
+            if loop[r]:
+                raise ValueError(f"self-loop at vertex {i[r]}")
+            if out_of_range[r]:
+                raise ValueError(f"edge ({i[r]}, {j[r]}) out of range for n={self.n}")
+            raise ValueError(f"duplicate edge ({i[r]}, {j[r]})")
+        e = e[order]
+        e.flags.writeable = False
+        object.__setattr__(self, "edges", e)
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeList):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
 
     def degree_vector(self) -> np.ndarray:
-        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
-                           count=2 * len(self.edges))
-        return np.bincount(ends - 1, minlength=self.n).astype(np.int64, copy=False)
+        return np.bincount(self.edges.ravel() - 1,
+                           minlength=self.n).astype(np.int64, copy=False)
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype=np.uint8)
-        for (i, j) in self.edges:
-            A[i - 1, j - 1] = A[j - 1, i - 1] = 1
+        i, j = self.edges[:, 0] - 1, self.edges[:, 1] - 1
+        A[i, j] = A[j, i] = 1
         return A
 
 
@@ -66,42 +108,97 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def _parse_edgelist(text: str) -> EdgeList:
+_DIRECTIVE = re.compile(r"n\s*=\s*(\d+)", flags=re.IGNORECASE)
+_VERTEX = re.compile(r"[+-]?[0-9]+")
+
+
+def _take_directives(lines: list[str]) -> int | None:
+    """Blank the ``n=<count>`` lines in place; the last count, or None."""
     declared_n = None
-    raw_edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    max_seen = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    joined = "\n".join(lines)
+    lineno = pos = 0
+    for m in re.finditer("=", joined):        # only directive candidates hold "="
+        lineno += joined.count("\n", pos, m.start())
+        pos = m.start()
+        d = _DIRECTIVE.fullmatch(_strip_comment(lines[lineno]))
+        if d:
+            declared_n = int(d.group(1))
+            lines[lineno] = ""
+    return declared_n
+
+
+def _scan(lines: list[str]) -> tuple[list[tuple[int, int]], list[int], ParseError | None]:
+    """Pairs of the data lines and their line numbers, up to the first line
+    that is not two vertex tokens, which comes back as the error."""
+    rows: list[tuple[int, int]] = []
+    where: list[int] = []
+    for lineno, line in enumerate(lines, start=1):
         body = _strip_comment(line)
         if not body:
             continue
-        m = re.fullmatch(r"n\s*=\s*(\d+)", body, flags=re.IGNORECASE)
-        if m:
-            declared_n = int(m.group(1))
-            continue
         parts = body.split()
         if len(parts) != 2:
-            raise ParseError(f"expected two integers, got {body!r}", lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer vertex in {body!r}", lineno) from None
-        if i == j:
-            raise ParseError(f"self-loop at vertex {i}", lineno)
-        lo, hi = min(i, j), max(i, j)
-        if lo < 1:
-            raise ParseError(f"vertex index {lo} below 1", lineno)
-        if (lo, hi) in seen:
-            raise ParseError(f"duplicate edge ({lo}, {hi})", lineno)
-        seen.add((lo, hi))
-        raw_edges.append((lo, hi))
-        max_seen = max(max_seen, hi)
+            return rows, where, ParseError(f"expected two integers, got {body!r}", lineno)
+        if not (_VERTEX.fullmatch(parts[0]) and _VERTEX.fullmatch(parts[1])):
+            return rows, where, ParseError(f"non-integer vertex in {body!r}", lineno)
+        rows.append((int(parts[0]), int(parts[1])))
+        where.append(lineno)
+    return rows, where, None
+
+
+def _read_pairs(lines: list[str]) -> tuple[np.ndarray, list[int] | None, ParseError | None]:
+    """The data lines' pairs as an (m, 2) array, their line numbers when
+    known, and the first line that is not two vertex tokens.
+
+    ``np.loadtxt`` reads a well-formed file in one pass. Otherwise (a bad
+    line, an index beyond int64, or no data at all) ``_scan`` reads the
+    lines before the first bad one; indices beyond int64 then come back in
+    an object array, so that every check still sees the exact values.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # loadtxt warns on input without data
+            pairs = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
+        if pairs.shape[1] == 2:
+            return pairs, None, None
+    except (ValueError, Warning):
+        pass
+    rows, where, bad_line = _scan(lines)
+    try:
+        pairs = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        pairs = np.array(rows, dtype=object)
+    return pairs.reshape(-1, 2), where, bad_line
+
+
+def _parse_edgelist(text: str) -> EdgeList:
+    lines = text.splitlines()
+    declared_n = _take_directives(lines)
+    pairs, where, bad_line = _read_pairs(lines)
+    i, j = pairs[:, 0], pairs[:, 1]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    order, repeat = _lex_order(lo, hi)
+    faulty = np.flatnonzero((i == j) | (lo < 1) | repeat)
+    if faulty.size:
+        r = faulty[0]
+        line = (where if where is not None else _scan(lines)[1])[r]
+        if i[r] == j[r]:
+            raise ParseError(f"self-loop at vertex {i[r]}", line)
+        if lo[r] < 1:
+            raise ParseError(f"vertex index {lo[r]} below 1", line)
+        raise ParseError(f"duplicate edge ({lo[r]}, {hi[r]})", line)
+    if bad_line is not None:
+        raise bad_line
+    max_seen = int(hi.max()) if hi.size else 0
     n = declared_n if declared_n is not None else max_seen
     if n == 0:
         raise ParseError("no vertex count declared and no edges found")
     if max_seen > n:
         raise ParseError(f"edge index {max_seen} exceeds declared n={n}")
-    return EdgeList(n, tuple(raw_edges))
+    if max_seen > _INT64_MAX:
+        r = int(np.argmax(hi > _INT64_MAX))
+        raise ParseError(f"vertex index {hi[r]} does not fit in 64 bits", where[r])
+    return EdgeList(n, np.stack([lo[order], hi[order]], axis=1))
 
 
 def _parse_ucinet_dl(text: str) -> EdgeList:
@@ -151,17 +248,15 @@ def _parse_ucinet_dl(text: str) -> EdgeList:
             raise ParseError(f"row {r} has {len(vals)} entries, expected {n}", lineno)
         if any(v not in (0, 1) for v in vals):
             raise ParseError(f"matrix entries must be 0 or 1 in row {r}", lineno)
-    A = np.array(rows, dtype=np.uint8)
-    for i in range(n):
-        if A[i, i] != 0:
+    A = np.array(rows, dtype=np.uint8).reshape(n, n)
+    faulty = (A.diagonal() != 0) | np.triu(A != A.T, 1).any(axis=1)
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        if A[i, i]:
             raise ParseError(f"self-loop at vertex {i + 1}", row_lines[i])
-        for j in range(i + 1, n):
-            if A[i, j] != A[j, i]:
-                raise ParseError(
-                    f"asymmetric entries at ({i + 1}, {j + 1})", row_lines[i])
-    edges = tuple((i + 1, j + 1) for i in range(n) for j in range(i + 1, n)
-                  if A[i, j])
-    return EdgeList(n, edges)
+        j = i + 1 + int(np.argmax(A[i, i + 1:] != A[i + 1:, i]))
+        raise ParseError(f"asymmetric entries at ({i + 1}, {j + 1})", row_lines[i])
+    return EdgeList(n, np.argwhere(np.triu(A, 1)) + 1)
 
 
 def parse_edges(text: str, fmt: str = "edgelist") -> EdgeList:
@@ -184,9 +279,8 @@ def sniff_format(text: str) -> str:
 
 def serialize_edges(e: EdgeList) -> str:
     """Canonical edgelist text; parse_edges() of the output is identity."""
-    lines = [f"n={e.n}"]
-    lines += [f"{i} {j}" for (i, j) in e.edges]
-    return "\n".join(lines) + "\n"
+    rows = ("%d %d\n" * len(e.edges)) % tuple(e.edges.ravel().tolist())
+    return f"n={e.n}\n" + rows
 
 
 def prune_zero_degree(e: EdgeList) -> tuple[EdgeList, list[int]]:
@@ -195,20 +289,17 @@ def prune_zero_degree(e: EdgeList) -> tuple[EdgeList, list[int]]:
     Returns the pruned edge list and the removed original 1-indexed
     labels. Idempotent: a second application removes nothing.
     """
-    d = e.degree_vector()
-    removed = [i + 1 for i in range(e.n) if d[i] == 0]
-    if not removed:
+    keep = e.degree_vector() > 0
+    if keep.all():
         return e, []
-    keep = [i + 1 for i in range(e.n) if d[i] > 0]
-    relabel = {orig: new for new, orig in enumerate(keep, start=1)}
-    edges = tuple((relabel[i], relabel[j]) for (i, j) in e.edges)
-    return EdgeList(len(keep), edges), removed
+    relabel = np.cumsum(keep)          # new 1-indexed label of each kept vertex
+    removed = (np.flatnonzero(~keep) + 1).tolist()
+    return EdgeList(int(relabel[-1]), relabel[e.edges - 1]), removed
 
 
 def kept_labels(e: EdgeList) -> list[int]:
     """Original labels that survive pruning, in pruned order."""
-    d = e.degree_vector()
-    return [i + 1 for i in range(e.n) if d[i] > 0]
+    return (np.flatnonzero(e.degree_vector() > 0) + 1).tolist()
 
 
 def read_degree_file(text: str) -> np.ndarray:
@@ -227,12 +318,16 @@ def read_degree_file(text: str) -> np.ndarray:
             if len(parts) == 1:
                 singles.append(float(parts[0]))
             elif len(parts) == 2:
-                pairs[int(parts[0])] = float(parts[1])
+                vertex, value = int(parts[0]), float(parts[1])
             else:
                 raise ValueError
         except ValueError:
             raise ParseError(f"expected 'value' or 'vertex value', got {body!r}",
                              lineno) from None
+        if len(parts) == 2:
+            if vertex in pairs:
+                raise ParseError(f"vertex {vertex} repeated", lineno)
+            pairs[vertex] = value
     if singles and pairs:
         raise ParseError("mixed single-column and two-column degree lines")
     if pairs:

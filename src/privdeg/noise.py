@@ -19,7 +19,8 @@ Witness routes:
 
 The mechanism grammar used by the CLI:
 
-    lap:b=1.0   dlap:p=0.5   geo:q=0.5   herm2:a1=1.2,a2=0.3   tsp:lambda=2,mu=2
+    lap:b=1.0   dlap:p=0.5   geo:q=0.5   herm:a1=1.0,a2=0.5
+    herm2:a1=1.2,a2=0.3   tsp:lambda=2,mu=2
 
 Keys are case-insensitive.
 """
@@ -472,7 +473,7 @@ def sub_gamma_witness(mech: NoiseMechanism) -> SubGammaParams:
 # ---------------------------------------------------------------------------
 
 _GRAMMAR_HELP = "expected e.g. lap:b=1.0, dlap:p=0.5, geo:q=0.5, " \
-                "herm2:a1=1.2,a2=0.3, tsp:lambda=2,mu=2"
+                "herm:a1=1.0,a2=0.5, herm2:a1=1.2,a2=0.3, tsp:lambda=2,mu=2"
 
 
 def parse_mechanism(text: str) -> NoiseMechanism:
@@ -499,6 +500,8 @@ def parse_mechanism(text: str) -> NoiseMechanism:
             return DiscreteLaplace(p=kv.pop("p"))
         if name == "geo":
             return CenteredGeometric(q=kv.pop("q"))
+        if name == "herm":
+            return Hermite(a1=kv.pop("a1"), a2=kv.pop("a2"))
         if name == "herm2":
             return TwoSideHermite(a1=kv.pop("a1"), a2=kv.pop("a2"))
         if name == "tsp":

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import noise as noise_mod
 from .estimator import SolverOptions, normal_quantile, solve, xi_statistic
@@ -107,7 +107,7 @@ def qq_export(report: CoverageReport, pair: tuple[int, int]) -> list[tuple[float
     m = xs.size
     if m == 0:
         return []
-    theo = norm.ppf((np.arange(1, m + 1) - 0.5) / m)
+    theo = ndtri((np.arange(1, m + 1) - 0.5) / m)
     return list(zip(theo.tolist(), xs.tolist()))
 
 

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netio_reference
 from privdeg.cli import main
+from privdeg.links import LinkKind, sample_graph
+from privdeg.simulate import truth_vector
 
 SCENARIO = """
 link = logit
@@ -148,3 +154,21 @@ def test_analyze_warns_on_positive_log_pair_sum(tmp_path, capsys, tailorshop_tex
         assert main(["analyze", str(src), "--link", link, "--no-noise",
                      "--out", str(tmp_path / f"{link}.csv")]) == 0
         assert ("warning: log-link fit" in capsys.readouterr().err) == warned
+
+
+def test_sample_writes_the_loop_extraction_bytes(tmp_path):
+    out = tmp_path / "g.edges"
+    assert main(["sample", "--link", "logit", "--n", "50", "--L", "0.5",
+                 "--seed", "7", "--out", str(out)]) == 0
+    g = sample_graph(LinkKind.LOGIT, truth_vector(50, 0.5), np.random.default_rng(7))
+    assert out.read_text() == netio_reference.sample_text(g.adjacency)
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, privdeg.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                          os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"

@@ -159,6 +159,11 @@ def test_two_side_hermite_sample_mean_zero():
 
 
 @pytest.mark.parametrize("mech", ALL_MECHS, ids=mechanism_label)
+def test_mechanism_label_round_trips(mech):
+    assert parse_mechanism(mechanism_label(mech)) == mech
+
+
+@pytest.mark.parametrize("mech", ALL_MECHS, ids=mechanism_label)
 def test_empirical_moments_match(mech):
     rng = np.random.default_rng(abs(hash(mechanism_label(mech))) % 2 ** 31)
     mean, var = moments(mech)
