@@ -12,9 +12,9 @@ Library layout:
 * ``cli``       the ``privdeg`` command
 """
 
-from .links import (DomainError, Graph, LinkKind, degrees, edge_prob,
-                    edge_prob_deriv, edge_prob_matrix, expected_degrees,
-                    link_inverse, sample_graph)
+from .links import (DomainError, EdgeSampler, Graph, LinkKind, degrees,
+                    edge_prob, edge_prob_deriv, edge_prob_matrix,
+                    expected_degrees, link_inverse, sample_graph)
 from .noise import (CenteredGeometric, ContinuousLaplace, DiscreteLaplace,
                     Hermite, NoiseMechanism, SubGammaParams, TwoSideHermite,
                     TwoSidePoisson, bessel_i, hermite_budget_intensity,

@@ -132,7 +132,7 @@ def cmd_analyze(args) -> int:
     link = LinkKind.parse(args.link)
     e = _load_edges(args.input, args.format)
     removed: list[int] = []
-    labels = list(range(1, e.n + 1))
+    labels = None  # every vertex, 1..n
     if not args.keep_isolated:
         labels = kept_labels(e)
         e, removed = prune_zero_degree(e)

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .links import LinkKind, link_inverse, pair_sum_matrix
+from .links import _EXP_CLIP, LinkKind, link_inverse, pair_sum_matrix
 
 __all__ = [
     "SolverOptions",
@@ -107,42 +107,47 @@ class JacobianMatrix:
     M: float
 
 
-def _pm_extended(link: LinkKind, X: np.ndarray) -> np.ndarray:
-    """p(X) without the log-domain guard (analytic extension for log)."""
-    if link == LinkKind.LOG:
-        return np.exp(X)
-    if link == LinkKind.LOGIT:
-        out = np.empty_like(X)
-        pos = X >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-X[pos]))
-        e = np.exp(X[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
-    return -np.expm1(-np.exp(np.clip(X, None, 690.0)))
+def _weighted_values(link: LinkKind, beta: np.ndarray,
+                     m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W o p(X) and W o p'(X) at X_ab = beta_a + beta_b, W = m[None, :] - I.
 
-
-def _dpm_extended(link: LinkKind, X: np.ndarray) -> np.ndarray:
-    if link == LinkKind.LOG:
-        return np.exp(X)
-    if link == LinkKind.LOGIT:
-        p = _pm_extended(link, X)
-        return p * (1.0 - p)
-    Xc = np.clip(X, None, 690.0)
-    return np.exp(Xc - np.exp(Xc))
-
-
-def _weighted(f, link: LinkKind, beta: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """W o f(beta_a + beta_b) with W = m[None, :] - I.
-
-    Diagonal entries with W_aa = 0 are set to zero rather than multiplied
-    by it, so an overflowing f there cannot turn the row sum into NaN.
+    p is evaluated without the log-domain guard (analytic extension for
+    log). Each link computes p and p' from shared intermediates, in place
+    where it can, so no more than two k x k arrays (and logit's sign
+    mask) are live. Diagonal entries with W_aa = 0 are set to zero rather
+    than multiplied by it, so an overflowing value there cannot turn a
+    row sum into NaN.
     """
-    out = f(link, pair_sum_matrix(beta))
-    diag = np.zeros(m.size)
-    np.multiply(out.diagonal(), m - 1.0, out=diag, where=m > 1)
-    out *= m
-    np.fill_diagonal(out, diag)
-    return out
+    X = pair_sum_matrix(beta)
+    if link == LinkKind.LOG:
+        P = np.exp(X, out=X)
+        D = P.copy()
+    elif link == LinkKind.LOGIT:
+        pos = X >= 0
+        e = np.exp(np.negative(np.abs(X, out=X), out=X), out=X)  # exp(-|x|)
+        D = np.add(e, 1.0)
+        P = np.divide(e, D, out=e)               # e^x / (1 + e^x) for x < 0
+        np.divide(1.0, D, out=P, where=pos)      # 1 / (1 + e^-x) for x >= 0
+        np.multiply(P, np.subtract(1.0, P, out=D), out=D)   # p (1 - p)
+    else:
+        Xc = np.clip(X, None, _EXP_CLIP, out=X)
+        e = np.exp(Xc)
+        D = np.exp(np.subtract(Xc, e, out=Xc), out=Xc)      # exp(x - e^x)
+        P = np.negative(np.expm1(np.negative(e, out=e), out=e), out=e)
+    for A in (P, D):
+        diag = np.zeros(m.size)
+        np.multiply(A.diagonal(), m - 1.0, out=diag, where=m > 1)
+        A *= m
+        np.fill_diagonal(A, diag)
+    return P, D
+
+
+def _residual_and_slope(link: LinkKind, beta: np.ndarray, u: np.ndarray,
+                        m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed residual G(beta) and W o p'(beta_a + beta_b), from one
+    link evaluation."""
+    P, D = _weighted_values(link, beta, m)
+    return u - P.sum(axis=1), D
 
 
 def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray,
@@ -170,7 +175,7 @@ def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray,
     m = np.ones(a.size) if counts is None else np.asarray(counts, dtype=float)
     if m.shape != a.shape:
         raise ValueError(f"counts must have length {a.size}")
-    return d - _weighted(_pm_extended, link, a, m).sum(axis=1)
+    return _residual_and_slope(link, a, d, m)[0]
 
 
 def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
@@ -180,8 +185,7 @@ def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
     exactly, so the diagonal-balance identity holds by construction.
     """
     a = np.asarray(alpha, dtype=float).reshape(-1)
-    V = _dpm_extended(link, pair_sum_matrix(a))
-    np.fill_diagonal(V, 0.0)
+    V = _weighted_values(link, a, np.ones(a.size))[1]
     off_min = float(V[~np.eye(a.size, dtype=bool)].min())
     off_max = float(V[~np.eye(a.size, dtype=bool)].max())
     np.fill_diagonal(V, V.sum(axis=1))
@@ -274,11 +278,11 @@ def solve(link: LinkKind, dtilde: np.ndarray,
     first, inverse, m = _classes(d, x0)
     u = d[first]
     b = (x0 if x0 is not None else initial_point(link, d))[first]
-    F = moment_residual(link, b, u, m)
+    F, V = _residual_and_slope(link, b, u, m)
     res = float(np.max(np.abs(F)))
 
+    # V holds W o p' at b; each accepted trial point brings its own
     for it in range(opts.max_iter + 1):
-        V = _weighted(_dpm_extended, link, b, m)
         v = V.sum(axis=1)
         if res <= tol:
             pair_abs = np.abs(pair_sum_matrix(b))
@@ -293,6 +297,7 @@ def solve(link: LinkKind, dtilde: np.ndarray,
             step = np.linalg.solve(V, F)
         except np.linalg.LinAlgError:
             return fail("singular Jacobian", it, res)
+        del V
         if not np.all(np.isfinite(step)):
             return fail("non-finite Newton step", it, res)
 
@@ -300,11 +305,12 @@ def solve(link: LinkKind, dtilde: np.ndarray,
         scale = 1.0
         for _ in range(opts.max_halvings + 1):
             b_try = b + scale * step
-            F_try = moment_residual(link, b_try, u, m)
+            F_try, V_try = _residual_and_slope(link, b_try, u, m)
             res_try = float(np.max(np.abs(F_try)))
             if np.isfinite(res_try) and res_try < res:
-                b, F, res = b_try, F_try, res_try
+                b, F, res, V = b_try, F_try, res_try, V_try
                 break
+            del V_try
             scale *= 0.5
         else:
             return fail("step stalled (no residual decrease)", it, res)

@@ -199,19 +199,44 @@ class Graph:
         return self.adjacency.shape[0]
 
 
+class EdgeSampler:
+    """Independent Bernoulli(p_ij) edges for one (link, alpha), set up once.
+
+    The draw stream is defined here and nowhere else: one
+    ``rng.random(n(n-1)/2)`` call, one uniform per pair i < j in
+    ``np.triu_indices`` row order, and pair k is an edge when its uniform
+    is below p_k. ``sample_graph`` builds its graph from ``draw`` and
+    ``degrees`` sums the same draw without building one, so both consume
+    the same generator state and agree on every degree.
+    """
+
+    def __init__(self, link: LinkKind, alpha: np.ndarray):
+        a = validate_params(link, alpha)
+        self.n = a.size
+        self.rows, self.cols = np.triu_indices(self.n, k=1)
+        self.p = np.asarray(edge_prob(link, a[self.rows] + a[self.cols]))
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """Edge indicator of every pair i < j, in triu row order."""
+        return rng.random(self.p.size) < self.p
+
+    def degrees(self, rng: np.random.Generator) -> np.ndarray:
+        """Degree sequence (float64) of one drawn graph."""
+        hit = self.draw(rng)
+        return (np.bincount(self.rows, weights=hit, minlength=self.n)
+                + np.bincount(self.cols, weights=hit, minlength=self.n))
+
+
 def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) -> Graph:
     """Draw one graph with independent Bernoulli(p_ij) edges.
 
-    Upper-triangle entries are drawn from the supplied generator and
-    mirrored, so the same generator state yields the same graph.
+    Upper-triangle entries are drawn from the supplied generator (see
+    ``EdgeSampler``) and mirrored, so the same generator state yields the
+    same graph.
     """
-    a = validate_params(link, alpha)
-    n = a.size
-    P = edge_prob_matrix(link, a)
-    iu = np.triu_indices(n, k=1)
-    draws = (rng.random(iu[0].size) < P[iu]).astype(np.uint8)
-    A = np.zeros((n, n), dtype=np.uint8)
-    A[iu] = draws
+    s = EdgeSampler(link, alpha)
+    A = np.zeros((s.n, s.n), dtype=np.uint8)
+    A[s.rows, s.cols] = s.draw(rng)
     return Graph(A + A.T)
 
 

@@ -94,8 +94,12 @@ class EdgeList:
         return self.n == other.n and np.array_equal(self.edges, other.edges)
 
     def degree_vector(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel() - 1,
-                           minlength=self.n).astype(np.int64, copy=False)
+        try:
+            d = np.bincount(self.edges.ravel() - 1, minlength=self.n)
+        except (MemoryError, OverflowError):
+            raise ValueError(f"vertex count n={self.n} is too large "
+                             "to hold a degree vector") from None
+        return d.astype(np.int64, copy=False)
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype=np.uint8)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.special import ive
 
 
 @dataclass(frozen=True)
@@ -332,8 +333,11 @@ def pmf(mech: NoiseMechanism, k: int) -> float:
         if lam == 0.0:
             return 0.0 if k > 0 else math.exp(
                 (-k) * math.log(mu) - mu - math.lgamma(-k + 1))
-        return (math.exp(-(lam + mu)) * (lam / mu) ** (k / 2.0) *
-                bessel_i(abs(k), 2.0 * math.sqrt(lam * mu)))
+        # I_k(x) e^-(lam + mu) as ive(k, x) e^(x - lam - mu): the unscaled
+        # I_k(x) overflows where e^-(lam + mu) underflows
+        x = 2.0 * math.sqrt(lam * mu)
+        return (math.exp(x - lam - mu) * (lam / mu) ** (k / 2.0) *
+                float(ive(abs(k), x)))
     raise TypeError(f"unknown mechanism {mech!r}")
 
 

@@ -14,9 +14,12 @@ of the scenario (worker count changes nothing, bit for bit).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -24,7 +27,9 @@ from scipy.special import ndtri
 
 from . import noise as noise_mod
 from .estimator import SolverOptions, normal_quantile, solve, xi_statistic
-from .links import LinkKind, degrees, expected_degrees, sample_graph
+from .links import EdgeSampler, LinkKind, expected_degrees
+# Not called here; perfbench/tracing.py wraps these two names in this module.
+from .links import degrees, sample_graph  # noqa: F401
 from .netio import ParseError
 
 DEFAULT_REPLICATES = 1000
@@ -115,14 +120,26 @@ def qq_export(report: CoverageReport, pair: tuple[int, int]) -> list[tuple[float
 # replicate execution
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _cell_model(link: LinkKind, n: int, L: float) -> tuple[np.ndarray, EdgeSampler]:
+    """Truth and edge sampler of the running cell, built once per process.
+
+    Workers build their own copy on first use, so the pair probabilities
+    are never pickled with a task. Cells run one after another, so only
+    the latest is kept (three arrays of n(n-1)/2 entries).
+    """
+    truth = truth_vector(n, L)
+    truth.flags.writeable = False
+    return truth, EdgeSampler(link, truth)
+
+
 def _one_replicate(scenario: Scenario, z: float, child: np.random.SeedSequence):
     rng = np.random.default_rng(child)
-    truth = truth_vector(scenario.n, scenario.L)
+    truth, sampler = _cell_model(scenario.link, scenario.n, scenario.L)
     if scenario.exact:
         dt = expected_degrees(scenario.link, truth)
     else:
-        g = sample_graph(scenario.link, truth, rng)
-        dt = degrees(g).astype(float)
+        dt = sampler.degrees(rng)
         if scenario.noise is not None:
             dt = dt + np.asarray(
                 noise_mod.sample(scenario.noise, rng, size=scenario.n), dtype=float)
@@ -144,6 +161,27 @@ def _replicate_task(args):
     return _one_replicate(*args)
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: run numpy's bundled OpenBLAS on one thread.
+
+    A forked worker otherwise keeps one BLAS thread per core, so w workers
+    run w times as many threads as there are cores. Does nothing when
+    numpy carries no OpenBLAS of its own.
+    """
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                       .glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                return
+
+
 def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
     """Execute a scenario, optionally fanning replicates over processes.
 
@@ -158,7 +196,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
         records = [_replicate_task(t) for t in tasks]
     else:
         chunk = max(1, scenario.replicates // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_one_blas_thread) as pool:
             records = list(pool.map(_replicate_task, tasks, chunksize=chunk))
 
     hits = {pr: 0 for pr in scenario.pairs}

@@ -1,0 +1,141 @@
+"""Reference for the degree-only sampler and the fused link evaluator.
+
+These are the replicate-engine functions as they were before the sampler
+stopped building a graph and ``solve`` stopped evaluating the link twice
+per Newton point, kept unchanged as the reference the parity tests
+compare against bit for bit: the dense ``sample_graph`` and the separate
+p and p' evaluators with ``moment_residual``, ``jacobian`` and ``solve``
+built on them. Everything else comes from the package.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from privdeg.estimator import (EstimateResult, JacobianMatrix, SolverOptions,
+                               _classes, _nonexistence_reason, initial_point)
+from privdeg.links import (Graph, LinkKind, edge_prob_matrix, pair_sum_matrix,
+                           validate_params)
+
+
+def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) -> Graph:
+    a = validate_params(link, alpha)
+    n = a.size
+    P = edge_prob_matrix(link, a)
+    iu = np.triu_indices(n, k=1)
+    draws = (rng.random(iu[0].size) < P[iu]).astype(np.uint8)
+    A = np.zeros((n, n), dtype=np.uint8)
+    A[iu] = draws
+    return Graph(A + A.T)
+
+
+def _pm_extended(link: LinkKind, X: np.ndarray) -> np.ndarray:
+    if link == LinkKind.LOG:
+        return np.exp(X)
+    if link == LinkKind.LOGIT:
+        out = np.empty_like(X)
+        pos = X >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-X[pos]))
+        e = np.exp(X[~pos])
+        out[~pos] = e / (1.0 + e)
+        return out
+    return -np.expm1(-np.exp(np.clip(X, None, 690.0)))
+
+
+def _dpm_extended(link: LinkKind, X: np.ndarray) -> np.ndarray:
+    if link == LinkKind.LOG:
+        return np.exp(X)
+    if link == LinkKind.LOGIT:
+        p = _pm_extended(link, X)
+        return p * (1.0 - p)
+    Xc = np.clip(X, None, 690.0)
+    return np.exp(Xc - np.exp(Xc))
+
+
+def _weighted(f, link: LinkKind, beta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    out = f(link, pair_sum_matrix(beta))
+    diag = np.zeros(m.size)
+    np.multiply(out.diagonal(), m - 1.0, out=diag, where=m > 1)
+    out *= m
+    np.fill_diagonal(out, diag)
+    return out
+
+
+def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray,
+                    counts: Optional[np.ndarray] = None) -> np.ndarray:
+    a = np.asarray(alpha, dtype=float).reshape(-1)
+    d = np.asarray(dtilde, dtype=float).reshape(-1)
+    m = np.ones(a.size) if counts is None else np.asarray(counts, dtype=float)
+    return d - _weighted(_pm_extended, link, a, m).sum(axis=1)
+
+
+def weighted_slope(link: LinkKind, beta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """W o p'(beta_a + beta_b), the matrix ``solve`` built at each iteration."""
+    return _weighted(_dpm_extended, link, np.asarray(beta, dtype=float), m)
+
+
+def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
+    a = np.asarray(alpha, dtype=float).reshape(-1)
+    V = _dpm_extended(link, pair_sum_matrix(a))
+    np.fill_diagonal(V, 0.0)
+    off_min = float(V[~np.eye(a.size, dtype=bool)].min())
+    off_max = float(V[~np.eye(a.size, dtype=bool)].max())
+    np.fill_diagonal(V, V.sum(axis=1))
+    return JacobianMatrix(V, off_min, off_max)
+
+
+def solve(link: LinkKind, dtilde: np.ndarray,
+          options: SolverOptions | None = None,
+          x0: Optional[np.ndarray] = None) -> EstimateResult:
+    opts = options or SolverOptions()
+    d = np.asarray(dtilde, dtype=float).reshape(-1)
+
+    def fail(reason: str, it: int, res: float) -> EstimateResult:
+        return EstimateResult(None, None, False, it, res, False, reason)
+
+    reason = _nonexistence_reason(link, d)
+    if reason is not None:
+        return fail(reason, 0, float("inf"))
+
+    tol = opts.tol * max(1.0, float(np.max(np.abs(d))))
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+    first, inverse, m = _classes(d, x0)
+    u = d[first]
+    b = (x0 if x0 is not None else initial_point(link, d))[first]
+    F = moment_residual(link, b, u, m)
+    res = float(np.max(np.abs(F)))
+
+    for it in range(opts.max_iter + 1):
+        V = _weighted(_dpm_extended, link, b, m)
+        v = V.sum(axis=1)
+        if res <= tol:
+            pair_abs = np.abs(pair_sum_matrix(b))
+            alone = np.flatnonzero(m == 1)
+            pair_abs[alone, alone] = 0.0
+            return EstimateResult(b[inverse], v[inverse], True, it, res, True, None,
+                                  float(pair_abs.max()))
+        if it == opts.max_iter:
+            break
+        V[np.diag_indices(m.size)] += v
+        try:
+            step = np.linalg.solve(V, F)
+        except np.linalg.LinAlgError:
+            return fail("singular Jacobian", it, res)
+        if not np.all(np.isfinite(step)):
+            return fail("non-finite Newton step", it, res)
+
+        scale = 1.0
+        for _ in range(opts.max_halvings + 1):
+            b_try = b + scale * step
+            F_try = moment_residual(link, b_try, u, m)
+            res_try = float(np.max(np.abs(F_try)))
+            if np.isfinite(res_try) and res_try < res:
+                b, F, res = b_try, F_try, res_try
+                break
+            scale *= 0.5
+        else:
+            return fail("step stalled (no residual decrease)", it, res)
+    return fail("iteration limit reached", opts.max_iter, res)

@@ -172,3 +172,36 @@ def test_import_does_not_load_scipy_stats():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n", ["1000000000000", "99999999999999999999"])
+def test_analyze_huge_declared_n_exits_2(tmp_path, capsys, n):
+    net = tmp_path / "huge.edges"
+    net.write_text(f"n={n}\n1 2\n")
+    for extra in ([], ["--keep-isolated"]):
+        assert main(["analyze", str(net), "--no-noise",
+                     "--out", str(tmp_path / "t.csv"), *extra]) == 2
+        assert capsys.readouterr().err == \
+            f"error: vertex count n={n} is too large to hold a degree vector\n"
+    assert main(["privatize", str(net), "--no-noise",
+                 "--out", str(tmp_path / "p.txt")]) == 2
+
+
+def test_pool_workers_run_one_blas_thread():
+    # a forked pool worker runs the initializer; here a fresh interpreter
+    # started at two OpenBLAS threads does
+    code = ("import ctypes, pathlib, numpy as np\n"
+            "from privdeg.simulate import _one_blas_thread\n"
+            "libs = (pathlib.Path(np.__file__).resolve().parent.parent / 'numpy.libs')"
+            ".glob('*openblas*')\n"
+            "get = [f for f in (getattr(ctypes.CDLL(str(p)), n, None) for p in libs\n"
+            "       for n in ('scipy_openblas_get_num_threads64_',"
+            " 'openblas_get_num_threads')) if f]\n"
+            "_one_blas_thread()\n"
+            "print(get[0]() if get else 'no bundled openblas')\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                          os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() in ("1", "no bundled openblas")

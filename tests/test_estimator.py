@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import engine_reference
 from privdeg.estimator import (NonexistentEstimateError, SolverOptions,
-                               approx_inverse_s, confidence_interval,
-                               initial_point, jacobian, moment_residual, solve,
-                               xi_statistic)
-from privdeg.links import LinkKind, expected_degrees
+                               _weighted_values, approx_inverse_s,
+                               confidence_interval, initial_point, jacobian,
+                               moment_residual, solve, xi_statistic)
+from privdeg.links import LinkKind, degrees, expected_degrees, sample_graph
 
 LINKS = [LinkKind.LOG, LinkKind.LOGIT, LinkKind.CLOGLOG]
 
@@ -354,6 +355,72 @@ def test_untied_solve_is_permutation_equivariant(link, case):
         assert (np.max(np.abs(permuted.alpha_hat - base.alpha_hat[perm]))
                 <= rounding_bound(link, base.alpha_hat))
         assert base.iterations == permuted.iterations
+
+
+# ---------------------------------------------------------------------------
+# one link evaluation per Newton point: bitwise parity with the separate
+# p and p' evaluators of tests/engine_reference.py
+# ---------------------------------------------------------------------------
+
+def _evaluation_cases():
+    rng = np.random.default_rng(31)
+    for link in LINKS:
+        for scale in (0.5, 5.0, 800.0):      # 800: exp overflow and the clip
+            for tied in (False, True):
+                k = 12
+                beta = rng.normal(0.0, scale, k)
+                beta[3], beta[7] = 0.0, -0.0
+                if link == LinkKind.LOG and scale < 800.0:
+                    beta = -np.abs(beta) - 0.1
+                m = rng.integers(1, 4, k).astype(float) if tied else np.ones(k)
+                yield link, beta, m
+
+
+@pytest.mark.parametrize("link,beta,m", list(_evaluation_cases()))
+def test_fused_evaluator_matches_separate_evaluators(link, beta, m):
+    u = np.linspace(1.0, 9.0, beta.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, D = _weighted_values(link, beta, m)
+        assert P is not D
+        assert np.array_equal(
+            P, engine_reference._weighted(engine_reference._pm_extended, link, beta, m),
+            equal_nan=True)
+        assert np.array_equal(D, engine_reference.weighted_slope(link, beta, m),
+                              equal_nan=True)
+        F = moment_residual(link, beta, u, m)
+        assert np.array_equal(F, u - P.sum(axis=1), equal_nan=True)
+        assert np.array_equal(F, engine_reference.moment_residual(link, beta, u, m),
+                              equal_nan=True)
+        if not np.all(m == 1):
+            return
+        jac, ref = jacobian(link, beta), engine_reference.jacobian(link, beta)
+        assert np.array_equal(jac.matrix, ref.matrix, equal_nan=True)
+        off = ~np.eye(beta.size, dtype=bool)
+        assert np.array_equal(jac.matrix[off], D[off], equal_nan=True)
+        assert (jac.m, jac.M) == (ref.m, ref.M) or np.isnan(ref.m)
+
+
+@pytest.mark.parametrize("link", LINKS)
+def test_solve_matches_two_evaluation_solve_bitwise(link):
+    rng = np.random.default_rng(77)
+    L = {LinkKind.LOG: -1.5, LinkKind.LOGIT: 0.8, LinkKind.CLOGLOG: 0.4}[link]
+    for trial in range(60):
+        n = int(rng.integers(2, 60))
+        d = degrees(sample_graph(link, np.arange(1, n + 1) * L / n, rng)).astype(float)
+        if trial % 3 == 0:
+            d = d + rng.normal(0.0, 1.0, n)          # untied
+        elif trial % 3 == 1:
+            d = d + rng.integers(-2, 3, n)           # tied
+        x0 = rng.normal(0.0, 1.0, n) if trial % 10 == 0 else None
+        got = solve(link, d, x0=x0)
+        want = engine_reference.solve(link, d, x0=x0)
+        assert (got.exists, got.iterations, got.reason) == \
+            (want.exists, want.iterations, want.reason)
+        assert got.residual_inf == want.residual_inf or np.isnan(want.residual_inf)
+        if want.exists:
+            assert np.array_equal(got.alpha_hat, want.alpha_hat)
+            assert np.array_equal(got.v_hat, want.v_hat)
+            assert got.max_abs_pair_sum == want.max_abs_pair_sum
 
 
 # ---------------------------------------------------------------------------

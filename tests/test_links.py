@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from privdeg.links import (DomainError, Graph, LinkKind, degrees, edge_prob,
-                           edge_prob_deriv, edge_prob_matrix, expected_degrees,
-                           link_inverse, sample_graph)
+import engine_reference
+from privdeg.links import (DomainError, EdgeSampler, Graph, LinkKind, degrees,
+                           edge_prob, edge_prob_deriv, edge_prob_matrix,
+                           expected_degrees, link_inverse, sample_graph)
 
 LINKS = [LinkKind.LOG, LinkKind.LOGIT, LinkKind.CLOGLOG]
 
@@ -137,6 +138,28 @@ def test_sample_matches_expected_degrees():
     P = edge_prob_matrix(LinkKind.LOGIT, alpha)
     var = (P * (1 - P)).sum(axis=1)
     assert np.all(np.abs(acc / R - want) < 4 * np.sqrt(var / R))
+
+
+@pytest.mark.parametrize("link", LINKS)
+@pytest.mark.parametrize("n", [2, 3, 100, 401])
+def test_degree_sampler_matches_sample_graph(link, n):
+    rng = np.random.default_rng(n)
+    if link == LinkKind.LOG:
+        alpha = rng.uniform(-3.0, -0.2, n)
+    else:
+        alpha = rng.uniform(-1.5, 1.5, n)
+    sampler = EdgeSampler(link, alpha)
+    for seed in range(4):
+        streams = [np.random.default_rng(seed) for _ in range(3)]
+        d = sampler.degrees(streams[0])
+        g = sample_graph(link, alpha, streams[1])
+        dense = engine_reference.sample_graph(link, alpha, streams[2])
+        assert d.dtype == float
+        assert np.array_equal(d, degrees(g))
+        assert np.array_equal(g.adjacency, dense.adjacency)
+        # the noise draw that follows sees the same generator state
+        nxt = [s.random() for s in streams]
+        assert nxt[0] == nxt[1] == nxt[2]
 
 
 def test_degrees_edge_cases():

@@ -75,6 +75,17 @@ def test_two_side_poisson_matches_brute_convolution():
         assert abs(pmf(m, k) - brute) < 1e-12
 
 
+def test_two_side_poisson_large_intensities_are_finite():
+    # exp(-800) I_0(800) is 0 * inf unless the Bessel factor is scaled
+    assert pmf(TwoSidePoisson(400, 400), 0) == pytest.approx(0.0141069, rel=1e-5)
+    j = np.arange(0, 2000)
+    for lam, mu in ((400.0, 400.0), (400.0, 300.0)):
+        m = TwoSidePoisson(lam, mu)
+        for k in (-7, 0, 3, 100):
+            brute = float(np.sum(stats.poisson.pmf(j + k, lam) * stats.poisson.pmf(j, mu)))
+            assert pmf(m, k) == pytest.approx(brute, rel=1e-10)
+
+
 def test_dlap_equals_geometric_difference():
     p = 0.55
     m = DiscreteLaplace(p)
