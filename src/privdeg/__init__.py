@@ -23,7 +23,7 @@ from .noise import (CenteredGeometric, ContinuousLaplace, DiscreteLaplace,
 from .estimator import (EstimateResult, JacobianMatrix,
                         NonexistentEstimateError, SolverOptions,
                         approx_inverse_s, confidence_interval, jacobian,
-                        moment_residual, solve, xi_statistic)
+                        moment_residual, solve, solve_many, xi_statistic)
 from .bounds import (BernsteinBound, HermiteSumRadius, SubExpNormBound,
                      SubGammaMaxBound, SubGammaSumBound, max_expectation_bound,
                      psi1_norm, tail_bound)

@@ -34,10 +34,9 @@ extension exp(alpha_i + alpha_j), defined for all real pair sums; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .links import _EXP_CLIP, LinkKind, link_inverse, pair_sum_matrix
 
@@ -51,10 +50,18 @@ __all__ = [
     "approx_inverse_s",
     "initial_point",
     "solve",
+    "solve_many",
     "normal_quantile",
     "confidence_interval",
     "xi_statistic",
 ]
+
+
+# Element budget of a stack of fits in ``solve_many``: each of its
+# (g, k, k) arrays holds at most this many entries, or those of one fit
+# when k * k exceeds it, so fits with k > 90 run alone. Larger stacks
+# gained no speed at n = 100 and cost memory.
+_ELEMENT_BUDGET = 2**14
 
 
 class NonexistentEstimateError(RuntimeError):
@@ -111,12 +118,14 @@ def _weighted_values(link: LinkKind, beta: np.ndarray,
                      m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """W o p(X) and W o p'(X) at X_ab = beta_a + beta_b, W = m[None, :] - I.
 
-    p is evaluated without the log-domain guard (analytic extension for
-    log). Each link computes p and p' from shared intermediates, in place
-    where it can, so no more than two k x k arrays (and logit's sign
-    mask) are live. Diagonal entries with W_aa = 0 are set to zero rather
-    than multiplied by it, so an overflowing value there cannot turn a
-    row sum into NaN.
+    beta and m are one system (k,) or a stack of systems (g, k); the
+    result is (k, k) or (g, k, k), and every entry is computed the same
+    way in either shape. p is evaluated without the log-domain guard
+    (analytic extension for log). Each link computes p and p' from shared
+    intermediates, in place where it can, so no more than two arrays of
+    the result's shape (and logit's sign mask) are live. Diagonal entries
+    with W_aa = 0 are set to zero rather than multiplied by it, so an
+    overflowing value there cannot turn a row sum into NaN.
     """
     X = pair_sum_matrix(beta)
     if link == LinkKind.LOG:
@@ -135,11 +144,17 @@ def _weighted_values(link: LinkKind, beta: np.ndarray,
         D = np.exp(np.subtract(Xc, e, out=Xc), out=Xc)      # exp(x - e^x)
         P = np.negative(np.expm1(np.negative(e, out=e), out=e), out=e)
     for A in (P, D):
-        diag = np.zeros(m.size)
-        np.multiply(A.diagonal(), m - 1.0, out=diag, where=m > 1)
-        A *= m
-        np.fill_diagonal(A, diag)
+        diag = np.zeros(m.shape)
+        np.multiply(A.diagonal(axis1=-2, axis2=-1), m - 1.0, out=diag, where=m > 1)
+        A *= m[..., None, :]
+        _diagonal(A)[...] = diag
     return P, D
+
+
+def _diagonal(A: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a C-contiguous (..., k, k) array."""
+    k = A.shape[-1]
+    return A.reshape(*A.shape[:-2], k * k)[..., ::k + 1]
 
 
 def _residual_and_slope(link: LinkKind, beta: np.ndarray, u: np.ndarray,
@@ -147,7 +162,7 @@ def _residual_and_slope(link: LinkKind, beta: np.ndarray, u: np.ndarray,
     """Collapsed residual G(beta) and W o p'(beta_a + beta_b), from one
     link evaluation."""
     P, D = _weighted_values(link, beta, m)
-    return u - P.sum(axis=1), D
+    return u - P.sum(axis=-1), D
 
 
 def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray,
@@ -240,6 +255,113 @@ def _classes(d: np.ndarray, x0: Optional[np.ndarray]):
     return first[order], rank[inverse.reshape(-1)], counts[order].astype(float)
 
 
+def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
+            tol: np.ndarray, inverses: list, opts: SolverOptions) -> list[EstimateResult]:
+    """Damped Newton on a stack of g collapsed systems with k classes each.
+
+    u, m and b (g, k) hold each member's distinct degrees, class sizes and
+    start, tol (g,) its absolute tolerance and inverses[j] the class of
+    each of its vertices. The members run side by side but apart: each
+    has its own residual, step, damping and exit, and the loop does for
+    each exactly what it does for a stack of that member alone, so a
+    member's result does not depend on the rest of the stack, bit for
+    bit. Members stop converged or with one of the reasons that ``solve``
+    reports.
+    """
+    g, k = u.shape
+    fits: list[Optional[EstimateResult]] = [None] * g
+    rows = np.arange(g)  # member of each running row
+    b = np.array(b, dtype=float)
+
+    def stop(gone: np.ndarray, it: int, res: np.ndarray, reason: str) -> None:
+        for j, r in zip(rows[gone].tolist(), res[gone].tolist()):
+            fits[j] = EstimateResult(None, None, False, it, r, False, reason)
+
+    F, V = _residual_and_slope(link, b, u, m)
+    res = np.max(np.abs(F), axis=1)
+    # V holds W o p' at b; each accepted trial point brings its own
+    for it in range(opts.max_iter + 1):
+        v = V.sum(axis=2)
+        done = res <= tol
+        if done.any():
+            pair_abs = pair_sum_matrix(b[done])
+            np.abs(pair_abs, out=pair_abs)
+            _diagonal(pair_abs)[m[done] == 1] = 0.0  # W_aa = 0: no pair within the class
+            for j, r, bj, vj, pm in zip(rows[done].tolist(), res[done].tolist(), b[done],
+                                        v[done], pair_abs.max(axis=(1, 2)).tolist()):
+                fits[j] = EstimateResult(bj[inverses[j]], vj[inverses[j]], True, it, r,
+                                        True, None, pm)
+            del pair_abs
+            if done.all():
+                return fits
+            keep = ~done
+            rows, u, m, b, tol, F, V, res, v = (
+                x[keep] for x in (rows, u, m, b, tol, F, V, res, v))
+        if it == opts.max_iter:
+            break
+        _diagonal(V)[...] += v
+        singular = np.zeros(rows.size, dtype=bool)
+        try:
+            step = np.linalg.solve(V, F[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # find the singular members one by one; the rest keep their steps
+            step = np.empty_like(F)
+            for r in range(rows.size):
+                try:
+                    step[r] = np.linalg.solve(V[r:r + 1], F[r:r + 1, :, None])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    singular[r] = True
+        del V
+        stop(singular, it, res, "singular Jacobian")
+        nonfinite = ~singular & ~np.all(np.isfinite(step), axis=1)
+        stop(nonfinite, it, res, "non-finite Newton step")
+        if (singular | nonfinite).any():
+            keep = ~(singular | nonfinite)
+            if not keep.any():
+                return fits
+            rows, u, m, b, tol, F, res, step = (
+                x[keep] for x in (rows, u, m, b, tol, F, res, step))
+
+        # damping: halve until the sup-norm residual strictly decreases;
+        # the rows still trying have all been halved alike
+        trying = np.arange(rows.size)
+        V = None
+        scale = 1.0
+        for _ in range(opts.max_halvings + 1):
+            whole = trying.size == rows.size
+            t = slice(None) if whole else trying
+            b_try = b[t] + scale * step[t]
+            F_try, V_try = _residual_and_slope(link, b_try, u[t], m[t])
+            res_try = np.max(np.abs(F_try), axis=1)
+            ok = np.isfinite(res_try) & (res_try < res[t])
+            if whole and ok.all():
+                b, F, res, V = b_try, F_try, res_try, V_try
+                trying = trying[:0]
+                break
+            acc = trying[ok]
+            if acc.size:
+                b[acc], F[acc], res[acc] = b_try[ok], F_try[ok], res_try[ok]
+                if V is None:
+                    V = np.empty((rows.size, k, k))
+                V[acc] = V_try[ok]
+            del F_try, V_try
+            trying = trying[~ok]
+            if not trying.size:
+                break
+            scale *= 0.5
+        if trying.size:
+            stalled = np.zeros(rows.size, dtype=bool)
+            stalled[trying] = True
+            stop(stalled, it, res, "step stalled (no residual decrease)")
+            if stalled.all():
+                return fits
+            keep = ~stalled
+            rows, u, m, b, tol, F, V, res = (
+                x[keep] for x in (rows, u, m, b, tol, F, V, res))
+    stop(np.ones(rows.size, dtype=bool), opts.max_iter, res, "iteration limit reached")
+    return fits
+
+
 def solve(link: LinkKind, dtilde: np.ndarray,
           options: SolverOptions | None = None,
           x0: Optional[np.ndarray] = None) -> EstimateResult:
@@ -256,65 +378,60 @@ def solve(link: LinkKind, dtilde: np.ndarray,
     (see the module docstring); iterations, residuals and diagnostics are
     those of the full system, whose residual has the same entries.
     """
+    return next(solve_many(link, [dtilde], options, None if x0 is None else [x0]))
+
+
+def solve_many(link: LinkKind, dtildes, options: SolverOptions | None = None,
+               x0s=None) -> Iterator[EstimateResult]:
+    """Yield ``solve`` of each noisy degree sequence (and start), in order.
+
+    dtildes may be any iterable, x0s a sequence of starts or None. Fits
+    whose collapsed systems have the same number of classes k run stacked
+    in one Newton loop (see ``_newton``): a stack runs as soon as it
+    holds max(1, _ELEMENT_BUDGET // k^2) fits, the rest at the end. Each
+    result is the one ``solve`` gives for its sequence alone, bit for
+    bit, and is yielded once it and every result before it are known.
+    """
     opts = options or SolverOptions()
-    d = np.asarray(dtilde, dtype=float).reshape(-1)
-    if d.size < 2:
-        raise ValueError(f"need at least 2 vertices, got {d.size}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("noisy degrees must be finite")
+    ready: dict[int, EstimateResult] = {}  # results not yet yielded
+    waiting: dict[int, list] = {}  # k -> collapsed systems of a stack
+    yielded = 0
 
-    def fail(reason: str, it: int, res: float) -> EstimateResult:
-        return EstimateResult(None, None, False, it, res, False, reason)
+    def run(stack: list) -> None:
+        u, m, b, tol = (np.array([s[c] for s in stack]) for c in (1, 2, 3, 4))
+        fits = _newton(link, u, m, b, tol, [s[5] for s in stack], opts)
+        ready.update((s[0], fit) for s, fit in zip(stack, fits))
 
-    reason = _nonexistence_reason(link, d)
-    if reason is not None:
-        return fail(reason, 0, float("inf"))
-
-    tol = opts.tol * max(1.0, float(np.max(np.abs(d))))
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.size != d.size:
-            raise ValueError("x0 length must match dtilde")
-    first, inverse, m = _classes(d, x0)
-    u = d[first]
-    b = (x0 if x0 is not None else initial_point(link, d))[first]
-    F, V = _residual_and_slope(link, b, u, m)
-    res = float(np.max(np.abs(F)))
-
-    # V holds W o p' at b; each accepted trial point brings its own
-    for it in range(opts.max_iter + 1):
-        v = V.sum(axis=1)
-        if res <= tol:
-            pair_abs = np.abs(pair_sum_matrix(b))
-            alone = np.flatnonzero(m == 1)  # W_aa = 0: no pair within the class
-            pair_abs[alone, alone] = 0.0
-            return EstimateResult(b[inverse], v[inverse], True, it, res, True, None,
-                                  float(pair_abs.max()))
-        if it == opts.max_iter:
-            break
-        V[np.diag_indices(m.size)] += v
-        try:
-            step = np.linalg.solve(V, F)
-        except np.linalg.LinAlgError:
-            return fail("singular Jacobian", it, res)
-        del V
-        if not np.all(np.isfinite(step)):
-            return fail("non-finite Newton step", it, res)
-
-        # damping: halve until the sup-norm residual strictly decreases
-        scale = 1.0
-        for _ in range(opts.max_halvings + 1):
-            b_try = b + scale * step
-            F_try, V_try = _residual_and_slope(link, b_try, u, m)
-            res_try = float(np.max(np.abs(F_try)))
-            if np.isfinite(res_try) and res_try < res:
-                b, F, res, V = b_try, F_try, res_try, V_try
-                break
-            del V_try
-            scale *= 0.5
+    for f, dtilde in enumerate(dtildes):
+        d = np.asarray(dtilde, dtype=float).reshape(-1)
+        if d.size < 2:
+            raise ValueError(f"need at least 2 vertices, got {d.size}")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("noisy degrees must be finite")
+        reason = _nonexistence_reason(link, d)
+        if reason is not None:
+            ready[f] = EstimateResult(None, None, False, 0, float("inf"), False, reason)
         else:
-            return fail("step stalled (no residual decrease)", it, res)
-    return fail("iteration limit reached", opts.max_iter, res)
+            x0 = None if x0s is None else x0s[f]
+            if x0 is not None:
+                x0 = np.asarray(x0, dtype=float).reshape(-1)
+                if x0.size != d.size:
+                    raise ValueError("x0 length must match dtilde")
+            first, inverse, m = _classes(d, x0)
+            b = (x0 if x0 is not None else initial_point(link, d))[first]
+            tol = opts.tol * max(1.0, float(np.max(np.abs(d))))
+            k = first.size
+            stack = waiting.setdefault(k, [])
+            stack.append((f, d[first], m, b, tol, inverse))
+            if len(stack) >= max(1, _ELEMENT_BUDGET // (k * k)):
+                run(waiting.pop(k))
+        while yielded in ready:
+            yield ready.pop(yielded)
+            yielded += 1
+    for stack in waiting.values():
+        run(stack)
+    for f in sorted(ready):
+        yield ready[f]
 
 
 def _require(result: EstimateResult) -> None:
@@ -324,6 +441,8 @@ def _require(result: EstimateResult) -> None:
 
 def normal_quantile(level: float) -> float:
     """Two-sided standard normal quantile z with P(|Z| <= z) = level."""
+    from scipy.special import ndtri  # imported here: scipy is slow to load
+
     if not (0 < level < 1):
         raise ValueError("confidence level must be in (0, 1)")
     return float(ndtri(0.5 + level / 2.0))

@@ -156,17 +156,23 @@ def validate_params(link: LinkKind, alpha: np.ndarray) -> np.ndarray:
 
 
 def pair_sum_matrix(alpha: np.ndarray) -> np.ndarray:
-    """Symmetric matrix X with X[i, j] = alpha_i + alpha_j."""
+    """Symmetric matrix X with X[i, j] = alpha_i + alpha_j; a stack of
+    vectors (..., n) gives a stack of matrices (..., n, n)."""
     a = np.asarray(alpha, dtype=float)
-    return a[:, None] + a[None, :]
+    return a[..., :, None] + a[..., None, :]
 
 
 def edge_prob_matrix(link: LinkKind, alpha: np.ndarray) -> np.ndarray:
-    """Symmetric edge-probability matrix with zero diagonal."""
+    """Symmetric edge-probability matrix with zero diagonal.
+
+    Only pair sums alpha_i + alpha_j with i != j reach the link: the
+    diagonal 2 alpha_i is no pair, and for the log link it may lie
+    outside the domain that ``validate_params`` checks.
+    """
     a = validate_params(link, alpha)
-    P = np.asarray(edge_prob(link, pair_sum_matrix(a)))
-    np.fill_diagonal(P, 0.0)
-    return P
+    X = pair_sum_matrix(a)
+    np.fill_diagonal(X, -np.inf)  # p(-inf) = +0.0 under every link
+    return np.asarray(edge_prob(link, X))
 
 
 def expected_degrees(link: LinkKind, alpha: np.ndarray) -> np.ndarray:

@@ -232,27 +232,43 @@ def _parse_ucinet_dl(text: str) -> EdgeList:
     if data_start is None:
         raise ParseError("missing data: section")
 
-    rows: list[list[int]] = []
+    # each row as a string of its entries' digits, "0" or "1"; only rows
+    # with some other token (or a token longer than one character) are
+    # read one entry at a time
+    rows: list[str] = []
+    widths: list[int] = []
+    binary: list[bool] = []
     row_lines: list[int] = []
     for lineno in range(data_start + 1, len(lines) + 1):
-        body = lines[lineno - 1].strip()
-        if not body:
+        tokens = lines[lineno - 1].split()
+        if not tokens:
             continue
-        try:
-            vals = [int(v) for v in body.split()]
-        except ValueError:
-            raise ParseError(f"non-integer matrix entry in {body!r}", lineno) from None
-        rows.append(vals)
+        digits = "".join(tokens)
+        ok = len(digits) == len(tokens) and not digits.strip("01")
+        if not ok:
+            try:
+                vals = [int(v) for v in tokens]
+            except ValueError:
+                body = lines[lineno - 1].strip()
+                raise ParseError(f"non-integer matrix entry in {body!r}", lineno) from None
+            ok = all(v in (0, 1) for v in vals)
+            digits = "".join("1" if v else "0" for v in vals) if ok else ""
+        rows.append(digits)
+        widths.append(len(tokens))
+        binary.append(ok)
         row_lines.append(lineno)
     if len(rows) != n:
         raise ParseError(f"expected {n} matrix rows, found {len(rows)}",
                          row_lines[-1] if row_lines else data_start)
-    for r, (vals, lineno) in enumerate(zip(rows, row_lines), start=1):
-        if len(vals) != n:
-            raise ParseError(f"row {r} has {len(vals)} entries, expected {n}", lineno)
-        if any(v not in (0, 1) for v in vals):
-            raise ParseError(f"matrix entries must be 0 or 1 in row {r}", lineno)
-    A = np.array(rows, dtype=np.uint8).reshape(n, n)
+    faulty = (np.array(widths) != n) | ~np.array(binary, dtype=bool)
+    if faulty.any():
+        r = int(np.argmax(faulty))
+        if widths[r] != n:
+            raise ParseError(f"row {r + 1} has {widths[r]} entries, expected {n}",
+                             row_lines[r])
+        raise ParseError(f"matrix entries must be 0 or 1 in row {r + 1}", row_lines[r])
+    A = (np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+         .reshape(n, n) - ord("0"))
     faulty = (A.diagonal() != 0) | np.triu(A != A.T, 1).any(axis=1)
     if faulty.any():
         i = int(np.argmax(faulty))

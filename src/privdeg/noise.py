@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ive
 
 
 @dataclass(frozen=True)
@@ -333,6 +332,8 @@ def pmf(mech: NoiseMechanism, k: int) -> float:
         if lam == 0.0:
             return 0.0 if k > 0 else math.exp(
                 (-k) * math.log(mu) - mu - math.lgamma(-k + 1))
+        from scipy.special import ive  # imported here: scipy is slow to load
+
         # I_k(x) e^-(lam + mu) as ive(k, x) e^(x - lam - mu): the unscaled
         # I_k(x) overflows where e^-(lam + mu) underflows
         x = 2.0 * math.sqrt(lam * mu)

@@ -15,7 +15,6 @@ of the scenario (worker count changes nothing, bit for bit).
 from __future__ import annotations
 
 import ctypes
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -23,12 +22,12 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import noise as noise_mod
-from .estimator import SolverOptions, normal_quantile, solve, xi_statistic
+from .estimator import _ELEMENT_BUDGET, SolverOptions, normal_quantile, solve_many
+# Not called here; perfbench/tracing.py wraps these four names in this module.
+from .estimator import solve, xi_statistic  # noqa: F401
 from .links import EdgeSampler, LinkKind, expected_degrees
-# Not called here; perfbench/tracing.py wraps these two names in this module.
 from .links import degrees, sample_graph  # noqa: F401
 from .netio import ParseError
 
@@ -39,7 +38,12 @@ def truth_vector(n: int, L: float) -> np.ndarray:
     """Truth used throughout the scenario grid: alpha*_i = i L / n, i = 1..n."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return np.arange(1, n + 1, dtype=float) * L / n
+    try:
+        i = np.arange(1, n + 1, dtype=float)
+    except (MemoryError, OverflowError, ValueError):
+        raise ValueError(f"vertex count n={n} is too large "
+                         "to hold a parameter vector") from None
+    return i * L / n
 
 
 def default_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -106,6 +110,8 @@ def qq_export(report: CoverageReport, pair: tuple[int, int]) -> list[tuple[float
     sit at the plotting positions (k - 0.5) / m. Both coordinates are
     non-decreasing by construction.
     """
+    from scipy.special import ndtri  # imported here: scipy is slow to load
+
     if pair not in report.xi:
         raise LookupError(f"pair {pair} was not reported in this scenario")
     xs = np.sort(report.xi[pair])
@@ -133,32 +139,41 @@ def _cell_model(link: LinkKind, n: int, L: float) -> tuple[np.ndarray, EdgeSampl
     return truth, EdgeSampler(link, truth)
 
 
-def _one_replicate(scenario: Scenario, z: float, child: np.random.SeedSequence):
-    rng = np.random.default_rng(child)
-    truth, sampler = _cell_model(scenario.link, scenario.n, scenario.L)
-    if scenario.exact:
-        dt = expected_degrees(scenario.link, truth)
-    else:
-        dt = sampler.degrees(rng)
-        if scenario.noise is not None:
-            dt = dt + np.asarray(
-                noise_mod.sample(scenario.noise, rng, size=scenario.n), dtype=float)
-    res = solve(scenario.link, dt, scenario.solver)
-    if not res.exists:
-        return None
-    out = []
-    for (i, j) in scenario.pairs:
-        a, b = i - 1, j - 1
-        half = z * math.sqrt(1.0 / res.v_hat[a] + 1.0 / res.v_hat[b])
-        diff = float(res.alpha_hat[a] - res.alpha_hat[b])
-        hit = abs(diff - (truth[a] - truth[b])) <= half
-        xi = xi_statistic(res, truth, a, b)
-        out.append((bool(hit), half, xi))
-    return out
+def _block(scenario: Scenario, z: float,
+           children: list[np.random.SeedSequence]) -> tuple[np.ndarray, ...]:
+    """Fit a contiguous block of replicates, one seed child each.
 
+    Each replicate draws its degrees and noise from its own child; the
+    block's fits run together in ``solve_many``. Returns (hit, half, xi):
+    per reported pair, the interval hit, the interval half-length and the
+    pair statistic, one row per replicate whose fit exists, in order.
+    """
+    link = scenario.link
+    truth, sampler = _cell_model(link, scenario.n, scenario.L)
 
-def _replicate_task(args):
-    return _one_replicate(*args)
+    def draws():
+        for child in children:
+            rng = np.random.default_rng(child)
+            dt = sampler.degrees(rng)
+            if scenario.noise is not None:
+                dt = dt + np.asarray(
+                    noise_mod.sample(scenario.noise, rng, size=scenario.n), dtype=float)
+            yield dt
+
+    dts = [expected_degrees(link, truth)] * len(children) if scenario.exact else draws()
+    i, j = (np.array(col) - 1 for col in zip(*scenario.pairs))
+    ij = np.concatenate((i, j))
+    exists = np.zeros(len(children), dtype=bool)
+    a, v = np.zeros((len(children), ij.size)), np.zeros((len(children), ij.size))
+    for r, fit in enumerate(solve_many(link, dts, scenario.solver)):
+        if fit.exists:
+            exists[r], a[r], v[r] = True, fit.alpha_hat[ij], fit.v_hat[ij]
+    (ai, aj), (vi, vj) = np.hsplit(a[exists], 2), np.hsplit(v[exists], 2)
+    se = np.sqrt(1.0 / vi + 1.0 / vj)
+    half = z * se
+    hit = np.abs((ai - aj) - (truth[i] - truth[j])) <= half
+    xi = ((ai + aj) - (truth[i] + truth[j])) / se
+    return hit, half, xi
 
 
 def _one_blas_thread() -> None:
@@ -183,43 +198,38 @@ def _one_blas_thread() -> None:
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
-    """Execute a scenario, optionally fanning replicates over processes.
+    """Execute a scenario, optionally fanning blocks of replicates over processes.
 
     Per-replicate seeds are pre-assigned (child r of the scenario seed),
-    and results are folded in replicate order, so any worker count
-    produces an identical report.
+    block boundaries depend on n and the replicate index alone, and
+    results are folded in replicate order, so any worker count produces
+    an identical report.
     """
     children = np.random.SeedSequence(scenario.seed).spawn(scenario.replicates)
     z = normal_quantile(scenario.level)
-    tasks = [(scenario, z, c) for c in children]
+    size = max(1, _ELEMENT_BUDGET // scenario.n)  # replicates, n degrees each
+    tasks = [(scenario, z, children[lo:lo + size])
+             for lo in range(0, scenario.replicates, size)]
     if workers <= 1:
-        records = [_replicate_task(t) for t in tasks]
+        blocks = [_block(*t) for t in tasks]
     else:
-        chunk = max(1, scenario.replicates // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_one_blas_thread) as pool:
-            records = list(pool.map(_replicate_task, tasks, chunksize=chunk))
+            blocks = list(pool.map(_block, *zip(*tasks)))
 
-    hits = {pr: 0 for pr in scenario.pairs}
-    length_sums = {pr: 0.0 for pr in scenario.pairs}
-    xi_lists: dict[tuple[int, int], list[float]] = {pr: [] for pr in scenario.pairs}
-    used = 0
-    for rec in records:
-        if rec is None:
-            continue
-        used += 1
-        for pr, (hit, half, xi) in zip(scenario.pairs, rec):
-            hits[pr] += int(hit)
-            length_sums[pr] += half
-            xi_lists[pr].append(xi)
-
+    hit, half, xi_all = (np.concatenate([b[f] for b in blocks]) for f in range(3))
+    used = half.shape[0]
+    hits = hit.sum(axis=0)
+    length_sums = np.zeros(len(scenario.pairs))
+    for row in half:  # one replicate at a time, in order: no pairwise summation
+        length_sums += row
     per_pair = {}
-    for pr in scenario.pairs:
-        cov = 100.0 * hits[pr] / used if used else float("nan")
-        mean_len = length_sums[pr] / used if used else float("nan")
+    for col, pr in enumerate(scenario.pairs):
+        cov = 100.0 * int(hits[col]) / used if used else float("nan")
+        mean_len = float(length_sums[col]) / used if used else float("nan")
         per_pair[pr] = PairSummary(cov, mean_len, used)
     ne = 100.0 * (scenario.replicates - used) / scenario.replicates
-    xi = {pr: np.array(v) for pr, v in xi_lists.items()}
+    xi = {pr: xi_all[:, col].copy() for col, pr in enumerate(scenario.pairs)}
     return CoverageReport(scenario, per_pair, ne, xi)
 
 

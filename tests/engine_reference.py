@@ -1,23 +1,30 @@
-"""Reference for the degree-only sampler and the fused link evaluator.
+"""Reference for the degree-only sampler, the fused link evaluator and
+the stacked replicate engine.
 
 These are the replicate-engine functions as they were before the sampler
-stopped building a graph and ``solve`` stopped evaluating the link twice
-per Newton point, kept unchanged as the reference the parity tests
-compare against bit for bit: the dense ``sample_graph`` and the separate
-p and p' evaluators with ``moment_residual``, ``jacobian`` and ``solve``
-built on them. Everything else comes from the package.
+stopped building a graph, ``solve`` stopped evaluating the link twice
+per Newton point and replicates started to run in blocks of stacked
+fits, kept unchanged as the reference the parity tests compare against
+bit for bit: the dense ``sample_graph``, the separate p and p'
+evaluators with ``moment_residual``, ``jacobian`` and a one-fit
+``solve`` built on them, and ``replicate_records``, the one-replicate-
+at-a-time loop of ``run_scenario``. Everything else comes from the
+package.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 from privdeg.estimator import (EstimateResult, JacobianMatrix, SolverOptions,
                                _classes, _nonexistence_reason, initial_point)
-from privdeg.links import (Graph, LinkKind, edge_prob_matrix, pair_sum_matrix,
-                           validate_params)
+from privdeg import noise as noise_mod
+from privdeg.links import (EdgeSampler, Graph, LinkKind, edge_prob_matrix,
+                           expected_degrees, pair_sum_matrix, validate_params)
+from privdeg.simulate import Scenario, truth_vector
 
 
 def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) -> Graph:
@@ -139,3 +146,35 @@ def solve(link: LinkKind, dtilde: np.ndarray,
         else:
             return fail("step stalled (no residual decrease)", it, res)
     return fail("iteration limit reached", opts.max_iter, res)
+
+
+def replicate_records(scenario: Scenario, z: float) -> list:
+    """Per replicate in order: None when the fit does not exist, else one
+    (hit, half-length, xi) triple per reported pair."""
+    truth = truth_vector(scenario.n, scenario.L)
+    sampler = EdgeSampler(scenario.link, truth)
+    records = []
+    for child in np.random.SeedSequence(scenario.seed).spawn(scenario.replicates):
+        rng = np.random.default_rng(child)
+        if scenario.exact:
+            dt = expected_degrees(scenario.link, truth)
+        else:
+            dt = sampler.degrees(rng)
+            if scenario.noise is not None:
+                dt = dt + np.asarray(
+                    noise_mod.sample(scenario.noise, rng, size=scenario.n), dtype=float)
+        res = solve(scenario.link, dt, scenario.solver)
+        if not res.exists:
+            records.append(None)
+            continue
+        out = []
+        for (i, j) in scenario.pairs:
+            a, b = i - 1, j - 1
+            half = z * math.sqrt(1.0 / res.v_hat[a] + 1.0 / res.v_hat[b])
+            diff = float(res.alpha_hat[a] - res.alpha_hat[b])
+            hit = abs(diff - (truth[a] - truth[b])) <= half
+            num = (res.alpha_hat[a] + res.alpha_hat[b]) - (truth[a] + truth[b])
+            xi = float(num / np.sqrt(1.0 / res.v_hat[a] + 1.0 / res.v_hat[b]))
+            out.append((bool(hit), half, xi))
+        records.append(out)
+    return records

@@ -79,3 +79,9 @@ def test_logit_golden_row_vertex_16():
     assert row.lo == pytest.approx(1.29, abs=0.011)
     assert row.hi == pytest.approx(2.91, abs=0.011)
     assert row.se == pytest.approx(0.41, abs=0.011)
+
+
+@pytest.mark.parametrize("d", [[3.0, 2.0, 2.0, 1.0, 2.0], [0.0, 1.0, 2.0, 1.0]])
+def test_bad_level_is_rejected_whether_or_not_the_fit_exists(d):
+    with pytest.raises(ValueError, match="confidence level"):
+        table_from_degrees(np.array(d), LinkKind.LOGIT, level=1.5)

@@ -164,14 +164,24 @@ def test_sample_writes_the_loop_extraction_bytes(tmp_path):
     assert out.read_text() == netio_reference.sample_text(g.adjacency)
 
 
-def test_import_does_not_load_scipy_stats():
-    code = "import sys, privdeg.cli; print('scipy.stats' in sys.modules)"
+def test_import_does_not_load_scipy():
+    # scipy is imported by the functions that call it, at their first call
+    code = "import sys, privdeg.cli; print('scipy' in sys.modules)"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
                                           os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n", ["1000000000000", "99999999999999999999"])
+def test_sample_huge_n_exits_2(tmp_path, capsys, n):
+    # numpy refuses the parameter vector at allocation time: nothing is allocated
+    assert main(["sample", "--n", n, "--out", str(tmp_path / "g.edges")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: vertex count n={n} is too large to hold a parameter vector\n"
+    assert not (tmp_path / "g.edges").exists()
 
 
 @pytest.mark.parametrize("n", ["1000000000000", "99999999999999999999"])

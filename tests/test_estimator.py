@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engine_reference
+from privdeg import estimator
 from privdeg.estimator import (NonexistentEstimateError, SolverOptions,
                                _weighted_values, approx_inverse_s,
                                confidence_interval, initial_point, jacobian,
-                               moment_residual, solve, xi_statistic)
-from privdeg.links import LinkKind, degrees, expected_degrees, sample_graph
+                               moment_residual, solve, solve_many, xi_statistic)
+from privdeg.links import (EdgeSampler, LinkKind, degrees, expected_degrees,
+                           sample_graph)
 
 LINKS = [LinkKind.LOG, LinkKind.LOGIT, LinkKind.CLOGLOG]
 
@@ -412,15 +414,111 @@ def test_solve_matches_two_evaluation_solve_bitwise(link):
         elif trial % 3 == 1:
             d = d + rng.integers(-2, 3, n)           # tied
         x0 = rng.normal(0.0, 1.0, n) if trial % 10 == 0 else None
-        got = solve(link, d, x0=x0)
-        want = engine_reference.solve(link, d, x0=x0)
-        assert (got.exists, got.iterations, got.reason) == \
-            (want.exists, want.iterations, want.reason)
-        assert got.residual_inf == want.residual_inf or np.isnan(want.residual_inf)
-        if want.exists:
-            assert np.array_equal(got.alpha_hat, want.alpha_hat)
-            assert np.array_equal(got.v_hat, want.v_hat)
-            assert got.max_abs_pair_sum == want.max_abs_pair_sum
+        assert_same_fit(solve(link, d, x0=x0), engine_reference.solve(link, d, x0=x0))
+
+
+def assert_same_fit(got, want):
+    """Two fits agree bit for bit (a NaN residual matches a NaN)."""
+    assert (got.exists, got.iterations, got.reason) == \
+        (want.exists, want.iterations, want.reason)
+    assert got.residual_inf == want.residual_inf or np.isnan(want.residual_inf)
+    if want.exists:
+        assert np.array_equal(got.alpha_hat, want.alpha_hat)
+        assert np.array_equal(got.v_hat, want.v_hat)
+        assert got.max_abs_pair_sum == want.max_abs_pair_sum
+
+
+def _two_class_fits(n_random: int = 48):
+    """Degree sequences of five vertices in two classes (k = 2), with and
+    without starts, and three that cannot converge: two boundary degrees
+    and a cloglog singular Jacobian."""
+    rng = np.random.default_rng(5)
+    ds, x0s = [], []
+    for t in range(n_random):
+        ds.append(np.repeat(rng.uniform(0.2, 3.8, 2), [2, 3]))
+        x0s.append(rng.normal(0.0, 3.0, 5) if t % 2 else None)
+    ds += [np.array([0.0, 0.0, 2.0, 2.0, 2.0]), np.array([1.0, 1.0, 4.0, 4.0, 4.0]),
+           np.array([0.001, 0.001, 3.0, 3.0, 3.0])]
+    return ds, x0s + [None] * 3
+
+
+def _rejected_trials(monkeypatch, link, d, x0, opts) -> int:
+    """Damping trials that a lone converged fit rejected (0 if it failed)."""
+    calls = []
+    evaluate = estimator._residual_and_slope
+    monkeypatch.setattr(estimator, "_residual_and_slope",
+                        lambda *a: calls.append(1) or evaluate(*a))
+    res = solve(link, d, opts, x0=x0)
+    monkeypatch.undo()
+    return len(calls) - 1 - res.iterations if res.exists else 0
+
+
+@pytest.mark.parametrize("budget", [estimator._ELEMENT_BUDGET, 12])
+@pytest.mark.parametrize("max_iter", [200, 3])
+@pytest.mark.parametrize("link", LINKS)
+def test_stacked_fits_match_lone_reference_fits_bitwise(link, max_iter, budget,
+                                                        monkeypatch):
+    # every k = 2 member shares one stack (three per stack at budget 12)
+    ds, x0s = _two_class_fits()
+    opts = SolverOptions(max_iter=max_iter)
+    with monkeypatch.context() as mp:
+        mp.setattr(estimator, "_ELEMENT_BUDGET", budget)
+        got = list(solve_many(link, ds, opts, x0s))
+    want = [engine_reference.solve(link, d, opts, x0=x0) for d, x0 in zip(ds, x0s)]
+    for g, w in zip(got, want):
+        assert_same_fit(g, w)
+    # the stack mixes the ways a member can leave it
+    reasons = {w.reason for w in want}
+    assert {None, "noisy degree at or below 0"} <= reasons
+    if link != LinkKind.LOG:
+        assert "noisy degree at or above n-1" in reasons
+    if max_iter == 3:
+        assert "iteration limit reached" in reasons
+        return
+    assert len({w.iterations for w in want if w.exists}) >= 4
+    assert any(_rejected_trials(monkeypatch, link, d, x0, opts) > 0
+               for d, x0 in zip(ds, x0s))
+    if link != LinkKind.LOG:
+        assert {"singular Jacobian", "step stalled (no residual decrease)"} <= reasons
+    if link == LinkKind.CLOGLOG:
+        assert got[-1].reason == "singular Jacobian"
+
+
+@pytest.mark.parametrize("link", LINKS)
+def test_stacked_sampled_fits_match_lone_reference_fits_bitwise(link):
+    # many same-k members from sampled graphs with tied and untied noise
+    rng = np.random.default_rng(31)
+    L = {LinkKind.LOG: -1.5, LinkKind.LOGIT: 0.8, LinkKind.CLOGLOG: 0.4}[link]
+    ds = []
+    for n in (12, 30):
+        sampler = EdgeSampler(link, np.arange(1, n + 1) * L / n)
+        for t in range(60):
+            noise = rng.integers(-2, 3, n) if t % 2 else rng.normal(0.0, 1.0, n)
+            ds.append(sampler.degrees(rng) + noise)
+    for got, d in zip(solve_many(link, ds), ds):
+        assert_same_fit(got, engine_reference.solve(link, d))
+
+
+def test_solve_many_yields_a_lone_fit_before_reading_the_next_sequence():
+    # k = 100 fills a stack by itself, so nothing waits in memory
+    read = []
+
+    def sequences():
+        for t in range(3):
+            read.append(t)
+            yield np.linspace(10.0, 80.0, 100) + t
+
+    fits = solve_many(LinkKind.LOGIT, sequences())
+    assert next(fits).exists and read == [0]
+    assert len(list(fits)) == 2 and read == [0, 1, 2]
+
+
+def test_solve_many_validates_each_sequence():
+    with pytest.raises(ValueError, match="finite"):
+        list(solve_many(LinkKind.LOGIT, [np.array([1.0, 2.0, 1.0]), np.array([1.0, np.nan])]))
+    with pytest.raises(ValueError, match="x0 length"):
+        list(solve_many(LinkKind.LOGIT, [np.array([1.0, 1.5, 1.2])], x0s=[np.zeros(2)]))
+    assert list(solve_many(LinkKind.LOGIT, [])) == []
 
 
 # ---------------------------------------------------------------------------

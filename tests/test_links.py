@@ -78,6 +78,16 @@ def test_expected_degrees_reference():
     assert out == pytest.approx([3 * math.exp(-2)] * 4, abs=1e-14)
 
 
+def test_log_domain_check_skips_the_diagonal():
+    # the only pair sum is -4; the diagonal 2 alpha_2 = 2 is no pair
+    out = expected_degrees(LinkKind.LOG, [-5.0, 1.0])
+    assert np.array_equal(out, [math.exp(-4.0), math.exp(-4.0)])
+    P = edge_prob_matrix(LinkKind.LOG, np.array([-5.0, 1.0, -3.0]))
+    assert np.array_equal(np.diag(P), np.zeros(3))
+    with pytest.raises(DomainError):
+        expected_degrees(LinkKind.LOG, [-5.0, 1.0, -0.5])
+
+
 def test_expected_degrees_against_termwise_sum():
     rng = np.random.default_rng(11)
     alpha = rng.uniform(-1.0, 0.8, 5)

@@ -379,3 +379,55 @@ def test_fullmatrix_parity(text):
     got = parse_edges(text, "ucinet-dl")
     assert _same_result(got, want)
     assert np.array_equal(got.adjacency(), want.adjacency())
+
+
+# integer spellings that int() reads as 0 or 1 (the last: ARABIC-INDIC ONE)
+_SPELLINGS = {0: ["0", "0", "00", "-0", "+0", "0_0"], 1: ["1", "1", "01", "+1", "\u0661"]}
+_FAULTY_TOKENS = ["2", "-1", "10", "x", "1.0", "1_", "0x1", "\u0662"]
+
+
+@st.composite
+def fullmatrix_spelling_files(draw):
+    n = draw(st.integers(0, 5))
+    upper = np.triu(np.array(draw(st.lists(st.integers(0, 1), min_size=n * n,
+                                           max_size=n * n)), dtype=int).reshape(n, n), 1)
+    rows = [[draw(st.sampled_from(_SPELLINGS[v])) for v in row]
+            for row in (upper + upper.T).tolist()]
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        r = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["token", "extra", "drop", "flip"]))
+        if kind == "extra":
+            rows[r].append(draw(st.sampled_from(["0", "1", "2"])))
+        elif rows[r]:
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            if kind == "token":
+                rows[r][c] = draw(st.sampled_from(_FAULTY_TOKENS))
+            elif kind == "drop":
+                del rows[r][c]
+            else:
+                rows[r][c] = "1" if rows[r][c] in _SPELLINGS[0] else "0"
+    seps = st.sampled_from([" ", "  ", "\t", " \t", "\u00a0", "\u3000"])
+    body = [draw(st.sampled_from(["", " ", "\t"])) + draw(seps).join(row) +
+            draw(st.sampled_from(["", " ", "\t"])) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        _insert(draw, body, draw(st.sampled_from(["", "  ", "\t"])))
+    return "\n".join([f"dl n={n}", "format = fullmatrix", "data:"] + body) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(fullmatrix_spelling_files())
+def test_fullmatrix_parity_with_token_spellings(text):
+    # the data block is read with numpy when every entry is a bare 0 or 1,
+    # and one entry at a time otherwise; both agree with the loop reference
+    try:
+        want = ref._parse_ucinet_dl(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_edges(text, "ucinet-dl")
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return
+    got = parse_edges(text, "ucinet-dl")
+    assert _same_result(got, want)
+    assert np.array_equal(got.adjacency(), want.adjacency())

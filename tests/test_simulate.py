@@ -1,10 +1,14 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from privdeg.links import LinkKind
-from privdeg.noise import TwoSideHermite, hermite_budget_intensity
+import engine_reference
+from privdeg import simulate
+from privdeg.estimator import normal_quantile
+from privdeg.links import EdgeSampler, LinkKind
+from privdeg.noise import TwoSideHermite, hermite_budget_intensity, sample
 from privdeg.simulate import (CoverageReport, Scenario, default_pairs,
                               parse_scenario_file, qq_csv, qq_export,
                               report_csv, run_scenario, scenario_grid,
@@ -149,3 +153,51 @@ def test_scenario_file_errors():
         parse_scenario_file("link = logit\nn = 10\npairs = 1-2\n")
     with pytest.raises(ValueError):
         parse_scenario_file("link = huh\nn = 10\n")
+
+
+def _reference_report(scenario: Scenario) -> CoverageReport:
+    """The report folded from one-replicate-at-a-time lone fits."""
+    records = engine_reference.replicate_records(scenario, normal_quantile(scenario.level))
+    kept = [rec for rec in records if rec is not None]
+    per_pair, xi = {}, {}
+    for col, pr in enumerate(scenario.pairs):
+        length = 0.0
+        for rec in kept:
+            length += rec[col][1]
+        hits = sum(int(rec[col][0]) for rec in kept)
+        per_pair[pr] = simulate.PairSummary(
+            100.0 * hits / len(kept), length / len(kept), len(kept))
+        xi[pr] = np.array([rec[col][2] for rec in kept])
+    ne = 100.0 * (len(records) - len(kept)) / len(records)
+    return CoverageReport(scenario, per_pair, ne, xi)
+
+
+def test_blocks_split_k_groups_and_match_lone_fits_at_any_worker_count(monkeypatch):
+    # a budget of 256 degrees makes blocks of 12 replicates at n = 20
+    monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", 2**8)
+    noise = TwoSideHermite(1.0, 0.5)
+    sc = Scenario(LinkKind.LOGIT, 20, 0.3, noise, replicates=60, seed=4,
+                  pairs=((1, 2), (10, 11), (19, 20), (3, 17)))
+    sampler = EdgeSampler(sc.link, truth_vector(sc.n, sc.L))
+    ks = []
+    for child in np.random.SeedSequence(sc.seed).spawn(sc.replicates):
+        rng = np.random.default_rng(child)
+        ks.append(np.unique(sampler.degrees(rng) + sample(noise, rng, size=sc.n)).size)
+    blocks = [set(ks[lo:lo + 12]) for lo in range(0, sc.replicates, 12)]
+    assert all(a & b for a, b in combinations(blocks, 2))  # k-groups span blocks
+
+    want = _reference_report(sc)
+    assert 0 < want.nonexistence_percent < 100
+    for workers in (1, 2, 4):
+        got = run_scenario(sc, workers=workers)
+        assert report_csv([got]) == report_csv([want])
+        for pr in sc.pairs:
+            assert got.xi[pr].dtype == want.xi[pr].dtype
+            assert np.array_equal(got.xi[pr], want.xi[pr])
+
+
+def test_exact_mode_blocks_match_lone_fits():
+    sc = Scenario(LinkKind.LOG, 30, -1.2, None, replicates=3, exact=True)
+    got, want = run_scenario(sc), _reference_report(sc)
+    assert report_csv([got]) == report_csv([want])
+    assert all(np.array_equal(got.xi[pr], want.xi[pr]) for pr in sc.pairs)
