@@ -63,20 +63,30 @@ def table_from_degrees(dtilde: np.ndarray, link: LinkKind,
     return ResultTable(rows, True, None, res)
 
 
+def noisy_degrees(e: EdgeList, mech: Optional[noise_mod.NoiseMechanism],
+                  seed: int) -> np.ndarray:
+    """Degrees of e (float64) plus one iid noise draw per vertex.
+
+    The draw comes from ``np.random.default_rng(seed)``; mech=None is the
+    zero-noise override (the raw degrees).
+    """
+    d = e.degree_vector().astype(float)
+    if mech is not None:
+        d = d + noise_mod.sample(mech, np.random.default_rng(seed), size=e.n)
+    return d
+
+
 def analyze_dataset(e: EdgeList, link: LinkKind,
                     mech: Optional[noise_mod.NoiseMechanism],
                     seed: int,
                     labels: Optional[list[int]] = None,
                     level: float = 0.95,
                     options: SolverOptions | None = None) -> ResultTable:
-    """Degrees of e, plus one iid noise draw per vertex, fitted under link.
+    """``noisy_degrees`` of e fitted under link.
 
     Pass mech=None for the zero-noise override (dtilde = d). The seed
     fixes the noise draw; labels carry original vertex names through
     pruning/relabeling done by the caller.
     """
-    d = e.degree_vector().astype(float)
-    if mech is not None:
-        rng = np.random.default_rng(seed)
-        d = d + np.asarray(noise_mod.sample(mech, rng, size=e.n), dtype=float)
-    return table_from_degrees(d, link, labels=labels, level=level, options=options)
+    return table_from_degrees(noisy_degrees(e, mech, seed), link, labels=labels,
+                              level=level, options=options)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import noise as noise_mod
-from .analysis import ResultTable, table_from_degrees
+from .analysis import ResultTable, noisy_degrees, table_from_degrees
+from .estimator import SolverOptions
 from .links import DomainError, LinkKind, degrees, sample_graph
 from .netio import (EdgeList, ParseError, kept_labels, parse_edges,
                     prune_zero_degree, read_degree_file, serialize_edges,
@@ -78,8 +79,7 @@ def _mechanism(args) -> noise_mod.NoiseMechanism | None:
     return noise_mod.parse_mechanism(args.noise)
 
 
-def _solver_options(args) -> "SolverOptions":
-    from .estimator import SolverOptions
+def _solver_options(args) -> SolverOptions:
     return SolverOptions(tol=args.tol, max_iter=args.max_iter)
 
 
@@ -109,11 +109,7 @@ def cmd_sample(args) -> int:
 
 def cmd_privatize(args) -> int:
     e = _load_edges(args.input, args.format)
-    d = e.degree_vector().astype(float)
-    mech = _mechanism(args)
-    if mech is not None:
-        rng = np.random.default_rng(args.seed)
-        d = d + np.asarray(noise_mod.sample(mech, rng, size=e.n), dtype=float)
+    d = noisy_degrees(e, _mechanism(args), args.seed)
     lines = [f"{i + 1} {v:.17g}" for i, v in enumerate(d)]
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -136,11 +132,7 @@ def cmd_analyze(args) -> int:
     if not args.keep_isolated:
         labels = kept_labels(e)
         e, removed = prune_zero_degree(e)
-    d = e.degree_vector().astype(float)
-    mech = _mechanism(args)
-    if mech is not None:
-        rng = np.random.default_rng(args.seed)
-        d = d + np.asarray(noise_mod.sample(mech, rng, size=e.n), dtype=float)
+    d = noisy_degrees(e, _mechanism(args), args.seed)
     table = table_from_degrees(d, link, labels=labels, level=args.level,
                                options=_solver_options(args))
     _write(args.out, _result_table_csv(table, removed))
@@ -188,28 +180,23 @@ def cmd_bounds(args) -> int:
     wit = noise_mod.sub_gamma_witness(mech)
     kind = args.kind.lower()
     if kind == "subexp":
-        psi = bounds_mod.psi1_norm(mech)
-        spec = bounds_mod.SubExpNormBound(psi)
-        draws = np.abs(np.asarray(noise_mod.sample(mech, rng, size=reps)) - mean)
-    elif kind == "bernstein":
-        psi = bounds_mod.psi1_norm(mech)
-        spec = bounds_mod.bernstein_from_psi1(psi, args.n)
-        draws = np.abs(sum(np.asarray(noise_mod.sample(mech, rng, size=reps)) - mean
-                           for _ in range(args.n)))
-    elif kind == "subgamma":
-        spec = bounds_mod.SubGammaSumBound(args.n * wit.upsilon, wit.c)
-        draws = np.abs(sum(np.asarray(noise_mod.sample(mech, rng, size=reps)) - mean
+        spec = bounds_mod.SubExpNormBound(bounds_mod.psi1_norm(mech))
+        draws = np.abs(noise_mod.sample(mech, rng, size=reps) - mean)
+    elif kind in ("bernstein", "subgamma"):
+        spec = (bounds_mod.bernstein_from_psi1(bounds_mod.psi1_norm(mech), args.n)
+                if kind == "bernstein" else
+                bounds_mod.SubGammaSumBound(args.n * wit.upsilon, wit.c))
+        draws = np.abs(sum(noise_mod.sample(mech, rng, size=reps) - mean
                            for _ in range(args.n)))
     elif kind == "subgammamax":
         spec = bounds_mod.SubGammaMaxBound(wit.upsilon, wit.c, args.n)
-        draws = np.max(np.abs(
-            np.asarray(noise_mod.sample(mech, rng, size=(reps, args.n))) - mean), axis=1)
+        draws = np.max(np.abs(noise_mod.sample(mech, rng, size=(reps, args.n)) - mean),
+                       axis=1)
     elif kind == "hermite":
         # inverse (radius) form over an exponent grid: per row,
         # t = radius(x), bound = 2 exp(-x), empirical = P(|mean dev| >= t)
         spec = bounds_mod.HermiteSumRadius(sigma2=args.n * var, r=2.0, w=1.0 / args.n)
-        dev = np.abs(np.asarray(
-            noise_mod.sample(mech, rng, size=(reps, args.n))).mean(axis=1) - mean)
+        dev = np.abs(noise_mod.sample(mech, rng, size=(reps, args.n)).mean(axis=1) - mean)
         lines = ["t,bound,empirical,mc_stderr"]
         for x in np.linspace(0.05, 8.0, args.grid):
             radius = bounds_mod.tail_bound(spec, float(x))

@@ -38,7 +38,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .links import _EXP_CLIP, LinkKind, link_inverse, pair_sum_matrix
+from .links import LinkKind, link_inverse, link_values, pair_sum_matrix
 
 __all__ = [
     "SolverOptions",
@@ -120,29 +120,12 @@ def _weighted_values(link: LinkKind, beta: np.ndarray,
 
     beta and m are one system (k,) or a stack of systems (g, k); the
     result is (k, k) or (g, k, k), and every entry is computed the same
-    way in either shape. p is evaluated without the log-domain guard
-    (analytic extension for log). Each link computes p and p' from shared
-    intermediates, in place where it can, so no more than two arrays of
-    the result's shape (and logit's sign mask) are live. Diagonal entries
-    with W_aa = 0 are set to zero rather than multiplied by it, so an
-    overflowing value there cannot turn a row sum into NaN.
+    way in either shape. p and p' come from ``links.link_values``,
+    without the log-domain guard (analytic extension for log). Diagonal
+    entries with W_aa = 0 are set to zero rather than multiplied by it,
+    so an overflowing value there cannot turn a row sum into NaN.
     """
-    X = pair_sum_matrix(beta)
-    if link == LinkKind.LOG:
-        P = np.exp(X, out=X)
-        D = P.copy()
-    elif link == LinkKind.LOGIT:
-        pos = X >= 0
-        e = np.exp(np.negative(np.abs(X, out=X), out=X), out=X)  # exp(-|x|)
-        D = np.add(e, 1.0)
-        P = np.divide(e, D, out=e)               # e^x / (1 + e^x) for x < 0
-        np.divide(1.0, D, out=P, where=pos)      # 1 / (1 + e^-x) for x >= 0
-        np.multiply(P, np.subtract(1.0, P, out=D), out=D)   # p (1 - p)
-    else:
-        Xc = np.clip(X, None, _EXP_CLIP, out=X)
-        e = np.exp(Xc)
-        D = np.exp(np.subtract(Xc, e, out=Xc), out=Xc)      # exp(x - e^x)
-        P = np.negative(np.expm1(np.negative(e, out=e), out=e), out=e)
+    P, D = link_values(link, pair_sum_matrix(beta))
     for A in (P, D):
         diag = np.zeros(m.shape)
         np.multiply(A.diagonal(axis1=-2, axis2=-1), m - 1.0, out=diag, where=m > 1)

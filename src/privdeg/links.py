@@ -1,11 +1,10 @@
 """Edge-probability models for undirected binary graphs.
 
-Three link functions relate a pair sum x = alpha_i + alpha_j to an edge
-probability p(x):
-
-    log:      p = exp(x)                (requires x < 0)
-    logit:    p = exp(x) / (1 + exp(x))
-    cloglog:  p = 1 - exp(-exp(x))
+Three link functions (log, logit, cloglog) relate a pair sum
+x = alpha_i + alpha_j to an edge probability p(x). Each link's p and p'
+are defined in ``link_values`` and nowhere else; ``edge_prob`` and
+``edge_prob_deriv`` put the log link's domain guard (x < 0) around it,
+and the estimator's fused Newton evaluation calls it directly.
 
 Edges are independent Bernoulli(p_ij) with p_ij = p(alpha_i + alpha_j),
 no self-loops. The vertex parameter alpha_i measures the propensity of
@@ -55,47 +54,66 @@ def _check_log_domain(x: np.ndarray) -> None:
         )
 
 
-def edge_prob(link: LinkKind, x) -> np.ndarray | float:
-    """Edge probability p(x) at pair sum x.
+def link_values(link: LinkKind, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(X) and p'(X) at an array of pair sums X, which is overwritten.
 
-    Parameters
-    ----------
-    link:
-        Which link function to evaluate.
-    x:
-        Scalar or array of pair sums alpha_i + alpha_j.
+    The one definition of the three links:
 
-    Returns
-    -------
-    Probability in (0, 1), elementwise for arrays.
+        log:      p = exp(x),                   p' = exp(x)
+        logit:    p = exp(x) / (1 + exp(x)),    p' = p(1-p)
+        cloglog:  p = 1 - exp(-exp(x)),         p' = exp(x - exp(x))
 
-    Raises
-    ------
-    DomainError
-        For the log link when any x >= 0 (p would reach or exceed 1).
+    There is no log-domain guard here: the log link is its analytic
+    extension exp(x) on all of R, which may overflow to +inf without a
+    warning. Each link computes p and p' from shared intermediates, in
+    place where it can, so no more than two arrays of X's shape (and
+    logit's sign mask) are live.
     """
-    xa = np.asarray(x, dtype=float)
     if link == LinkKind.LOG:
-        _check_log_domain(xa)
-        out = np.exp(xa)
+        with np.errstate(over="ignore"):
+            P = np.exp(X, out=X)
+        D = P.copy()
     elif link == LinkKind.LOGIT:
-        out = np.where(xa >= 0, 1.0 / (1.0 + np.exp(-np.clip(xa, 0, None))),
-                       np.exp(np.clip(xa, None, 0)) / (1.0 + np.exp(np.clip(xa, None, 0))))
+        pos = X >= 0
+        e = np.exp(np.negative(np.abs(X, out=X), out=X), out=X)  # exp(-|x|)
+        D = np.add(e, 1.0)
+        P = np.divide(e, D, out=e)               # e^x / (1 + e^x) for x < 0
+        np.divide(1.0, D, out=P, where=pos)      # 1 / (1 + e^-x) for x >= 0
+        np.multiply(P, np.subtract(1.0, P, out=D), out=D)   # p (1 - p)
     elif link == LinkKind.CLOGLOG:
-        out = -np.expm1(-np.exp(np.clip(xa, None, _EXP_CLIP)))
+        Xc = np.clip(X, None, _EXP_CLIP, out=X)
+        e = np.exp(Xc)
+        D = np.exp(np.subtract(Xc, e, out=Xc), out=Xc)      # exp(x - e^x)
+        P = np.negative(np.expm1(np.negative(e, out=e), out=e), out=e)
     else:  # pragma: no cover
         raise ValueError(f"unknown link {link!r}")
-    return out if np.ndim(x) else float(out)
+    return P, D
+
+
+def _guarded_values(link: LinkKind, x) -> tuple[np.ndarray, np.ndarray]:
+    """``link_values`` at a copy of x (at least 1-d), behind the log-domain guard."""
+    X = np.array(x, dtype=float, ndmin=1)
+    if link == LinkKind.LOG:
+        _check_log_domain(X)
+    return link_values(link, X)
+
+
+def edge_prob(link: LinkKind, x) -> np.ndarray | float:
+    """Edge probability p(x) in (0, 1) at a scalar or array of pair sums
+    x = alpha_i + alpha_j; DomainError for the log link when any x >= 0
+    (p would reach or exceed 1)."""
+    P = _guarded_values(link, x)[0]
+    return P if np.ndim(x) else float(P[0])
 
 
 def edge_prob_deriv(link: LinkKind, x, order: int = 1) -> np.ndarray | float:
     """First or second derivative of the edge probability in the pair sum.
 
-    Closed forms:
+    p' comes from ``link_values``; p'' from p, p' and exp(x):
 
-        log:      p' = exp(x),              p'' = exp(x)
-        logit:    p' = p(1-p),              p'' = p(1-p)(1-2p)
-        cloglog:  p' = exp(x - exp(x)),     p'' = p'(1 - exp(x))
+        log:      p'' = p'
+        logit:    p'' = p'(1 - 2p)
+        cloglog:  p'' = p'(1 - exp(x))
 
     Raises
     ------
@@ -104,24 +122,12 @@ def edge_prob_deriv(link: LinkKind, x, order: int = 1) -> np.ndarray | float:
     """
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    xa = np.asarray(x, dtype=float)
-    if link == LinkKind.LOG:
-        _check_log_domain(xa)
-        out = np.exp(xa)
-    elif link == LinkKind.LOGIT:
-        p = np.asarray(edge_prob(link, xa))
-        out = p * (1.0 - p)
-        if order == 2:
-            out = out * (1.0 - 2.0 * p)
-    elif link == LinkKind.CLOGLOG:
-        xc = np.clip(xa, None, _EXP_CLIP)
-        ex = np.exp(xc)
-        out = np.exp(xc - ex)
-        if order == 2:
-            out = out * (1.0 - ex)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown link {link!r}")
-    return out if np.ndim(x) else float(out)
+    P, D = _guarded_values(link, x)
+    if order == 2 and link == LinkKind.LOGIT:
+        D = D * (1.0 - 2.0 * P)
+    elif order == 2 and link == LinkKind.CLOGLOG:
+        D = D * (1.0 - np.exp(np.clip(np.asarray(x, dtype=float), None, _EXP_CLIP)))
+    return D if np.ndim(x) else float(D[0])
 
 
 def link_inverse(link: LinkKind, p) -> np.ndarray | float:
@@ -220,7 +226,8 @@ class EdgeSampler:
         a = validate_params(link, alpha)
         self.n = a.size
         self.rows, self.cols = np.triu_indices(self.n, k=1)
-        self.p = np.asarray(edge_prob(link, a[self.rows] + a[self.cols]))
+        # validate_params has checked the log domain of every pair
+        self.p = link_values(link, a[self.rows] + a[self.cols])[0]
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Edge indicator of every pair i < j, in triu row order."""

@@ -1,21 +1,35 @@
 """Noise mechanisms for private degree release.
 
-Each mechanism is an immutable value exposing exact moments, a sampler
-driven by a caller-supplied generator, a pmf for the discrete laws, and
-a sub-Gamma witness (upsilon, c): parameters such that the centered
-mechanism satisfies
+Each mechanism is a frozen dataclass whose methods carry its whole law,
+so a law is defined in its class and nowhere else; the module-level
+functions (``sample``, ``moments``, ``pmf``, ...) only call them. A law
+has a sampler driven by a caller-supplied generator, exact moments, the
+centred MGF, E exp(|X|/t), a pmf when it is discrete, and a sub-Gamma
+witness (upsilon, c): parameters such that the centered mechanism
+satisfies
 
     log E exp(s X) <= s^2 * upsilon / (2 (1 - c |s|)),   |s| < 1/c.
 
 Witness routes:
 
 * Compound-Poisson mechanisms (Hermite, two-sided Hermite, two-sided
-  Poisson) get the analytic witness (variance, r/3), where r is the
-  largest jump size of the compound representation.
+  Poisson; subclasses of ``CompoundPoisson``) get the analytic witness
+  (variance, r/3), where r is the class constant ``jump``, the largest
+  jump size of the compound representation. Their E exp(|X|/t) sums a
+  pmf table over [-K, K] that is built once per mechanism.
 * Geometric-type mechanisms (discrete Laplace, centered geometric) and
   the continuous Laplace go through the sub-exponential norm
   psi1 = inf{t > 0 : E exp(|X|/t) <= 2}, computed by bisection on the
   exact expectation, with (upsilon, c) = ((2 psi1)^2, 2 psi1).
+
+A new mechanism is a frozen dataclass subclassing ``NoiseMechanism``
+(or ``CompoundPoisson``, setting ``jump``). It sets the grammar ``name``
+and ``keys`` (one per field, in field order) and defines
+``draw(rng, size)`` (integer laws may return integers), ``moments()`` as
+exact (mean, variance), ``centered_mgf(s)`` on a float array and, outside
+``CompoundPoisson``, ``abs_exp_moment(t)`` for t > 0. A discrete law adds
+``mass(k)`` at an integer k and ``support_cutoff(tail)``. Listing the
+class in ``_MECHANISMS`` lets the grammar parse it.
 
 The mechanism grammar used by the CLI:
 
@@ -29,8 +43,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,30 +73,117 @@ class SubGammaParams:
         return out if np.ndim(s) else float(out)
 
 
+class NoiseMechanism:
+    """Base of the mechanism classes (see the module docstring)."""
+
+    name: ClassVar[str]  # grammar name
+    keys: ClassVar[tuple[str, ...]]  # grammar key of each field, in field order
+
+    def pmf(self, k) -> float:
+        if not float(k).is_integer():
+            return 0.0
+        return self.mass(int(k))
+
+    def sub_gamma_witness(self) -> SubGammaParams:
+        psi = psi1_norm(self)
+        return SubGammaParams((2.0 * psi) ** 2, 2.0 * psi)
+
+
+class CompoundPoisson(NoiseMechanism):
+    """A discrete law with a compound-Poisson representation whose largest
+    jump is ``jump``: witness (variance, jump / 3), and E exp(|X|/t) from
+    a pmf table over the support."""
+
+    jump: ClassVar[float]
+
+    def sub_gamma_witness(self) -> SubGammaParams:
+        return SubGammaParams(self.moments()[1], self.jump / 3.0)
+
+    @cached_property
+    def _abs_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """|k - mean| and pmf(k) for k in [-K, K], K the 1e-16 tail cutoff."""
+        K = self.support_cutoff(1e-16)
+        ks = np.arange(-K, K + 1)
+        return np.abs(ks - self.moments()[0]), np.array([self.pmf(int(k)) for k in ks])
+
+    def abs_exp_moment(self, t: float) -> float:
+        dev, ps = self._abs_table
+        return float(np.sum(ps * np.exp(dev * (1.0 / t))))
+
+
 @dataclass(frozen=True)
-class ContinuousLaplace:
+class ContinuousLaplace(NoiseMechanism):
     """Zero-mean Laplace noise with scale b (density exp(-|x|/b) / 2b)."""
 
     b: float
+    name = "lap"
+    keys = ("b",)
 
     def __post_init__(self):
         if not (self.b > 0):
             raise ValueError("Laplace scale b must be positive")
 
+    def draw(self, rng, size):
+        return rng.laplace(0.0, self.b, size=size)
+
+    def moments(self) -> tuple[float, float]:
+        return 0.0, 2.0 * self.b ** 2
+
+    def centered_mgf(self, s: np.ndarray) -> np.ndarray:
+        u = self.b * s
+        return np.where(np.abs(u) < 1.0, 1.0 / (1.0 - u * u), np.inf)
+
+    def abs_exp_moment(self, t: float) -> float:
+        return t / (t - self.b) if t > self.b else math.inf
+
+    def pmf(self, k) -> float:
+        raise TypeError("continuous mechanism has a density, not a pmf")
+
+    def support_cutoff(self, tail: float) -> int:
+        raise TypeError(f"no discrete support for {self!r}")
+
 
 @dataclass(frozen=True)
-class DiscreteLaplace:
+class DiscreteLaplace(NoiseMechanism):
     """Two-sided geometric law P(X = k) = (1-p)/(1+p) p^|k| on the integers."""
 
     p: float
+    name = "dlap"
+    keys = ("p",)
 
     def __post_init__(self):
         if not (0 < self.p < 1):
             raise ValueError("discrete Laplace parameter p must be in (0, 1)")
 
+    def draw(self, rng, size):
+        # difference of two iid geometric(1-p) failure counts
+        return rng.geometric(1.0 - self.p, size=size) - rng.geometric(1.0 - self.p, size=size)
+
+    def moments(self) -> tuple[float, float]:
+        return 0.0, 2.0 * self.p / (1.0 - self.p) ** 2
+
+    def centered_mgf(self, s: np.ndarray) -> np.ndarray:
+        es, ems = np.exp(s), np.exp(-s)
+        ok = (self.p * es < 1.0) & (self.p * ems < 1.0)
+        return np.where(ok, (1.0 - self.p) ** 2 /
+                        ((1.0 - self.p * es) * (1.0 - self.p * ems)), np.inf)
+
+    def abs_exp_moment(self, t: float) -> float:
+        u = self.p * math.exp(1.0 / t)
+        if u >= 1.0:
+            return math.inf
+        return (1.0 - self.p) / (1.0 + self.p) * (1.0 + 2.0 * u / (1.0 - u))
+
+    def mass(self, k: int) -> float:
+        return (1.0 - self.p) / (1.0 + self.p) * self.p ** abs(k)
+
+    def support_cutoff(self, tail: float) -> int:
+        # tail mass beyond K is ~ 2 p^(K+1) / (1 + p)
+        return max(2, int(math.log(tail / 2.0) / math.log(self.p)) + 2)
+
 
 @dataclass(frozen=True)
-class CenteredGeometric:
+class CenteredGeometric(NoiseMechanism):
     """Geometric count of failures before a success, centered at its mean.
 
     The raw law is P(G = k) = q (1-q)^k for k = 0, 1, 2, ... with mean
@@ -89,6 +191,8 @@ class CenteredGeometric:
     """
 
     q: float
+    name = "geo"
+    keys = ("q",)
 
     def __post_init__(self):
         if not (0 < self.q < 1):
@@ -98,9 +202,86 @@ class CenteredGeometric:
     def offset(self) -> float:
         return (1.0 - self.q) / self.q
 
+    def draw(self, rng, size):
+        g = rng.geometric(self.q, size=size) - 1  # failures before success
+        return g - self.offset
+
+    def moments(self) -> tuple[float, float]:
+        return 0.0, (1.0 - self.q) / self.q ** 2
+
+    def centered_mgf(self, s: np.ndarray) -> np.ndarray:
+        es = np.exp(s)
+        ok = (1.0 - self.q) * es < 1.0
+        raw = np.where(ok, self.q / (1.0 - (1.0 - self.q) * es), np.inf)
+        return np.exp(-s * self.offset) * raw
+
+    def abs_exp_moment(self, t: float) -> float:
+        q, off, r = self.q, self.offset, 1.0 / t
+        u = (1.0 - q) * math.exp(r)
+        if u >= 1.0:
+            return math.inf
+        k0 = int(math.floor(off))
+        total = 0.0
+        for k in range(k0 + 1):  # below-mean part, finite
+            total += q * (1.0 - q) ** k * math.exp((off - k) * r)
+        # above-mean geometric tail, closed form from k0+1 upward
+        head = q * (1.0 - q) ** (k0 + 1) * math.exp((k0 + 1 - off) * r)
+        total += head / (1.0 - u)
+        return total
+
+    def mass(self, k: int) -> float:
+        # support is {j - offset : j = 0, 1, ...}; integer k hits it only
+        # when the offset is an integer
+        j = k + self.offset
+        if abs(j - round(j)) > 1e-12 or round(j) < 0:
+            return 0.0
+        return self.q * (1.0 - self.q) ** int(round(j))
+
+    def support_cutoff(self, tail: float) -> int:
+        return max(2, int(math.log(tail) / math.log(1.0 - self.q)) + 2 +
+                   int(self.offset) + 1)
+
 
 @dataclass(frozen=True)
-class Hermite:
+class _HermiteLaw(CompoundPoisson):
+    """Shared parts of the one- and two-sided Hermite laws, built on one
+    Hermite draw Y = N1 + 2 N2 with Poisson(a1) and Poisson(a2) counts."""
+
+    a1: float
+    a2: float
+    keys = ("a1", "a2")
+    jump = 2.0
+
+    def __post_init__(self):
+        if not (self.a1 > 0 and self.a2 > 0):
+            raise ValueError("Hermite intensities a1, a2 must be positive")
+
+    def _one_draw(self, rng, size):
+        return rng.poisson(self.a1, size=size) + 2 * rng.poisson(self.a2, size=size)
+
+    def _one_cgf(self, s: np.ndarray) -> np.ndarray:
+        """log E exp(s (Y - E Y)) of one Hermite draw."""
+        return (self.a1 * (np.exp(s) - 1.0 - s) +
+                self.a2 * (np.exp(2.0 * s) - 1.0 - 2.0 * s))
+
+    def support_cutoff(self, tail: float) -> int:
+        return _poisson_cutoff(self.a1, tail) + 2 * _poisson_cutoff(self.a2, tail)
+
+    @cached_property
+    def _one_pmf(self) -> tuple[int, np.ndarray]:
+        """Support cutoff K (1e-15 tail) of one Hermite draw and its pmf h on
+        0..2K, the convolution of N1 and 2 N2; no entry depends on K."""
+        K = self.support_cutoff(1e-15)
+        p1 = _poisson_pmf(self.a1, np.arange(2 * K + 1))
+        p2 = _poisson_pmf(self.a2, np.arange(K + 1))
+        h = np.zeros(2 * K + 1)
+        for j in range(K + 1):
+            h[2 * j:] += p2[j] * p1[: 2 * K + 1 - 2 * j]
+        return K, h
+
+
+@dataclass(frozen=True)
+class Hermite(_HermiteLaw):
     """Hermite law Y = N1 + 2 N2 with independent Poisson counts.
 
     a1 and a2 are the raw Poisson intensities of N1 and N2. Mean is
@@ -108,32 +289,55 @@ class Hermite:
     integers and the largest jump is 2.
     """
 
-    a1: float
-    a2: float
+    name = "herm"
 
-    def __post_init__(self):
-        if not (self.a1 > 0 and self.a2 > 0):
-            raise ValueError("Hermite intensities a1, a2 must be positive")
+    def draw(self, rng, size):
+        return self._one_draw(rng, size)
+
+    def moments(self) -> tuple[float, float]:
+        return self.a1 + 2.0 * self.a2, self.a1 + 4.0 * self.a2
+
+    def centered_mgf(self, s: np.ndarray) -> np.ndarray:
+        return np.exp(self._one_cgf(s))
+
+    def mass(self, k: int) -> float:
+        K, h = self._one_pmf  # past 2K the mass is far below the 1e-15 tail: 0
+        return float(h[k]) if 0 <= k <= 2 * K else 0.0
 
 
 @dataclass(frozen=True)
-class TwoSideHermite:
+class TwoSideHermite(_HermiteLaw):
     """Difference of two independent Hermite(a1, a2) draws (zero mean)."""
 
-    a1: float
-    a2: float
+    name = "herm2"
 
-    def __post_init__(self):
-        if not (self.a1 > 0 and self.a2 > 0):
-            raise ValueError("Hermite intensities a1, a2 must be positive")
+    def draw(self, rng, size):
+        return self._one_draw(rng, size) - self._one_draw(rng, size)
+
+    def moments(self) -> tuple[float, float]:
+        return 0.0, 2.0 * (self.a1 + 4.0 * self.a2)
+
+    def centered_mgf(self, s: np.ndarray) -> np.ndarray:
+        return np.exp(self._one_cgf(s) + self._one_cgf(-s))
+
+    def mass(self, k: int) -> float:
+        K, h = self._one_pmf
+        if abs(k) > K:
+            return 0.0
+        # P(Y1 - Y2 = k) = sum_m P(Y1 = k + m) P(Y2 = m), over m >= 0, k + m >= 0
+        m = np.arange(max(0, -k), K + 1)
+        return float(np.sum(h[k + m] * h[m]))
 
 
 @dataclass(frozen=True)
-class TwoSidePoisson:
+class TwoSidePoisson(CompoundPoisson):
     """Difference of independent Poisson(lam) and Poisson(mu) counts."""
 
     lam: float
     mu: float
+    name = "tsp"
+    keys = ("lambda", "mu")
+    jump = 1.0
 
     def __post_init__(self):
         if self.lam < 0 or self.mu < 0:
@@ -141,67 +345,42 @@ class TwoSidePoisson:
         if self.lam == 0 and self.mu == 0:
             raise ValueError("two-sided Poisson needs lam > 0 or mu > 0")
 
+    def draw(self, rng, size):
+        return rng.poisson(self.lam, size=size) - rng.poisson(self.mu, size=size)
 
-NoiseMechanism = Union[
-    ContinuousLaplace,
-    DiscreteLaplace,
-    CenteredGeometric,
-    Hermite,
-    TwoSideHermite,
-    TwoSidePoisson,
-]
+    def moments(self) -> tuple[float, float]:
+        return self.lam - self.mu, self.lam + self.mu
 
-_DISCRETE = (DiscreteLaplace, Hermite, TwoSideHermite, TwoSidePoisson)
+    def centered_mgf(self, s: np.ndarray) -> np.ndarray:
+        return np.exp(self.lam * (np.exp(s) - 1.0 - s) +
+                      self.mu * (np.exp(-s) - 1.0 + s))
 
+    def mass(self, k: int) -> float:
+        lam, mu = self.lam, self.mu
+        if lam == 0.0 or mu == 0.0:  # one Poisson count, added or subtracted
+            j, rate = (k, lam) if mu == 0.0 else (-k, mu)
+            return 0.0 if j < 0 else math.exp(j * math.log(rate) - rate - math.lgamma(j + 1))
+        from scipy.special import ive  # imported here: scipy is slow to load
 
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
+        # I_k(x) e^-(lam + mu) as ive(k, x) e^(x - lam - mu): the unscaled
+        # I_k(x) overflows where e^-(lam + mu) underflows
+        x = 2.0 * math.sqrt(lam * mu)
+        return (math.exp(x - lam - mu) * (lam / mu) ** (k / 2.0) *
+                float(ive(abs(k), x)))
 
-def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None):
-    """Draw from a mechanism; integer-valued laws return integer-valued floats."""
-    if isinstance(mech, ContinuousLaplace):
-        return rng.laplace(0.0, mech.b, size=size)
-    if isinstance(mech, DiscreteLaplace):
-        # difference of two iid geometric(1-p) failure counts
-        g1 = rng.geometric(1.0 - mech.p, size=size)
-        g2 = rng.geometric(1.0 - mech.p, size=size)
-        return (g1 - g2).astype(float) if size is not None else float(g1 - g2)
-    if isinstance(mech, CenteredGeometric):
-        g = rng.geometric(mech.q, size=size) - 1  # failures before success
-        return g - mech.offset
-    if isinstance(mech, Hermite):
-        y = rng.poisson(mech.a1, size=size) + 2 * rng.poisson(mech.a2, size=size)
-        return y.astype(float) if size is not None else float(y)
-    if isinstance(mech, TwoSideHermite):
-        y1 = rng.poisson(mech.a1, size=size) + 2 * rng.poisson(mech.a2, size=size)
-        y2 = rng.poisson(mech.a1, size=size) + 2 * rng.poisson(mech.a2, size=size)
-        return (y1 - y2).astype(float) if size is not None else float(y1 - y2)
-    if isinstance(mech, TwoSidePoisson):
-        z = rng.poisson(mech.lam, size=size) - rng.poisson(mech.mu, size=size)
-        return z.astype(float) if size is not None else float(z)
-    raise TypeError(f"unknown mechanism {mech!r}")
+    def support_cutoff(self, tail: float) -> int:
+        return (_poisson_cutoff(max(self.lam, 1e-12), tail) +
+                _poisson_cutoff(max(self.mu, 1e-12), tail))
 
 
-def moments(mech: NoiseMechanism) -> tuple[float, float]:
-    """Exact (mean, variance)."""
-    if isinstance(mech, ContinuousLaplace):
-        return 0.0, 2.0 * mech.b ** 2
-    if isinstance(mech, DiscreteLaplace):
-        return 0.0, 2.0 * mech.p / (1.0 - mech.p) ** 2
-    if isinstance(mech, CenteredGeometric):
-        return 0.0, (1.0 - mech.q) / mech.q ** 2
-    if isinstance(mech, Hermite):
-        return mech.a1 + 2.0 * mech.a2, mech.a1 + 4.0 * mech.a2
-    if isinstance(mech, TwoSideHermite):
-        return 0.0, 2.0 * (mech.a1 + 4.0 * mech.a2)
-    if isinstance(mech, TwoSidePoisson):
-        return mech.lam - mech.mu, mech.lam + mech.mu
-    raise TypeError(f"unknown mechanism {mech!r}")
+# grammar name -> mechanism class
+_MECHANISMS = {cls.name: cls for cls in (ContinuousLaplace, DiscreteLaplace,
+                                         CenteredGeometric, Hermite,
+                                         TwoSideHermite, TwoSidePoisson)}
 
 
 # ---------------------------------------------------------------------------
-# modified Bessel function of the first kind (series form)
+# Poisson helpers and the modified Bessel function of the first kind
 # ---------------------------------------------------------------------------
 
 def bessel_i(n: int, x: float) -> float:
@@ -232,28 +411,15 @@ def bessel_i(n: int, x: float) -> float:
             return total
 
 
-# ---------------------------------------------------------------------------
-# exact pmfs
-# ---------------------------------------------------------------------------
-
 def _poisson_pmf(lam: float, k: np.ndarray) -> np.ndarray:
-    out = np.zeros(k.shape, dtype=float)
-    ok = k >= 0
-    kk = k[ok]
-    if lam == 0.0:
-        out[ok] = (kk == 0).astype(float)
-    else:
-        out[ok] = np.exp(kk * math.log(lam) - lam -
-                         np.array([math.lgamma(v + 1) for v in kk]))
-    return out
+    """Poisson(lam) pmf at nonnegative integers k, for lam > 0."""
+    return np.exp(k * math.log(lam) - lam - np.array([math.lgamma(v + 1) for v in k]))
 
 
-def _poisson_cutoff(lam: float, tail: float = 1e-15) -> int:
-    """Smallest K with P(Poisson(lam) > K) below the requested tail mass."""
-    if lam == 0.0:
-        return 0
+def _poisson_cutoff(lam: float, tail: float) -> int:
+    """Smallest K with P(Poisson(lam) > K) below the requested tail mass, lam > 0."""
     k = int(lam)
-    p = math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) if lam > 0 else 1.0
+    p = math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
     # walk the upper tail; terms decay super-geometrically past the mode
     total = 0.0
     while True:
@@ -264,170 +430,41 @@ def _poisson_cutoff(lam: float, tail: float = 1e-15) -> int:
             return k
 
 
-def _hermite_pmf_vec(a1: float, a2: float, kmax: int) -> np.ndarray:
-    """pmf of Hermite(a1, a2) on 0..kmax via convolution of N1 and 2*N2."""
-    m = np.arange(kmax + 1)
-    p1 = _poisson_pmf(a1, m)
-    out = np.zeros(kmax + 1)
-    j_hi = kmax // 2
-    p2 = _poisson_pmf(a2, np.arange(j_hi + 1))
-    for j in range(j_hi + 1):
-        out[2 * j:] += p2[j] * p1[: kmax + 1 - 2 * j]
-    return out
+# ---------------------------------------------------------------------------
+# the law of a mechanism, one function per part
+# ---------------------------------------------------------------------------
+
+def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None):
+    """Draw from a mechanism; integer-valued laws return integer-valued floats."""
+    out = mech.draw(rng, size)
+    return np.asarray(out, dtype=float) if size is not None else float(out)
 
 
-def hermite_support_cutoff(a1: float, a2: float, tail: float = 1e-15) -> int:
-    return _poisson_cutoff(a1, tail) + 2 * _poisson_cutoff(a2, tail)
+def moments(mech: NoiseMechanism) -> tuple[float, float]:
+    """Exact (mean, variance)."""
+    return mech.moments()
 
 
 def pmf(mech: NoiseMechanism, k: int) -> float:
-    """Exact probability mass at integer k for the discrete mechanisms.
-
-    Raises
-    ------
-    TypeError
-        For the continuous Laplace mechanism, which has no pmf.
-    """
-    if isinstance(mech, ContinuousLaplace):
-        raise TypeError("continuous mechanism has a density, not a pmf")
-    if not float(k).is_integer():
-        return 0.0
-    k = int(k)
-    if isinstance(mech, DiscreteLaplace):
-        return (1.0 - mech.p) / (1.0 + mech.p) * mech.p ** abs(k)
-    if isinstance(mech, CenteredGeometric):
-        # support is {j - offset : j = 0, 1, ...}; integer k hits it only
-        # when the offset is an integer
-        off = mech.offset
-        j = k + off
-        if abs(j - round(j)) > 1e-12 or round(j) < 0:
-            return 0.0
-        j = int(round(j))
-        return mech.q * (1.0 - mech.q) ** j
-    if isinstance(mech, Hermite):
-        if k < 0:
-            return 0.0
-        j_hi = k // 2
-        tot = 0.0
-        for j in range(j_hi + 1):
-            tot += (math.exp((k - 2 * j) * math.log(mech.a1) - mech.a1 -
-                             math.lgamma(k - 2 * j + 1)) *
-                    math.exp(j * math.log(mech.a2) - mech.a2 - math.lgamma(j + 1)))
-        return tot
-    if isinstance(mech, TwoSideHermite):
-        K = hermite_support_cutoff(mech.a1, mech.a2)
-        if abs(k) > K:
-            return 0.0
-        h = _hermite_pmf_vec(mech.a1, mech.a2, K + abs(k))
-        # P(Y1 - Y2 = k) = sum_m P(Y1 = k + m) P(Y2 = m)
-        m = np.arange(0, K + 1)
-        lead = k + m
-        ok = lead >= 0
-        return float(np.sum(h[lead[ok]] * h[m[ok]]))
-    if isinstance(mech, TwoSidePoisson):
-        lam, mu = mech.lam, mech.mu
-        if mu == 0.0:
-            return 0.0 if k < 0 else math.exp(
-                k * math.log(lam) - lam - math.lgamma(k + 1))
-        if lam == 0.0:
-            return 0.0 if k > 0 else math.exp(
-                (-k) * math.log(mu) - mu - math.lgamma(-k + 1))
-        from scipy.special import ive  # imported here: scipy is slow to load
-
-        # I_k(x) e^-(lam + mu) as ive(k, x) e^(x - lam - mu): the unscaled
-        # I_k(x) overflows where e^-(lam + mu) underflows
-        x = 2.0 * math.sqrt(lam * mu)
-        return (math.exp(x - lam - mu) * (lam / mu) ** (k / 2.0) *
-                float(ive(abs(k), x)))
-    raise TypeError(f"unknown mechanism {mech!r}")
+    """Exact probability mass at integer k for the discrete mechanisms;
+    TypeError for the continuous Laplace mechanism, which has no pmf."""
+    return mech.pmf(k)
 
 
 def support_cutoff(mech: NoiseMechanism, tail: float = 1e-12) -> int:
     """K such that the mass outside [-K, K] is below the requested tail."""
-    if isinstance(mech, DiscreteLaplace):
-        # tail mass beyond K is ~ 2 p^(K+1) / (1 + p)
-        return max(2, int(math.log(tail / 2.0) / math.log(mech.p)) + 2)
-    if isinstance(mech, CenteredGeometric):
-        return max(2, int(math.log(tail) / math.log(1.0 - mech.q)) + 2 +
-                   int(mech.offset) + 1)
-    if isinstance(mech, Hermite):
-        return hermite_support_cutoff(mech.a1, mech.a2, tail)
-    if isinstance(mech, TwoSideHermite):
-        return hermite_support_cutoff(mech.a1, mech.a2, tail)
-    if isinstance(mech, TwoSidePoisson):
-        return _poisson_cutoff(max(mech.lam, 1e-12), tail) + \
-            _poisson_cutoff(max(mech.mu, 1e-12), tail)
-    raise TypeError(f"no discrete support for {mech!r}")
+    return mech.support_cutoff(tail)
 
-
-# ---------------------------------------------------------------------------
-# exact MGFs and the psi1 norm
-# ---------------------------------------------------------------------------
 
 def centered_mgf(mech: NoiseMechanism, s) -> np.ndarray | float:
     """Exact E exp(s (X - E X)) where finite; +inf where the MGF diverges."""
-    sa = np.asarray(s, dtype=float)
-    if isinstance(mech, ContinuousLaplace):
-        u = mech.b * sa
-        out = np.where(np.abs(u) < 1.0, 1.0 / (1.0 - u * u), np.inf)
-    elif isinstance(mech, DiscreteLaplace):
-        es, ems = np.exp(sa), np.exp(-sa)
-        ok = (mech.p * es < 1.0) & (mech.p * ems < 1.0)
-        out = np.where(ok, (1.0 - mech.p) ** 2 /
-                       ((1.0 - mech.p * es) * (1.0 - mech.p * ems)), np.inf)
-    elif isinstance(mech, CenteredGeometric):
-        es = np.exp(sa)
-        ok = (1.0 - mech.q) * es < 1.0
-        raw = np.where(ok, mech.q / (1.0 - (1.0 - mech.q) * es), np.inf)
-        out = np.exp(-sa * mech.offset) * raw
-    elif isinstance(mech, Hermite):
-        out = np.exp(mech.a1 * (np.exp(sa) - 1.0 - sa) +
-                     mech.a2 * (np.exp(2.0 * sa) - 1.0 - 2.0 * sa))
-    elif isinstance(mech, TwoSideHermite):
-        def g(t):
-            return (mech.a1 * (np.exp(t) - 1.0 - t) +
-                    mech.a2 * (np.exp(2.0 * t) - 1.0 - 2.0 * t))
-        out = np.exp(g(sa) + g(-sa))
-    elif isinstance(mech, TwoSidePoisson):
-        out = np.exp(mech.lam * (np.exp(sa) - 1.0 - sa) +
-                     mech.mu * (np.exp(-sa) - 1.0 + sa))
-    else:
-        raise TypeError(f"unknown mechanism {mech!r}")
+    out = mech.centered_mgf(np.asarray(s, dtype=float))
     return out if np.ndim(s) else float(out)
 
 
 def abs_exp_moment(mech: NoiseMechanism, t: float) -> float:
     """Exact E exp(|X| / t), or +inf when the expectation diverges."""
-    if t <= 0:
-        return math.inf
-    r = 1.0 / t
-    if isinstance(mech, ContinuousLaplace):
-        return t / (t - mech.b) if t > mech.b else math.inf
-    if isinstance(mech, DiscreteLaplace):
-        u = mech.p * math.exp(r)
-        if u >= 1.0:
-            return math.inf
-        return (1.0 - mech.p) / (1.0 + mech.p) * (1.0 + 2.0 * u / (1.0 - u))
-    if isinstance(mech, CenteredGeometric):
-        q, off = mech.q, mech.offset
-        u = (1.0 - q) * math.exp(r)
-        if u >= 1.0:
-            return math.inf
-        k0 = int(math.floor(off))
-        total = 0.0
-        for k in range(k0 + 1):  # below-mean part, finite
-            total += q * (1.0 - q) ** k * math.exp((off - k) * r)
-        # above-mean geometric tail, closed form from k0+1 upward
-        head = q * (1.0 - q) ** (k0 + 1) * math.exp((k0 + 1 - off) * r)
-        total += head / (1.0 - u)
-        return total
-    if isinstance(mech, (Hermite, TwoSideHermite, TwoSidePoisson)):
-        K = support_cutoff(mech, tail=1e-16)
-        ks = np.arange(-K, K + 1)
-        mean, _ = moments(mech)
-        ps = np.array([pmf(mech, int(k)) for k in ks])
-        return float(np.sum(ps * np.exp(np.abs(ks - mean) * r)))
-    raise TypeError(f"unknown mechanism {mech!r}")
+    return math.inf if t <= 0 else mech.abs_exp_moment(t)
 
 
 def psi1_norm(mech: NoiseMechanism) -> float:
@@ -458,19 +495,9 @@ def psi1_norm(mech: NoiseMechanism) -> float:
 
 
 def sub_gamma_witness(mech: NoiseMechanism) -> SubGammaParams:
-    """A (upsilon, c) pair certifying the sub-Gamma MGF envelope.
-
-    Compound-Poisson mechanisms use (variance, r/3) with r the largest
-    jump; the remaining mechanisms use the psi1 route
-    ((2 psi1)^2, 2 psi1).
-    """
-    _, var = moments(mech)
-    if isinstance(mech, (Hermite, TwoSideHermite)):
-        return SubGammaParams(var, 2.0 / 3.0)
-    if isinstance(mech, TwoSidePoisson):
-        return SubGammaParams(var, 1.0 / 3.0)
-    psi = psi1_norm(mech)
-    return SubGammaParams((2.0 * psi) ** 2, 2.0 * psi)
+    """A (upsilon, c) pair certifying the sub-Gamma MGF envelope (see the
+    witness routes in the module docstring)."""
+    return mech.sub_gamma_witness()
 
 
 # ---------------------------------------------------------------------------
@@ -498,39 +525,19 @@ def parse_mechanism(text: str) -> NoiseMechanism:
             kv[key.strip().lower()] = float(val)
         except ValueError:
             raise ValueError(f"non-numeric value in {part!r}") from None
+    cls = _MECHANISMS.get(name)
+    if cls is None:
+        raise ValueError(f"unknown mechanism {name!r}; {_GRAMMAR_HELP}")
     try:
-        if name == "lap":
-            return ContinuousLaplace(b=kv.pop("b"))
-        if name == "dlap":
-            return DiscreteLaplace(p=kv.pop("p"))
-        if name == "geo":
-            return CenteredGeometric(q=kv.pop("q"))
-        if name == "herm":
-            return Hermite(a1=kv.pop("a1"), a2=kv.pop("a2"))
-        if name == "herm2":
-            return TwoSideHermite(a1=kv.pop("a1"), a2=kv.pop("a2"))
-        if name == "tsp":
-            return TwoSidePoisson(lam=kv.pop("lambda"), mu=kv.pop("mu"))
+        return cls(*[kv[key] for key in cls.keys])
     except KeyError as exc:
         raise ValueError(f"missing parameter {exc} for mechanism {name!r}") from None
-    raise ValueError(f"unknown mechanism {name!r}; {_GRAMMAR_HELP}")
 
 
 def mechanism_label(mech: NoiseMechanism) -> str:
     """Grammar string for a mechanism (round-trips through parse_mechanism)."""
-    if isinstance(mech, ContinuousLaplace):
-        return f"lap:b={mech.b!r}"
-    if isinstance(mech, DiscreteLaplace):
-        return f"dlap:p={mech.p!r}"
-    if isinstance(mech, CenteredGeometric):
-        return f"geo:q={mech.q!r}"
-    if isinstance(mech, TwoSideHermite):
-        return f"herm2:a1={mech.a1!r},a2={mech.a2!r}"
-    if isinstance(mech, TwoSidePoisson):
-        return f"tsp:lambda={mech.lam!r},mu={mech.mu!r}"
-    if isinstance(mech, Hermite):
-        return f"herm:a1={mech.a1!r},a2={mech.a2!r}"
-    raise TypeError(f"unknown mechanism {mech!r}")
+    values = (getattr(mech, f.name) for f in fields(mech))
+    return f"{mech.name}:" + ",".join(f"{k}={v!r}" for k, v in zip(mech.keys, values))
 
 
 def hermite_budget_intensity(lambda0: float = 2.0) -> float:

@@ -156,8 +156,7 @@ def _block(scenario: Scenario, z: float,
             rng = np.random.default_rng(child)
             dt = sampler.degrees(rng)
             if scenario.noise is not None:
-                dt = dt + np.asarray(
-                    noise_mod.sample(scenario.noise, rng, size=scenario.n), dtype=float)
+                dt = dt + noise_mod.sample(scenario.noise, rng, size=scenario.n)
             yield dt
 
     dts = [expected_degrees(link, truth)] * len(children) if scenario.exact else draws()

@@ -175,6 +175,22 @@ def test_import_does_not_load_scipy():
     assert done.stdout.strip() == "False"
 
 
+def test_bounds_path_does_not_load_scipy(tmp_path):
+    # psi1 of a two-sided Hermite law and its tail bound need no scipy
+    code = ("import sys; from privdeg.cli import main; "
+            "code = main(['bounds', '--kind', 'bernstein', '--noise', "
+            "'herm2:a1=1.47,a2=0.37', '--n', '5', '--reps', '1000', "
+            f"'--out', {str(tmp_path / 'b.csv')!r}]); "
+            "print(code, 'scipy' in sys.modules)")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                          os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "0 False"
+    assert (tmp_path / "b.csv").read_text().startswith("t,bound,empirical,mc_stderr\n")
+
+
 @pytest.mark.parametrize("n", ["1000000000000", "99999999999999999999"])
 def test_sample_huge_n_exits_2(tmp_path, capsys, n):
     # numpy refuses the parameter vector at allocation time: nothing is allocated

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ def test_residual_overflowing_self_pair_stays_finite():
     with np.errstate(over="ignore"):
         F = moment_residual(LinkKind.LOG, np.array([400.0, 0.0, 0.0]), np.ones(3))
     assert np.all(np.isfinite(F))
+
+
+def test_log_trial_point_overflow_is_silent():
+    # a damped-Newton trial point whose pair sums overflow exp: the residual
+    # is infinite, damping rejects the point, and no warning is raised
+    d = np.array([3.486, 3.486, 2.826, 2.826, 2.826])
+    x0 = np.array([-1.870, 0.124, -6.975, -0.656, -3.738])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve(LinkKind.LOG, d, x0=x0)
+    assert res.exists and res.converged
+    assert np.max(np.abs(moment_residual(LinkKind.LOG, res.alpha_hat, d))) <= 1e-8 * 3.486
 
 
 def test_collapsed_residual_matches_full_system():

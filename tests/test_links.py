@@ -188,3 +188,26 @@ def test_graph_validation():
         Graph(np.array([[0, 2], [2, 0]]))       # non-binary
     with pytest.raises(ValueError):
         Graph(np.zeros((1, 1), dtype=int))      # n < 2
+
+
+@pytest.mark.parametrize("link", LINKS)
+def test_edge_prob_and_derivatives_match_separate_evaluators_bitwise(link):
+    # edge_prob and edge_prob_deriv wrap the fused links.link_values; they
+    # give the bits of the separate p and p' evaluators they replaced
+    # (tests/engine_reference.py) at pair sums of scale 1 to 1000
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 30.0, 1000.0):
+        x = np.concatenate((rng.normal(0.0, scale, 2000), [-np.inf, -0.0, 0.0]))
+        if link == LinkKind.LOG:
+            x = -np.abs(x) - 1e-3
+        p = engine_reference._pm_extended(link, x)
+        dp = engine_reference._dpm_extended(link, x)
+        second = {LinkKind.LOG: dp, LinkKind.LOGIT: dp * (1.0 - 2.0 * p),
+                  LinkKind.CLOGLOG: dp * (1.0 - np.exp(np.clip(x, None, 690.0)))}[link]
+        x_before = x.copy()
+        assert np.array_equal(edge_prob(link, x), p)
+        assert np.array_equal(edge_prob_deriv(link, x), dp)
+        assert np.array_equal(edge_prob_deriv(link, x, 2), second)
+        assert np.array_equal(x, x_before)  # the input is not overwritten
+        assert edge_prob(link, float(x[0])) == p[0]
+        assert edge_prob_deriv(link, float(x[0]), 2) == second[0]

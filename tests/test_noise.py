@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ DISCRETE_MECHS = [
     TwoSidePoisson(1.5, 1.0),
 ]
 ALL_MECHS = DISCRETE_MECHS + [ContinuousLaplace(1.3)]
+# the two-sided Hermite noise of the benchmark and the demo scenario
+BENCH_HERM2 = parse_mechanism("herm2:a1=1.4730777507324677,a2=0.36826943768311693")
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +325,51 @@ def test_mechanism_validation():
         TwoSidePoisson(0.0, 0.0)
     with pytest.raises(ValueError):
         ContinuousLaplace(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# pinned values
+# ---------------------------------------------------------------------------
+
+# psi1, witness, the 1e-12 support cutoff K and the pmf on [-K-3, K+3] of
+# each mechanism, keyed by its label, as computed by the implementation
+# that preceded the mechanism classes (one isinstance dispatch per part of
+# the law)
+PINS = json.loads((Path(__file__).parent / "data" / "noise_pins.json").read_text())
+
+
+def _matches(got: float, want: float) -> bool:
+    return got == want if want == 0 else got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("mech", ALL_MECHS + [BENCH_HERM2],
+                         ids=[mechanism_label(m) for m in ALL_MECHS] + ["benchmark-herm2"])
+def test_psi1_witness_and_pmf_are_pinned(mech):
+    pin = PINS[mechanism_label(mech)]
+    assert _matches(psi1_norm(mech), pin["psi1"])
+    w = sub_gamma_witness(mech)
+    assert _matches(w.upsilon, pin["upsilon"]) and _matches(w.c, pin["c"])
+    if "pmf" not in pin:
+        with pytest.raises(TypeError):
+            pmf(mech, 0)
+        return
+    K = pin["K"]
+    assert support_cutoff(mech) == K
+    got = [pmf(mech, k) for k in range(-K - 3, K + 4)]
+    assert len(got) == len(pin["pmf"])
+    bad = [k - K - 3 for k, (g, want) in enumerate(zip(got, pin["pmf"]))
+           if not _matches(g, want)]
+    assert not bad, f"pmf differs from the pinned value at k = {bad}"
+
+
+def test_pmf_table_is_built_once_per_mechanism(monkeypatch):
+    # the compound-Poisson E exp(|X|/t) reads a table built at its first
+    # call, so the psi1 bisection evaluates the pmf once per support point
+    mech = TwoSideHermite(1.4730777507324677, 0.36826943768311693)
+    calls = []
+    mass = TwoSideHermite.mass
+    monkeypatch.setattr(TwoSideHermite, "mass",
+                        lambda self, k: calls.append(k) or mass(self, k))
+    psi1_norm(mech)
+    K = support_cutoff(mech, 1e-16)
+    assert sorted(calls) == list(range(-K, K + 1))
