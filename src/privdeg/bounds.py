@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .noise import NoiseMechanism, psi1_norm  # re-exported: psi1_norm
+from .noise import psi1_norm  # re-exported
 
 __all__ = [
     "SubExpNormBound",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,12 @@ from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .analysis import ResultTable, noisy_degrees, table_from_degrees
 from .estimator import SolverOptions
-from .links import DomainError, LinkKind, degrees, sample_graph
+from .links import DomainError, LinkKind, sample_graph
 from .netio import (EdgeList, ParseError, kept_labels, parse_edges,
                     prune_zero_degree, read_degree_file, serialize_edges,
                     sniff_format)
-from .simulate import (Scenario, parse_scenario_file, qq_csv, report_csv,
-                       run_scenario, scenario_grid, truth_vector)
+from .simulate import (parse_scenario_file, qq_csv, report_csv, run_scenario,
+                       truth_vector)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -139,24 +140,27 @@ def cmd_analyze(args) -> int:
     return _report_fit(link, table)
 
 
-def cmd_simulate(args) -> int:
-    cfg = parse_scenario_file(Path(args.scenario).read_text())
-    workers = args.workers if args.workers is not None else cfg["workers"]
+def _scenario_cells(args) -> tuple[list, int]:
+    """Cells and worker count of the scenario file; --seed and --workers
+    override the file's values."""
+    cells, workers = parse_scenario_file(Path(args.scenario).read_text())
     if args.seed is not None:
-        cfg["seed"] = args.seed
-    reports = [run_scenario(cell, workers=workers) for cell in scenario_grid(cfg)]
+        cells = [replace(cell, seed=args.seed) for cell in cells]
+    return cells, args.workers if args.workers is not None else workers
+
+
+def cmd_simulate(args) -> int:
+    cells, workers = _scenario_cells(args)
+    reports = [run_scenario(cell, workers=workers) for cell in cells]
     _write(args.out, report_csv(reports))
     return EXIT_OK
 
 
 def cmd_qq(args) -> int:
-    cfg = parse_scenario_file(Path(args.scenario).read_text())
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    cells = scenario_grid(cfg)
+    cells, workers = _scenario_cells(args)
     if len(cells) != 1:
         raise ParseError("qq needs a single-cell scenario (one L, one noise)")
-    report = run_scenario(cells[0], workers=args.workers or cfg["workers"])
+    report = run_scenario(cells[0], workers=workers)
     pairs = cells[0].pairs
     if args.pair:
         i, j = (int(v) for v in args.pair.split(","))
@@ -194,26 +198,25 @@ def cmd_bounds(args) -> int:
                        axis=1)
     elif kind == "hermite":
         # inverse (radius) form over an exponent grid: per row,
-        # t = radius(x), bound = 2 exp(-x), empirical = P(|mean dev| >= t)
-        spec = bounds_mod.HermiteSumRadius(sigma2=args.n * var, r=2.0, w=1.0 / args.n)
-        dev = np.abs(noise_mod.sample(mech, rng, size=(reps, args.n)).mean(axis=1) - mean)
-        lines = ["t,bound,empirical,mc_stderr"]
-        for x in np.linspace(0.05, 8.0, args.grid):
-            radius = bounds_mod.tail_bound(spec, float(x))
-            emp = float((dev >= radius).mean())
-            se = float(np.sqrt(max(emp * (1 - emp), 1e-12) / reps))
-            lines.append(f"{radius:.17g},{2 * np.exp(-x):.17g},{emp:.17g},{se:.17g}")
-        _write(args.out, "\n".join(lines) + "\n")
-        return EXIT_OK
+        # t = radius(x), bound = min(1, 2 exp(-x)), empirical = P(|mean dev| >= t)
+        if not isinstance(mech, noise_mod.CompoundPoisson):
+            raise ParseError(f"--kind hermite needs a compound-Poisson law "
+                             f"(herm, herm2, tsp), got {noise_mod.mechanism_label(mech)}")
+        spec = bounds_mod.HermiteSumRadius(sigma2=args.n * var, r=mech.jump, w=1.0 / args.n)
+        draws = np.abs(noise_mod.sample(mech, rng, size=(reps, args.n)).mean(axis=1) - mean)
+        xs = np.linspace(0.05, 8.0, args.grid)
+        ts = [bounds_mod.tail_bound(spec, float(x)) for x in xs]
+        bound = [min(1.0, 2 * np.exp(-x)) for x in xs]
     else:
         raise ParseError(f"unknown bound kind {args.kind!r}; expected "
                          "subexp | bernstein | subgamma | subgammamax | hermite")
-    hi = float(np.quantile(draws, 0.9999)) + 1e-9
-    ts = np.linspace(0.0, max(hi, 1.0), args.grid)
+    if kind != "hermite":
+        hi = float(np.quantile(draws, 0.9999)) + 1e-9
+        ts = np.linspace(0.0, max(hi, 1.0), args.grid)
+        bound = [bounds_mod.tail_bound(spec, float(t)) for t in ts]
     emp, se = bounds_mod.mc_survival(draws, ts)
     lines = ["t,bound,empirical,mc_stderr"]
-    for t, p, s in zip(ts, emp, se):
-        b = bounds_mod.tail_bound(spec, float(t))
+    for t, b, p, s in zip(ts, bound, emp, se):
         lines.append(f"{t:.17g},{b:.17g},{p:.17g},{s:.17g}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -98,12 +98,6 @@ class EstimateResult:
     # parameter box (and, for the log link, whether any p exceeds 1)
     max_abs_pair_sum: Optional[float] = None
 
-    @property
-    def n(self) -> int:
-        if self.alpha_hat is None:
-            raise NonexistentEstimateError(self.reason or "estimate does not exist")
-        return self.alpha_hat.size
-
 
 @dataclass(frozen=True)
 class JacobianMatrix:

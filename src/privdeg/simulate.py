@@ -31,9 +31,6 @@ from .links import EdgeSampler, LinkKind, expected_degrees
 from .links import degrees, sample_graph  # noqa: F401
 from .netio import ParseError
 
-DEFAULT_REPLICATES = 1000
-
-
 def truth_vector(n: int, L: float) -> np.ndarray:
     """Truth used throughout the scenario grid: alpha*_i = i L / n, i = 1..n."""
     if n < 2:
@@ -59,7 +56,7 @@ class Scenario:
     n: int
     L: float
     noise: Optional[noise_mod.NoiseMechanism]
-    replicates: int = DEFAULT_REPLICATES
+    replicates: int = 1000
     seed: int = 0
     pairs: tuple[tuple[int, int], ...] = ()
     level: float = 0.95
@@ -80,10 +77,6 @@ class Scenario:
         if self.link == LinkKind.LOG and self.L >= 0:
             raise ValueError("log link needs L < 0 so that all pair sums are negative")
 
-    def label(self) -> str:
-        noise = noise_mod.mechanism_label(self.noise) if self.noise else "none"
-        return f"{self.link.value} n={self.n} L={self.L:g} noise={noise}"
-
 
 @dataclass(frozen=True)
 class PairSummary:
@@ -98,9 +91,6 @@ class CoverageReport:
     per_pair: dict[tuple[int, int], PairSummary]
     nonexistence_percent: float
     xi: dict[tuple[int, int], np.ndarray]  # per pair, in replicate order
-
-    def qq(self, pair: tuple[int, int]) -> list[tuple[float, float]]:
-        return qq_export(self, pair)
 
 
 def qq_export(report: CoverageReport, pair: tuple[int, int]) -> list[tuple[float, float]]:
@@ -209,6 +199,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
     size = max(1, _ELEMENT_BUDGET // scenario.n)  # replicates, n degrees each
     tasks = [(scenario, z, children[lo:lo + size])
              for lo in range(0, scenario.replicates, size)]
+    workers = min(workers, len(tasks))  # a pool starts all its workers at once
     if workers <= 1:
         blocks = [_block(*t) for t in tasks]
     else:
@@ -236,13 +227,41 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
 # scenario files and report CSVs
 # ---------------------------------------------------------------------------
 
-def parse_scenario_file(text: str) -> dict:
-    """Key-value scenario config.
+def _scenario_pairs(text: str) -> tuple[tuple[int, int], ...]:
+    pairs = []
+    for tok in text.split(";"):
+        tok = tok.strip()
+        if not tok:
+            continue
+        ij = tok.split(",")
+        if len(ij) != 2:
+            raise ParseError(f"bad pair {tok!r} in scenario pairs")
+        pairs.append((int(ij[0]), int(ij[1])))
+    return tuple(pairs)
+
+
+# scenario-file keys that map one-to-one onto a Scenario field
+_CELL_KEYS = {
+    "link": LinkKind.parse,
+    "n": int,
+    "replicates": int,
+    "seed": int,
+    "pairs": _scenario_pairs,
+    "level": float,
+    "exact": lambda v: v.lower() in ("1", "true", "yes"),
+}
+
+
+def parse_scenario_file(text: str) -> tuple[list[Scenario], int]:
+    """The cells of a key-value scenario file and its worker count.
 
     One ``key = value`` (or ``key: value``) per line, ``#`` comments.
     Keys: link, n, L (comma list allowed), noise (semicolon list of
     mechanism grammar strings, or 'none'), replicates, seed, pairs
-    (e.g. ``1,2; 50,51; 99,100``), level, exact, workers.
+    (e.g. ``1,2; 50,51; 99,100``), level, exact, workers. A key left out
+    takes the ``Scenario`` default. Cells run noise blocks x L columns,
+    each from the same master seed, so that a cell's report does not
+    depend on which other cells are in the grid.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -260,51 +279,14 @@ def parse_scenario_file(text: str) -> dict:
     for req in ("link", "n"):
         if req not in raw:
             raise ParseError(f"scenario file is missing the {req!r} key")
-    out: dict = {
-        "link": LinkKind.parse(raw["link"]),
-        "n": int(raw["n"]),
-        "L_values": [float(v) for v in raw.get("l", "0").split(",")],
-        "replicates": int(raw.get("replicates", DEFAULT_REPLICATES)),
-        "seed": int(raw.get("seed", 0)),
-        "level": float(raw.get("level", 0.95)),
-        "exact": raw.get("exact", "false").lower() in ("1", "true", "yes"),
-        "workers": int(raw.get("workers", 1)),
-    }
-    noise_txt = raw.get("noise", "none")
-    out["noise_values"] = [
+    given = {key: parse(raw[key]) for key, parse in _CELL_KEYS.items() if key in raw}
+    noises = [
         None if tok.strip().lower() in ("none", "") else noise_mod.parse_mechanism(tok)
-        for tok in noise_txt.split(";")
+        for tok in raw.get("noise", "none").split(";")
     ]
-    if "pairs" in raw:
-        pairs = []
-        for tok in raw["pairs"].split(";"):
-            tok = tok.strip()
-            if not tok:
-                continue
-            ij = tok.split(",")
-            if len(ij) != 2:
-                raise ParseError(f"bad pair {tok!r} in scenario pairs")
-            pairs.append((int(ij[0]), int(ij[1])))
-        out["pairs"] = tuple(pairs)
-    else:
-        out["pairs"] = default_pairs(out["n"])
-    return out
-
-
-def scenario_grid(cfg: dict) -> list[Scenario]:
-    """Expand a parsed scenario config into cells (noise blocks x L columns).
-
-    Every cell runs from the same master seed so that a cell's report
-    does not depend on which other cells are in the grid.
-    """
-    cells = []
-    for mech in cfg["noise_values"]:
-        for L in cfg["L_values"]:
-            cells.append(Scenario(
-                link=cfg["link"], n=cfg["n"], L=L, noise=mech,
-                replicates=cfg["replicates"], seed=cfg["seed"],
-                pairs=cfg["pairs"], level=cfg["level"], exact=cfg["exact"]))
-    return cells
+    Ls = [float(v) for v in raw.get("l", "0").split(",")]
+    cells = [Scenario(L=L, noise=mech, **given) for mech in noises for L in Ls]
+    return cells, int(raw.get("workers", 1))
 
 
 def report_csv(reports: list[CoverageReport]) -> str:

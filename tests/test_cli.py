@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import netio_reference
+from privdeg import simulate
+from privdeg.bounds import HermiteSumRadius, tail_bound
 from privdeg.cli import main
 from privdeg.links import LinkKind, sample_graph
+from privdeg.noise import TwoSidePoisson, moments
 from privdeg.simulate import truth_vector
 
 SCENARIO = """
@@ -110,6 +113,54 @@ def test_qq_subcommand(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "theoretical,empirical"
     assert len(lines) > 10
+
+
+def test_scenario_overrides_agree_in_simulate_and_qq(tmp_path, monkeypatch):
+    # several blocks, so that a file's `workers = 3` would start a pool
+    monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", 24 * 10)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("--workers 0 must run in-process")
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+    pooled = tmp_path / "pooled.scenario"
+    pooled.write_text(SCENARIO + "workers = 3\n")
+    reseeded = tmp_path / "reseeded.scenario"
+    reseeded.write_text(SCENARIO.replace("seed = 11", "seed = 5"))
+    for cmd in (["simulate"], ["qq", "--pair", "1,2"]):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*cmd, str(pooled), "--seed", "5", "--workers", "0",
+                     "--out", str(a)]) == 0
+        assert main([*cmd, str(reseeded), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+def _bounds_rows(tmp_path, *argv):
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", *argv, "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "t,bound,empirical,mc_stderr"
+    return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+
+
+def test_bounds_hermite_radius_uses_the_law_jump(tmp_path):
+    rows = _bounds_rows(tmp_path, "--kind", "hermite", "--n", "4", "--reps", "500",
+                        "--grid", "6")
+    assert len(rows) == 6
+    assert all(0 <= bound <= 1 for _, bound, _, _ in rows)
+    assert rows[0][1] == 1.0  # 2 exp(-0.05), capped
+    mech = TwoSidePoisson(1.0, 1.0)
+    rows = _bounds_rows(tmp_path, "--kind", "hermite", "--noise", "tsp:lambda=1,mu=1",
+                        "--n", "4", "--reps", "500", "--grid", "6")
+    spec = HermiteSumRadius(sigma2=4 * moments(mech)[1], r=1.0, w=0.25)
+    xs = np.linspace(0.05, 8.0, 6)
+    assert [t for t, _, _, _ in rows] == [tail_bound(spec, float(x)) for x in xs]
+
+
+def test_bounds_hermite_rejects_a_law_without_jumps(tmp_path, capsys):
+    assert main(["bounds", "--kind", "hermite", "--noise", "dlap:p=0.5",
+                 "--reps", "100", "--out", str(tmp_path / "b.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_bounds_subcommand(tmp_path):

@@ -11,8 +11,7 @@ from privdeg.links import EdgeSampler, LinkKind
 from privdeg.noise import TwoSideHermite, hermite_budget_intensity, sample
 from privdeg.simulate import (CoverageReport, Scenario, default_pairs,
                               parse_scenario_file, qq_csv, qq_export,
-                              report_csv, run_scenario, scenario_grid,
-                              truth_vector)
+                              report_csv, run_scenario, truth_vector)
 
 LAM = hermite_budget_intensity(2.0)
 HERM_CASES = [  # ordered by noise variance
@@ -131,8 +130,8 @@ def test_scenario_file_parsing_and_grid():
     pairs = 1,2; 29,30
     workers = 2
     """
-    cfg = parse_scenario_file(text)
-    cells = scenario_grid(cfg)
+    cells, workers = parse_scenario_file(text)
+    assert workers == 2
     assert len(cells) == 4
     assert cells[0].noise == TwoSideHermite(1.0, 0.5)
     assert cells[1].L == 0.5
@@ -153,6 +152,46 @@ def test_scenario_file_errors():
         parse_scenario_file("link = logit\nn = 10\npairs = 1-2\n")
     with pytest.raises(ValueError):
         parse_scenario_file("link = huh\nn = 10\n")
+
+
+def test_scenario_file_omitted_keys_take_scenario_defaults():
+    cells, workers = parse_scenario_file("link = cloglog\nn = 12\n")
+    assert workers == 1
+    assert cells == [Scenario(LinkKind.CLOGLOG, 12, 0.0, None)]
+    (cell,), _ = parse_scenario_file("link = log\nn = 12\nL = -1\n"
+                                     "level = 0.9\nexact = yes\n")
+    assert cell == Scenario(LinkKind.LOG, 12, -1.0, None, level=0.9, exact=True)
+
+
+def test_pool_never_exceeds_the_block_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size a run asks for and maps serially."""
+
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    # a budget of 60 degrees makes blocks of 3 replicates at n = 20
+    monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", 60)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    sc = Scenario(LinkKind.LOGIT, 20, 0.3, TwoSideHermite(1.0, 0.5), replicates=9)
+    want = report_csv([run_scenario(sc)])
+    assert report_csv([run_scenario(sc, workers=100_000)]) == want
+    assert report_csv([run_scenario(sc, workers=2)]) == want
+    assert sizes == [3, 2]
+    one_block = Scenario(LinkKind.LOGIT, 20, 0.3, None, replicates=3)
+    run_scenario(one_block, workers=8)  # a single block runs in-process
+    assert sizes == [3, 2]
 
 
 def _reference_report(scenario: Scenario) -> CoverageReport:
