@@ -47,10 +47,7 @@ def table_from_degrees(dtilde: np.ndarray, link: LinkKind,
     labs = labels if labels is not None else list(range(1, d.size + 1))
     if len(labs) != d.size:
         raise ValueError("label list length must match the degree sequence")
-    # checks the level even when the fit will not exist; run before the
-    # fit, the first call's scipy import does not compete with BLAS
-    # threads still spinning after the fit's linear solves
-    normal_quantile(level)
+    normal_quantile(level)  # checks the level even when the fit will not exist
     res = solve(link, d, options)
     if not res.exists:
         rows = tuple(ResultRow(v, float(d[k]), None, None, None, None)

@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .estimator import _ELEMENT_BUDGET, SolverOptions, normal_quantile, solve_many
+from .estimator import (_ELEMENT_BUDGET, SolverOptions, _ndtri, normal_quantile,
+                        solve_many)
 # Not called here; perfbench/tracing.py wraps these four names in this module.
 from .estimator import solve, xi_statistic  # noqa: F401
 from .links import EdgeSampler, LinkKind, expected_degrees
@@ -100,16 +101,12 @@ def qq_export(report: CoverageReport, pair: tuple[int, int]) -> list[tuple[float
     sit at the plotting positions (k - 0.5) / m. Both coordinates are
     non-decreasing by construction.
     """
-    from scipy.special import ndtri  # imported here: scipy is slow to load
-
     if pair not in report.xi:
         raise LookupError(f"pair {pair} was not reported in this scenario")
     xs = np.sort(report.xi[pair])
     m = xs.size
-    if m == 0:
-        return []
-    theo = ndtri((np.arange(1, m + 1) - 0.5) / m)
-    return list(zip(theo.tolist(), xs.tolist()))
+    theo = [_ndtri((k - 0.5) / m) for k in range(1, m + 1)]
+    return list(zip(theo, xs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +247,7 @@ _CELL_KEYS = {
     "level": float,
     "exact": lambda v: v.lower() in ("1", "true", "yes"),
 }
+_FILE_KEYS = {*_CELL_KEYS, "l", "noise", "workers"}
 
 
 def parse_scenario_file(text: str) -> tuple[list[Scenario], int]:
@@ -258,10 +256,11 @@ def parse_scenario_file(text: str) -> tuple[list[Scenario], int]:
     One ``key = value`` (or ``key: value``) per line, ``#`` comments.
     Keys: link, n, L (comma list allowed), noise (semicolon list of
     mechanism grammar strings, or 'none'), replicates, seed, pairs
-    (e.g. ``1,2; 50,51; 99,100``), level, exact, workers. A key left out
-    takes the ``Scenario`` default. Cells run noise blocks x L columns,
-    each from the same master seed, so that a cell's report does not
-    depend on which other cells are in the grid.
+    (e.g. ``1,2; 50,51; 99,100``), level, exact, workers; any other key
+    is a ParseError. A key left out takes the ``Scenario`` default.
+    Cells run noise blocks x L columns, each from the same master seed,
+    so that a cell's report does not depend on which other cells are in
+    the grid.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -274,7 +273,10 @@ def parse_scenario_file(text: str) -> tuple[list[Scenario], int]:
                 break
         else:
             raise ParseError(f"expected key = value, got {body!r}", lineno)
-        raw[key.strip().lower()] = val.strip()
+        key = key.strip()
+        if key.lower() not in _FILE_KEYS:
+            raise ParseError(f"unknown scenario key {key!r}", lineno)
+        raw[key.lower()] = val.strip()
 
     for req in ("link", "n"):
         if req not in raw:

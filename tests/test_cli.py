@@ -215,31 +215,73 @@ def test_sample_writes_the_loop_extraction_bytes(tmp_path):
     assert out.read_text() == netio_reference.sample_text(g.adjacency)
 
 
-def test_import_does_not_load_scipy():
-    # scipy is imported by the functions that call it, at their first call
-    code = "import sys, privdeg.cli; print('scipy' in sys.modules)"
+def _main_in_fresh_python(argv: list[str] | None) -> str:
+    """'<exit code> <scipy loaded?>' of main(argv) in a new interpreter;
+    argv None only imports the CLI (exit code 0)."""
+    code = ("import sys; from privdeg.cli import main; "
+            f"argv = {argv!r}; "
+            "print(main(argv) if argv else 0, 'scipy' in sys.modules)")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
                                           os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("command", ["import", "simulate", "qq", "estimate", "analyze"])
+def test_cli_run_does_not_load_scipy(tmp_path, command):
+    # the normal quantile is computed without scipy; only the two-sided
+    # Poisson pmf imports it, at its first call
+    cell = tmp_path / "cell.scenario"
+    cell.write_text("link = logit\nn = 10\nL = 0.2\nnoise = herm2:a1=0.1,a2=0.05\n"
+                    "replicates = 5\nseed = 3\n")
+    degrees = tmp_path / "d.txt"
+    degrees.write_text("3\n3\n2\n2\n4\n2\n")
+    shop = str(Path(__file__).parent / "data" / "tailorshop_synthetic.dl")
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "import": None,
+        "simulate": ["simulate", str(cell), "--out", out],
+        "qq": ["qq", str(cell), "--pair", "1,2", "--out", out],
+        "estimate": ["estimate", str(degrees), "--link", "logit", "--out", out],
+        "analyze": ["analyze", shop, "--link", "logit", "--no-noise", "--out", out],
+    }[command]
+    assert _main_in_fresh_python(argv) == "0 False"
+    if argv:  # a header and at least three rows
+        assert Path(out).read_text().count("\n") >= 4
 
 
 def test_bounds_path_does_not_load_scipy(tmp_path):
     # psi1 of a two-sided Hermite law and its tail bound need no scipy
-    code = ("import sys; from privdeg.cli import main; "
-            "code = main(['bounds', '--kind', 'bernstein', '--noise', "
-            "'herm2:a1=1.47,a2=0.37', '--n', '5', '--reps', '1000', "
-            f"'--out', {str(tmp_path / 'b.csv')!r}]); "
-            "print(code, 'scipy' in sys.modules)")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
-                                          os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "0 False"
-    assert (tmp_path / "b.csv").read_text().startswith("t,bound,empirical,mc_stderr\n")
+    out = tmp_path / "b.csv"
+    assert _main_in_fresh_python(["bounds", "--kind", "bernstein", "--noise",
+                                  "herm2:a1=1.47,a2=0.37", "--n", "5",
+                                  "--reps", "1000", "--out", str(out)]) == "0 False"
+    assert out.read_text().startswith("t,bound,empirical,mc_stderr\n")
+
+
+def test_infinite_normal_quantile_exits_2(tmp_path, capsys, tailorshop_text):
+    level = "0.9999999999999999"  # 0.5 + level / 2 rounds to 1
+    cell = tmp_path / "cell.scenario"
+    cell.write_text(SCENARIO + f"level = {level}\n")
+    shop = tmp_path / "shop.dl"
+    shop.write_text(tailorshop_text)
+    for argv in (["simulate", str(cell)],
+                 ["analyze", str(shop), "--no-noise", "--level", level]):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "normal quantile is infinite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_simulate_rejects_unknown_scenario_key(tmp_path, capsys):
+    cell = tmp_path / "cell.scenario"
+    cell.write_text("link = logit\nn = 10\nreplicate = 5\nseeds = 3\n")
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(cell), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 3: unknown scenario key 'replicate'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", ["1000000000000", "99999999999999999999"])

@@ -1,5 +1,6 @@
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ def test_degree_deviation_trend():
     assert pcts[1] <= pcts[0] and pcts[2] <= pcts[1]
 
 
+@pytest.mark.parametrize("m", [10, 160, 1000, 1500])
+def test_qq_export_plotting_positions_equal_scipy_ndtri(m):
+    from scipy.special import ndtri
+    s = Scenario(LinkKind.LOGIT, 10, 0.0, None, replicates=1)
+    rep = CoverageReport(s, {}, 0.0, {(1, 2): np.arange(m, 0, -1.0)})
+    theo, emp = zip(*qq_export(rep, (1, 2)))
+    want = ndtri((np.arange(1, m + 1) - 0.5) / m)
+    assert np.array_equal(np.array(theo).view(np.int64), want.view(np.int64))
+    assert list(emp) == list(range(1, m + 1))
+
+
 def test_scenario_file_parsing_and_grid():
     text = """
     # cell grid
@@ -152,6 +164,24 @@ def test_scenario_file_errors():
         parse_scenario_file("link = logit\nn = 10\npairs = 1-2\n")
     with pytest.raises(ValueError):
         parse_scenario_file("link = huh\nn = 10\n")
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("link = logit\nn = 10\nreplicate = 5\nseeds = 3\n", "replicate", 3),
+    ("# grid\nlink = logit\nn = 10\nL = 0.1\nNoise = none\nWorker: 2\n", "Worker", 6),
+], ids=["misspelt", "case-kept"])
+def test_scenario_file_rejects_unknown_keys(text, key, line):
+    from privdeg.netio import ParseError
+    with pytest.raises(ParseError, match=f"line {line}: unknown scenario key '{key}'"):
+        parse_scenario_file(text)
+
+
+def test_shipped_scenario_files_parse():
+    root = Path(__file__).parents[1] / "scenarios"
+    demo, workers = parse_scenario_file((root / "demo.scenario").read_text())
+    assert workers == 4 and len(demo) == 1 and demo[0].replicates == 1000
+    grid, workers = parse_scenario_file((root / "grid.scenario").read_text())
+    assert workers == 1 and len(grid) == 4 and grid[0].seed == 7
 
 
 def test_scenario_file_omitted_keys_take_scenario_defaults():
