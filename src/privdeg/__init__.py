@@ -17,7 +17,7 @@ from .links import (DomainError, EdgeSampler, Graph, LinkKind, degrees,
                     expected_degrees, link_inverse, sample_graph)
 from .noise import (CenteredGeometric, ContinuousLaplace, DiscreteLaplace,
                     Hermite, NoiseMechanism, SubGammaParams, TwoSideHermite,
-                    TwoSidePoisson, bessel_i, hermite_budget_intensity,
+                    TwoSidePoisson, hermite_budget_intensity,
                     mechanism_label, moments, parse_mechanism, pmf, sample,
                     sub_gamma_witness)
 from .estimator import (EstimateResult, JacobianMatrix,
@@ -28,7 +28,7 @@ from .bounds import (BernsteinBound, HermiteSumRadius, SubExpNormBound,
                      SubGammaMaxBound, SubGammaSumBound, max_expectation_bound,
                      psi1_norm, tail_bound)
 from .netio import EdgeList, ParseError, parse_edges, prune_zero_degree, serialize_edges
-from .analysis import ResultTable, analyze_dataset, table_from_degrees
+from .analysis import ResultTable, table_from_degrees
 from .simulate import (CoverageReport, Scenario, default_pairs, qq_export,
                        run_scenario, truth_vector)
 

@@ -33,10 +33,6 @@ class ResultTable:
     reason: Optional[str]
     result: EstimateResult
 
-    def scatter(self) -> list[tuple[float, float]]:
-        """(noisy degree, fitted parameter) pairs for existing fits."""
-        return [(r.dtilde, r.alpha) for r in self.rows if r.alpha is not None]
-
 
 def table_from_degrees(dtilde: np.ndarray, link: LinkKind,
                        labels: Optional[list[int]] = None,
@@ -72,18 +68,3 @@ def noisy_degrees(e: EdgeList, mech: Optional[noise_mod.NoiseMechanism],
         d = d + noise_mod.sample(mech, np.random.default_rng(seed), size=e.n)
     return d
 
-
-def analyze_dataset(e: EdgeList, link: LinkKind,
-                    mech: Optional[noise_mod.NoiseMechanism],
-                    seed: int,
-                    labels: Optional[list[int]] = None,
-                    level: float = 0.95,
-                    options: SolverOptions | None = None) -> ResultTable:
-    """``noisy_degrees`` of e fitted under link.
-
-    Pass mech=None for the zero-noise override (dtilde = d). The seed
-    fixes the noise draw; labels carry original vertex names through
-    pruning/relabeling done by the caller.
-    """
-    return table_from_degrees(noisy_degrees(e, mech, seed), link, labels=labels,
-                              level=level, options=options)

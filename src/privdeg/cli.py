@@ -178,8 +178,20 @@ def cmd_qq(args) -> int:
 def cmd_bounds(args) -> int:
     mech = noise_mod.parse_mechanism(args.noise) if args.noise else \
         noise_mod.TwoSideHermite(1.0, 1.0)
+    for flag, value in (("--n", args.n), ("--reps", args.reps), ("--grid", args.grid)):
+        if value < 1:
+            raise ParseError(f"{flag} must be at least 1, got {value}")
     rng = np.random.default_rng(args.seed)
     reps = args.reps
+
+    def draw_table() -> np.ndarray:
+        """A reps x n table of draws; ValueError when it cannot be allocated."""
+        try:
+            return noise_mod.sample(mech, rng, size=(reps, args.n))
+        except MemoryError:
+            raise ValueError(f"--reps {reps} x --n {args.n} noise draws do not "
+                             "fit in memory") from None
+
     mean, var = noise_mod.moments(mech)
     wit = noise_mod.sub_gamma_witness(mech)
     kind = args.kind.lower()
@@ -194,8 +206,7 @@ def cmd_bounds(args) -> int:
                            for _ in range(args.n)))
     elif kind == "subgammamax":
         spec = bounds_mod.SubGammaMaxBound(wit.upsilon, wit.c, args.n)
-        draws = np.max(np.abs(noise_mod.sample(mech, rng, size=(reps, args.n)) - mean),
-                       axis=1)
+        draws = np.max(np.abs(draw_table() - mean), axis=1)
     elif kind == "hermite":
         # inverse (radius) form over an exponent grid: per row,
         # t = radius(x), bound = min(1, 2 exp(-x)), empirical = P(|mean dev| >= t)
@@ -203,7 +214,7 @@ def cmd_bounds(args) -> int:
             raise ParseError(f"--kind hermite needs a compound-Poisson law "
                              f"(herm, herm2, tsp), got {noise_mod.mechanism_label(mech)}")
         spec = bounds_mod.HermiteSumRadius(sigma2=args.n * var, r=mech.jump, w=1.0 / args.n)
-        draws = np.abs(noise_mod.sample(mech, rng, size=(reps, args.n)).mean(axis=1) - mean)
+        draws = np.abs(draw_table().mean(axis=1) - mean)
         xs = np.linspace(0.05, 8.0, args.grid)
         ts = [bounds_mod.tail_bound(spec, float(x)) for x in xs]
         bound = [min(1.0, 2 * np.exp(-x)) for x in xs]

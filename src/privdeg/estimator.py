@@ -69,18 +69,21 @@ class NonexistentEstimateError(RuntimeError):
     """Raised when a quantity is requested from a nonexistent estimate."""
 
 
+# Step halvings per Newton iteration before a fit counts as stalled.
+_MAX_HALVINGS = 40
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Newton solver controls.
 
     tol is relative: convergence requires the sup-norm residual to drop
-    below tol * max(1, max|dtilde|). Step halving (at most max_halvings
+    below tol * max(1, max|dtilde|). Step halving (at most _MAX_HALVINGS
     per iteration) enforces a monotone decrease of the residual norm.
     """
 
     tol: float = 1e-8
     max_iter: int = 200
-    max_halvings: int = 40
 
 
 @dataclass(frozen=True)
@@ -89,15 +92,23 @@ class EstimateResult:
 
     alpha_hat: Optional[np.ndarray]
     v_hat: Optional[np.ndarray]
-    converged: bool
     iterations: int
     residual_inf: float
     exists: bool
     reason: Optional[str] = None
-    # diagnostic only: sup over pairs of |alpha_i + alpha_j| at the fit,
-    # reported so callers can see how far the fit strays from a bounded
-    # parameter box (and, for the log link, whether any p exceeds 1)
-    max_abs_pair_sum: Optional[float] = None
+
+    @property
+    def max_abs_pair_sum(self) -> Optional[float]:
+        """Diagnostic: max over pairs i != j of |alpha_i + alpha_j| at the fit.
+
+        It shows how far the fit strays from a bounded parameter box (and,
+        for the log link, whether any p exceeds 1). Rounding is monotone,
+        so the top two and bottom two sorted entries give the extreme sums.
+        """
+        if self.alpha_hat is None:
+            return None
+        a = np.sort(self.alpha_hat)
+        return max(float(a[-1] + a[-2]), -float(a[0] + a[1]))
 
 
 @dataclass(frozen=True)
@@ -143,14 +154,8 @@ def _residual_and_slope(link: LinkKind, beta: np.ndarray, u: np.ndarray,
     return u - P.sum(axis=-1), D
 
 
-def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray,
-                    counts: Optional[np.ndarray] = None) -> np.ndarray:
+def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray) -> np.ndarray:
     """Residual vector F_i = dtilde_i - sum_{j != i} p(alpha_i + alpha_j).
-
-    With counts m given, alpha and dtilde hold one entry per class of
-    tied vertices and the residual is that of the collapsed system,
-    G_a = u_a - sum_b (m_b - [a == b]) p(beta_a + beta_b); all-ones
-    counts (the default) give the full system above.
 
     For the log link the sum is evaluated through exp() on all of R, not
     just on pair sums below zero: the moment system itself is smooth
@@ -165,10 +170,7 @@ def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray,
     d = np.asarray(dtilde, dtype=float).reshape(-1)
     if a.size != d.size:
         raise ValueError(f"length mismatch: alpha has {a.size}, dtilde has {d.size}")
-    m = np.ones(a.size) if counts is None else np.asarray(counts, dtype=float)
-    if m.shape != a.shape:
-        raise ValueError(f"counts must have length {a.size}")
-    return _residual_and_slope(link, a, d, m)[0]
+    return _residual_and_slope(link, a, d, np.ones(a.size))[0]
 
 
 def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
@@ -253,7 +255,7 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
 
     def stop(gone: np.ndarray, it: int, res: np.ndarray, reason: str) -> None:
         for j, r in zip(rows[gone].tolist(), res[gone].tolist()):
-            fits[j] = EstimateResult(None, None, False, it, r, False, reason)
+            fits[j] = EstimateResult(None, None, it, r, False, reason)
 
     F, V = _residual_and_slope(link, b, u, m)
     res = np.max(np.abs(F), axis=1)
@@ -262,14 +264,9 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
         v = V.sum(axis=2)
         done = res <= tol
         if done.any():
-            pair_abs = pair_sum_matrix(b[done])
-            np.abs(pair_abs, out=pair_abs)
-            _diagonal(pair_abs)[m[done] == 1] = 0.0  # W_aa = 0: no pair within the class
-            for j, r, bj, vj, pm in zip(rows[done].tolist(), res[done].tolist(), b[done],
-                                        v[done], pair_abs.max(axis=(1, 2)).tolist()):
-                fits[j] = EstimateResult(bj[inverses[j]], vj[inverses[j]], True, it, r,
-                                        True, None, pm)
-            del pair_abs
+            for j, r, bj, vj in zip(rows[done].tolist(), res[done].tolist(), b[done],
+                                    v[done]):
+                fits[j] = EstimateResult(bj[inverses[j]], vj[inverses[j]], it, r, True)
             if done.all():
                 return fits
             keep = ~done
@@ -305,7 +302,7 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
         trying = np.arange(rows.size)
         V = None
         scale = 1.0
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             whole = trying.size == rows.size
             t = slice(None) if whole else trying
             b_try = b[t] + scale * step[t]
@@ -388,7 +385,7 @@ def solve_many(link: LinkKind, dtildes, options: SolverOptions | None = None,
             raise ValueError("noisy degrees must be finite")
         reason = _nonexistence_reason(link, d)
         if reason is not None:
-            ready[f] = EstimateResult(None, None, False, 0, float("inf"), False, reason)
+            ready[f] = EstimateResult(None, None, 0, float("inf"), False, reason)
         else:
             x0 = None if x0s is None else x0s[f]
             if x0 is not None:

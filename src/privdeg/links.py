@@ -215,29 +215,37 @@ class EdgeSampler:
     """Independent Bernoulli(p_ij) edges for one (link, alpha), set up once.
 
     The draw stream is defined here and nowhere else: one
-    ``rng.random(n(n-1)/2)`` call, one uniform per pair i < j in
-    ``np.triu_indices`` row order, and pair k is an edge when its uniform
-    is below p_k. ``sample_graph`` builds its graph from ``draw`` and
-    ``degrees`` sums the same draw without building one, so both consume
-    the same generator state and agree on every degree.
+    ``rng.random(n(n-1)/2)`` call, one uniform per pair i < j in row
+    order (that of ``np.triu_indices``), and pair k is an edge when its
+    uniform is below p_k. ``sample_graph`` mirrors the upper triangle
+    that ``draw`` fills and ``degrees`` sums it, so both consume the
+    same generator state and agree on every degree. The pairs are kept
+    as an n x n boolean mask, an eighth of the size of two int64 index
+    arrays.
     """
 
     def __init__(self, link: LinkKind, alpha: np.ndarray):
         a = validate_params(link, alpha)
         self.n = a.size
-        self.rows, self.cols = np.triu_indices(self.n, k=1)
+        try:
+            i = np.arange(self.n)
+            self.upper = i[:, None] < i
+        except MemoryError:
+            raise ValueError(f"vertex count n={self.n} is too large "
+                             "to hold its vertex pairs") from None
         # validate_params has checked the log domain of every pair
-        self.p = link_values(link, a[self.rows] + a[self.cols])[0]
+        self.p = link_values(link, pair_sum_matrix(a)[self.upper])[0]
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """Edge indicator of every pair i < j, in triu row order."""
-        return rng.random(self.p.size) < self.p
+        """Upper triangle (uint8, zero elsewhere) of one drawn adjacency matrix."""
+        A = np.zeros((self.n, self.n), dtype=np.uint8)
+        A[self.upper] = rng.random(self.p.size) < self.p
+        return A
 
     def degrees(self, rng: np.random.Generator) -> np.ndarray:
         """Degree sequence (float64) of one drawn graph."""
-        hit = self.draw(rng)
-        return (np.bincount(self.rows, weights=hit, minlength=self.n)
-                + np.bincount(self.cols, weights=hit, minlength=self.n))
+        A = self.draw(rng)
+        return A.sum(axis=1, dtype=float) + A.sum(axis=0, dtype=float)
 
 
 def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) -> Graph:
@@ -247,9 +255,7 @@ def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) ->
     ``EdgeSampler``) and mirrored, so the same generator state yields the
     same graph.
     """
-    s = EdgeSampler(link, alpha)
-    A = np.zeros((s.n, s.n), dtype=np.uint8)
-    A[s.rows, s.cols] = s.draw(rng)
+    A = EdgeSampler(link, alpha).draw(rng)
     return Graph(A + A.T)
 
 

@@ -380,36 +380,8 @@ _MECHANISMS = {cls.name: cls for cls in (ContinuousLaplace, DiscreteLaplace,
 
 
 # ---------------------------------------------------------------------------
-# Poisson helpers and the modified Bessel function of the first kind
+# Poisson helpers
 # ---------------------------------------------------------------------------
-
-def bessel_i(n: int, x: float) -> float:
-    """I_n(x) = sum_k (x/2)^(2k+n) / (k! (k+n)!) for integer n >= 0, x >= 0.
-
-    The series is summed with the term recursion
-    t_{k+1} = t_k (x/2)^2 / ((k+1)(k+n+1)) and truncated once a term
-    drops below 1e-16 of the running sum. Adequate for the moderate
-    arguments used here; no asymptotic branch is provided.
-    """
-    if n < 0:
-        raise ValueError("order n must be a nonnegative integer (use |k| upstream)")
-    if x < 0:
-        raise ValueError("argument x must be nonnegative")
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    half = 0.5 * x
-    # leading term (x/2)^n / n! via logs to dodge overflow at larger n
-    term = math.exp(n * math.log(half) - math.lgamma(n + 1))
-    total = term
-    h2 = half * half
-    k = 0
-    while True:
-        term *= h2 / ((k + 1) * (k + n + 1))
-        total += term
-        k += 1
-        if term < 1e-16 * total or k > 10_000:
-            return total
-
 
 def _poisson_pmf(lam: float, k: np.ndarray) -> np.ndarray:
     """Poisson(lam) pmf at nonnegative integers k, for lam > 0."""

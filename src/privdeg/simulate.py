@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ctypes
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .estimator import (_ELEMENT_BUDGET, SolverOptions, _ndtri, normal_quantile,
-                        solve_many)
+from .estimator import _ELEMENT_BUDGET, _ndtri, normal_quantile, solve_many
 # Not called here; perfbench/tracing.py wraps these four names in this module.
 from .estimator import solve, xi_statistic  # noqa: F401
 from .links import EdgeSampler, LinkKind, expected_degrees
@@ -62,7 +61,6 @@ class Scenario:
     pairs: tuple[tuple[int, int], ...] = ()
     level: float = 0.95
     exact: bool = False  # zero-noise override: dtilde = E d at the truth
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -151,7 +149,7 @@ def _block(scenario: Scenario, z: float,
     ij = np.concatenate((i, j))
     exists = np.zeros(len(children), dtype=bool)
     a, v = np.zeros((len(children), ij.size)), np.zeros((len(children), ij.size))
-    for r, fit in enumerate(solve_many(link, dts, scenario.solver)):
+    for r, fit in enumerate(solve_many(link, dts)):
         if fit.exists:
             exists[r], a[r], v[r] = True, fit.alpha_hat[ij], fit.v_hat[ij]
     (ai, aj), (vi, vj) = np.hsplit(a[exists], 2), np.hsplit(v[exists], 2)

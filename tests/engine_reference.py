@@ -9,18 +9,22 @@ bit for bit: the dense ``sample_graph``, the separate p and p'
 evaluators with ``moment_residual``, ``jacobian`` and a one-fit
 ``solve`` built on them, and ``replicate_records``, the one-replicate-
 at-a-time loop of ``run_scenario``. Everything else comes from the
-package.
+package. ``solve`` returns a ``ReferenceResult``, which also carries the
+pair-sum maximum from the k x k pass that ``solve`` once made, for
+comparison with ``EstimateResult.max_abs_pair_sum``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from privdeg.estimator import (EstimateResult, JacobianMatrix, SolverOptions,
-                               _classes, _nonexistence_reason, initial_point)
+from privdeg.estimator import (_MAX_HALVINGS, EstimateResult, JacobianMatrix,
+                               SolverOptions, _classes, _nonexistence_reason,
+                               initial_point)
 from privdeg import noise as noise_mod
 from privdeg.links import (EdgeSampler, Graph, LinkKind, edge_prob_matrix,
                            expected_degrees, pair_sum_matrix, validate_params)
@@ -93,14 +97,21 @@ def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
     return JacobianMatrix(V, off_min, off_max)
 
 
+@dataclass(frozen=True)
+class ReferenceResult(EstimateResult):
+    """A fit with the pair-sum diagnostic from the full k x k pass."""
+
+    kxk_max_abs_pair_sum: Optional[float] = None
+
+
 def solve(link: LinkKind, dtilde: np.ndarray,
           options: SolverOptions | None = None,
-          x0: Optional[np.ndarray] = None) -> EstimateResult:
+          x0: Optional[np.ndarray] = None) -> ReferenceResult:
     opts = options or SolverOptions()
     d = np.asarray(dtilde, dtype=float).reshape(-1)
 
-    def fail(reason: str, it: int, res: float) -> EstimateResult:
-        return EstimateResult(None, None, False, it, res, False, reason)
+    def fail(reason: str, it: int, res: float) -> ReferenceResult:
+        return ReferenceResult(None, None, it, res, False, reason)
 
     reason = _nonexistence_reason(link, d)
     if reason is not None:
@@ -122,8 +133,8 @@ def solve(link: LinkKind, dtilde: np.ndarray,
             pair_abs = np.abs(pair_sum_matrix(b))
             alone = np.flatnonzero(m == 1)
             pair_abs[alone, alone] = 0.0
-            return EstimateResult(b[inverse], v[inverse], True, it, res, True, None,
-                                  float(pair_abs.max()))
+            return ReferenceResult(b[inverse], v[inverse], it, res, True, None,
+                                   float(pair_abs.max()))
         if it == opts.max_iter:
             break
         V[np.diag_indices(m.size)] += v
@@ -135,7 +146,7 @@ def solve(link: LinkKind, dtilde: np.ndarray,
             return fail("non-finite Newton step", it, res)
 
         scale = 1.0
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             b_try = b + scale * step
             F_try = moment_residual(link, b_try, u, m)
             res_try = float(np.max(np.abs(F_try)))
@@ -163,7 +174,7 @@ def replicate_records(scenario: Scenario, z: float) -> list:
             if scenario.noise is not None:
                 dt = dt + np.asarray(
                     noise_mod.sample(scenario.noise, rng, size=scenario.n), dtype=float)
-        res = solve(scenario.link, dt, scenario.solver)
+        res = solve(scenario.link, dt)
         if not res.exists:
             records.append(None)
             continue

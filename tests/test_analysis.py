@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from privdeg.analysis import analyze_dataset, table_from_degrees
+from privdeg.analysis import noisy_degrees, table_from_degrees
 from privdeg.links import LinkKind
 from privdeg.netio import parse_edges, prune_zero_degree, kept_labels
 from privdeg.noise import TwoSideHermite
@@ -31,7 +31,7 @@ def test_alpha_monotone_in_noisy_degree(tailorshop_text):
     pruned, removed = prune_zero_degree(e)
     assert removed == [17, 22]
     for link in (LinkKind.LOG, LinkKind.LOGIT, LinkKind.CLOGLOG):
-        table = analyze_dataset(pruned, link, None, seed=0, labels=labels)
+        table = table_from_degrees(noisy_degrees(pruned, None, 0), link, labels=labels)
         assert table.exists
         rows = sorted(table.rows, key=lambda r: (r.dtilde, r.vertex))
         for a, b in zip(rows, rows[1:]):
@@ -45,8 +45,8 @@ def test_analyze_with_noise_is_seed_deterministic(tailorshop_text):
     e = parse_edges(tailorshop_text, "ucinet-dl")
     pruned, _ = prune_zero_degree(e)
     mech = TwoSideHermite(1.0, 0.5)
-    t1 = analyze_dataset(pruned, LinkKind.LOGIT, mech, seed=99)
-    t2 = analyze_dataset(pruned, LinkKind.LOGIT, mech, seed=99)
+    t1 = table_from_degrees(noisy_degrees(pruned, mech, 99), LinkKind.LOGIT)
+    t2 = table_from_degrees(noisy_degrees(pruned, mech, 99), LinkKind.LOGIT)
     assert [r.dtilde for r in t1.rows] == [r.dtilde for r in t2.rows]
     if t1.exists and t2.exists:
         assert [r.alpha for r in t1.rows] == [r.alpha for r in t2.rows]
@@ -57,15 +57,6 @@ def test_nonexistent_fit_marks_rows_absent():
     assert not table.exists
     assert table.reason
     assert all(r.alpha is None and r.se is None for r in table.rows)
-    assert table.scatter() == []
-
-
-def test_scatter_pairs_match_rows():
-    table = table_from_degrees(np.array([3.0, 4.0, 2.0, 4.0, 1.5, 3.5]),
-                               LinkKind.CLOGLOG)
-    sc = table.scatter()
-    assert len(sc) == 6
-    assert sc[0] == (table.rows[0].dtilde, table.rows[0].alpha)
 
 
 def test_logit_golden_row_vertex_16():

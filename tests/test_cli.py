@@ -306,6 +306,90 @@ def test_analyze_huge_declared_n_exits_2(tmp_path, capsys, n):
                  "--out", str(tmp_path / "p.txt")]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--n", "--reps", "--grid"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_bounds_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "b.csv"
+    assert main(["bounds", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["subgammamax", "hermite"])
+def test_bounds_unallocatable_draw_table_exits_2(tmp_path, capsys, kind):
+    # 1e14 float64 draws are 728 TiB, beyond any 64-bit address space:
+    # the allocation fails at once, so nothing is allocated
+    out = tmp_path / "b.csv"
+    assert main(["bounds", "--kind", kind, "--n", "1000000000", "--reps", "100000",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --reps 100000 x --n 1000000000 noise "
+                                       "draws do not fit in memory\n")
+    assert not out.exists()
+
+
+def test_pair_set_of_huge_n_exits_2(tmp_path, capsys):
+    # n = 2e7 holds its parameter vector, but not the 364 TiB pair mask
+    # that np.triu_indices would build
+    cell = tmp_path / "big.scenario"
+    cell.write_text("link = logit\nn = 20000000\nreplicates = 1\n")
+    for argv in (["sample", "--n", "20000000"], ["simulate", str(cell)]):
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: vertex count n=20000000 is too large to hold its vertex pairs\n"
+        assert not out.exists()
+
+
+def test_sample_alpha_file_draws_at_that_alpha(tmp_path):
+    alpha = np.linspace(-1.5, 1.0, 20)
+    src = tmp_path / "alpha.txt"
+    src.write_text("".join(f"{v!r}\n" for v in alpha.tolist()))
+    out = tmp_path / "g.edges"
+    assert main(["sample", "--link", "cloglog", "--alpha-file", str(src),
+                 "--seed", "4", "--out", str(out)]) == 0
+    g = sample_graph(LinkKind.CLOGLOG, alpha, np.random.default_rng(4))
+    assert out.read_text() == netio_reference.sample_text(g.adjacency)
+
+
+TIED_DEGREES = "3\n3\n2\n2\n4\n2\n"  # logit needs 4 Newton steps at --tol 1e-8
+
+
+def test_estimate_max_iter_limit_exits_3(tmp_path, capsys):
+    d = tmp_path / "d.txt"
+    d.write_text(TIED_DEGREES)
+    assert main(["estimate", str(d), "--max-iter", "1",
+                 "--out", str(tmp_path / "fit.csv")]) == 3
+    assert capsys.readouterr().err == \
+        "estimate does not exist: iteration limit reached\n"
+
+
+def test_estimate_tol_changes_the_fit(tmp_path):
+    d = tmp_path / "d.txt"
+    d.write_text(TIED_DEGREES)
+    fits = {}
+    for tol in ("1e-8", "1e-2"):
+        out = tmp_path / f"fit_{tol}.csv"
+        assert main(["estimate", str(d), "--tol", tol, "--out", str(out)]) == 0
+        fits[tol] = out.read_text()
+    default = tmp_path / "fit.csv"
+    assert main(["estimate", str(d), "--out", str(default)]) == 0
+    assert default.read_text() == fits["1e-8"] != fits["1e-2"]
+
+
+REPORTS = Path(__file__).parent / "data" / "reports"
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("scenario", [SCENARIOS / "demo.scenario",
+                                      SCENARIOS / "grid.scenario",
+                                      REPORTS / "log_lap.scenario",
+                                      REPORTS / "exact.scenario"], ids=lambda p: p.stem)
+def test_simulate_reports_equal_the_golden_bytes(tmp_path, scenario):
+    out = tmp_path / "report.csv"
+    assert main(["simulate", str(scenario), "--workers", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPORTS / f"{scenario.stem}.csv").read_bytes()
+
+
 def test_pool_workers_run_one_blas_thread():
     # a forked pool worker runs the initializer; here a fresh interpreter
     # started at two OpenBLAS threads does

@@ -77,7 +77,7 @@ def test_log_trial_point_overflow_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = solve(LinkKind.LOG, d, x0=x0)
-    assert res.exists and res.converged
+    assert res.exists
     assert np.max(np.abs(moment_residual(LinkKind.LOG, res.alpha_hat, d))) <= 1e-8 * 3.486
 
 
@@ -88,7 +88,7 @@ def test_collapsed_residual_matches_full_system():
         beta = rand_alpha(rng, link, 3)
         u = rng.uniform(0.5, 4.5, 3)
         full = moment_residual(link, np.repeat(beta, counts), np.repeat(u, counts))
-        collapsed = moment_residual(link, beta, u, counts)
+        collapsed = estimator._residual_and_slope(link, beta, u, counts.astype(float))[0]
         assert np.max(np.abs(np.repeat(collapsed, counts) - full)) < 1e-13
 
 
@@ -204,7 +204,7 @@ def test_approx_inverse_error_decay_rate():
 
 def test_solve_exact_root_exchangeable():
     res = solve(LinkKind.LOGIT, np.array([1.0, 1.0, 1.0]))
-    assert res.exists and res.converged
+    assert res.exists
     assert res.alpha_hat == pytest.approx([0, 0, 0], abs=1e-12)
     assert res.v_hat == pytest.approx([0.5] * 3, abs=1e-12)
 
@@ -307,7 +307,7 @@ def dense_newton(link, d, opts=SolverOptions()):
         except np.linalg.LinAlgError:
             return None
         scale = 1.0
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(estimator._MAX_HALVINGS + 1):
             a_try = a + scale * step
             F_try = moment_residual(link, a_try, d)
             if np.max(np.abs(F_try)) < res:
@@ -403,7 +403,7 @@ def test_fused_evaluator_matches_separate_evaluators(link, beta, m):
             equal_nan=True)
         assert np.array_equal(D, engine_reference.weighted_slope(link, beta, m),
                               equal_nan=True)
-        F = moment_residual(link, beta, u, m)
+        F = estimator._residual_and_slope(link, beta, u, m)[0]
         assert np.array_equal(F, u - P.sum(axis=1), equal_nan=True)
         assert np.array_equal(F, engine_reference.moment_residual(link, beta, u, m),
                               equal_nan=True)
@@ -439,7 +439,7 @@ def assert_same_fit(got, want):
     if want.exists:
         assert np.array_equal(got.alpha_hat, want.alpha_hat)
         assert np.array_equal(got.v_hat, want.v_hat)
-        assert got.max_abs_pair_sum == want.max_abs_pair_sum
+        assert got.max_abs_pair_sum == want.kxk_max_abs_pair_sum
 
 
 def _two_class_fits(n_random: int = 48):
@@ -611,6 +611,5 @@ def test_xi_statistic_values():
 def test_xi_statistic_unit_precision_case():
     # hand-built result with v = 1 and numerator 1 gives 1/sqrt(2)
     from privdeg.estimator import EstimateResult
-    res = EstimateResult(np.array([0.5, 0.5]), np.array([1.0, 1.0]),
-                         True, 1, 0.0, True)
+    res = EstimateResult(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 1, 0.0, True)
     assert xi_statistic(res, np.zeros(2), 0, 1) == pytest.approx(1 / math.sqrt(2))

@@ -10,7 +10,7 @@ from scipy import stats
 
 from privdeg.noise import (CenteredGeometric, ContinuousLaplace, DiscreteLaplace,
                            Hermite, TwoSideHermite, TwoSidePoisson,
-                           abs_exp_moment, bessel_i, centered_mgf,
+                           abs_exp_moment, centered_mgf,
                            hermite_budget_intensity, mechanism_label, moments,
                            parse_mechanism, pmf, psi1_norm, sample,
                            sub_gamma_witness, support_cutoff)
@@ -27,29 +27,6 @@ DISCRETE_MECHS = [
 ALL_MECHS = DISCRETE_MECHS + [ContinuousLaplace(1.3)]
 # the two-sided Hermite noise of the benchmark and the demo scenario
 BENCH_HERM2 = parse_mechanism("herm2:a1=1.4730777507324677,a2=0.36826943768311693")
-
-
-# ---------------------------------------------------------------------------
-# bessel series
-# ---------------------------------------------------------------------------
-
-def test_bessel_at_zero():
-    assert bessel_i(0, 0.0) == 1.0
-    assert bessel_i(1, 0.0) == 0.0
-
-
-def test_bessel_generating_identity():
-    # sum_n I_n(x) = e^x with I_{-n} = I_n
-    x = 2.0
-    total = bessel_i(0, x) + 2 * sum(bessel_i(n, x) for n in range(1, 31))
-    assert abs(total - math.exp(x)) < 1e-10
-
-
-def test_bessel_against_scipy():
-    from scipy.special import iv
-    for n in (0, 1, 3, 8):
-        for x in (0.1, 1.0, 4.5, 12.0):
-            assert bessel_i(n, x) == pytest.approx(float(iv(n, x)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +48,9 @@ def test_two_side_poisson_degenerate_is_poisson():
 
 
 def test_two_side_poisson_matches_brute_convolution():
+    from scipy.special import iv
     m = TwoSidePoisson(1.0, 1.0)
-    assert pmf(m, 0) == pytest.approx(math.exp(-2) * bessel_i(0, 2.0), rel=1e-13)
+    assert pmf(m, 0) == pytest.approx(math.exp(-2) * float(iv(0, 2.0)), rel=1e-13)
     for k in range(-30, 31):
         brute = sum(stats.poisson.pmf(j, 1.0) * stats.poisson.pmf(j - k, 1.0)
                     for j in range(0, 80))
