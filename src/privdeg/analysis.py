@@ -29,8 +29,6 @@ class ResultRow:
 @dataclass(frozen=True)
 class ResultTable:
     rows: tuple[ResultRow, ...]
-    exists: bool
-    reason: Optional[str]
     result: EstimateResult
 
 
@@ -48,12 +46,12 @@ def table_from_degrees(dtilde: np.ndarray, link: LinkKind,
     if not res.exists:
         rows = tuple(ResultRow(v, float(d[k]), None, None, None, None)
                      for k, v in enumerate(labs))
-        return ResultTable(rows, False, res.reason, res)
+        return ResultTable(rows, res)
     lo, hi = confidence_interval(res, np.arange(d.size), None, level)
     se = 1.0 / np.sqrt(res.v_hat)
     rows = tuple(ResultRow(*row) for row in zip(
         labs, d.tolist(), res.alpha_hat.tolist(), lo.tolist(), hi.tolist(), se.tolist()))
-    return ResultTable(rows, True, None, res)
+    return ResultTable(rows, res)
 
 
 def noisy_degrees(e: EdgeList, mech: Optional[noise_mod.NoiseMechanism],

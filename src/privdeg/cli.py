@@ -18,12 +18,12 @@ from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .analysis import ResultTable, noisy_degrees, table_from_degrees
 from .estimator import SolverOptions
-from .links import DomainError, LinkKind, sample_graph
+from .links import DomainError, EdgeSampler, LinkKind
 from .netio import (EdgeList, ParseError, kept_labels, parse_edges,
                     prune_zero_degree, read_degree_file, serialize_edges,
                     sniff_format)
-from .simulate import (parse_scenario_file, qq_csv, report_csv, run_scenario,
-                       truth_vector)
+from .simulate import (parse_pairs, parse_scenario_file, qq_csv, report_csv,
+                       run_scenario, truth_vector)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -37,11 +37,9 @@ def _write(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _load_edges(path: str, fmt: str) -> EdgeList:
+def _load_edges(path: str) -> EdgeList:
     text = Path(path).read_text()
-    if fmt == "auto":
-        fmt = sniff_format(text)
-    return parse_edges(text, fmt)
+    return parse_edges(text, sniff_format(text))
 
 
 def _result_table_csv(table: ResultTable, removed: list[int]) -> str:
@@ -60,12 +58,12 @@ def _result_table_csv(table: ResultTable, removed: list[int]) -> str:
 
 
 def _add_common(p: argparse.ArgumentParser, *, link=True, noise=True) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     if link:
         p.add_argument("--link", default="logit",
                        help="link function: log | logit | cloglog")
     if noise:
+        p.add_argument("--seed", type=int, default=0, help="seed of the noise draw")
         p.add_argument("--noise", default=None,
                        help="noise mechanism, e.g. dlap:p=0.5 or herm2:a1=1.2,a2=0.3")
         p.add_argument("--no-noise", action="store_true",
@@ -86,8 +84,8 @@ def _solver_options(args) -> SolverOptions:
 
 def _report_fit(link: LinkKind, table: ResultTable) -> int:
     """Exit code of a single fit; nonexistence and suspect fits go to stderr."""
-    if not table.exists:
-        print(f"estimate does not exist: {table.reason}", file=sys.stderr)
+    if not table.result.exists:
+        print(f"estimate does not exist: {table.result.reason}", file=sys.stderr)
         return EXIT_NONEXISTENT
     if link == LinkKind.LOG:
         top = float(np.sort(table.result.alpha_hat)[-2:].sum())
@@ -101,15 +99,13 @@ def cmd_sample(args) -> int:
     link = LinkKind.parse(args.link)
     alpha = (read_degree_file(Path(args.alpha_file).read_text())
              if args.alpha_file else truth_vector(args.n, args.L))
-    rng = np.random.default_rng(args.seed)
-    g = sample_graph(link, alpha, rng)
-    edges = np.argwhere(np.triu(g.adjacency, 1)) + 1
-    _write(args.out, serialize_edges(EdgeList(g.n, edges)))
+    edges = np.argwhere(EdgeSampler(link, alpha).draw(np.random.default_rng(args.seed))) + 1
+    _write(args.out, serialize_edges(EdgeList(alpha.size, edges)))
     return EXIT_OK
 
 
 def cmd_privatize(args) -> int:
-    e = _load_edges(args.input, args.format)
+    e = _load_edges(args.input)
     d = noisy_degrees(e, _mechanism(args), args.seed)
     lines = [f"{i + 1} {v:.17g}" for i, v in enumerate(d)]
     _write(args.out, "\n".join(lines) + "\n")
@@ -127,7 +123,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_analyze(args) -> int:
     link = LinkKind.parse(args.link)
-    e = _load_edges(args.input, args.format)
+    e = _load_edges(args.input)
     removed: list[int] = []
     labels = None  # every vertex, 1..n
     if not args.keep_isolated:
@@ -160,11 +156,10 @@ def cmd_qq(args) -> int:
     cells, workers = _scenario_cells(args)
     if len(cells) != 1:
         raise ParseError("qq needs a single-cell scenario (one L, one noise)")
+    pairs = parse_pairs(args.pair) if args.pair else cells[0].pairs
+    if not pairs:
+        raise ParseError(f"--pair {args.pair!r} names no pair")
     report = run_scenario(cells[0], workers=workers)
-    pairs = cells[0].pairs
-    if args.pair:
-        i, j = (int(v) for v in args.pair.split(","))
-        pairs = ((i, j),)
     if args.out and len(pairs) > 1:
         base = Path(args.out)
         for pr in pairs:
@@ -242,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample a graph from a link model")
     _add_common(p, noise=False)
+    p.add_argument("--seed", type=int, default=0, help="seed of the edge draw")
     p.add_argument("--n", type=int, default=100, help="vertex count")
     p.add_argument("--L", type=float, default=0.0,
                    help="truth scale: alpha_i = i L / n")
@@ -251,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("privatize", help="degrees of a graph plus one noise draw")
     _add_common(p, link=False)
-    p.add_argument("input", help="edge list or UCINET dl file")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "edgelist", "ucinet-dl"])
+    p.add_argument("input", help="edge list or UCINET dl file (format sniffed)")
     p.set_defaults(fn=cmd_privatize)
 
     def _add_solver(pp):
@@ -270,9 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="end-to-end: network -> noise -> fit table")
     _add_common(p)
-    p.add_argument("input", help="edge list or UCINET dl file")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "edgelist", "ucinet-dl"])
+    p.add_argument("input", help="edge list or UCINET dl file (format sniffed)")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--keep-isolated", action="store_true",
                    help="do not prune zero-degree vertices first")
@@ -288,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qq", help="quantile pairs of the standardized statistic")
     p.add_argument("scenario", help="single-cell scenario file")
-    p.add_argument("--pair", default=None, help="which pair, e.g. 1,2")
+    p.add_argument("--pair", default=None,
+                   help="which pairs, as in a scenario file: 1,2 or 1,2; 50,51")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None)

@@ -4,7 +4,8 @@ Three link functions (log, logit, cloglog) relate a pair sum
 x = alpha_i + alpha_j to an edge probability p(x). Each link's p and p'
 are defined in ``link_values`` and nowhere else; ``edge_prob`` and
 ``edge_prob_deriv`` put the log link's domain guard (x < 0) around it,
-and the estimator's fused Newton evaluation calls it directly.
+and the estimator's Newton step, ``edge_prob_matrix`` and ``EdgeSampler``
+call it directly.
 
 Edges are independent Bernoulli(p_ij) with p_ij = p(alpha_i + alpha_j),
 no self-loops. The vertex parameter alpha_i measures the propensity of
@@ -173,12 +174,12 @@ def edge_prob_matrix(link: LinkKind, alpha: np.ndarray) -> np.ndarray:
 
     Only pair sums alpha_i + alpha_j with i != j reach the link: the
     diagonal 2 alpha_i is no pair, and for the log link it may lie
-    outside the domain that ``validate_params`` checks.
+    outside the domain that ``validate_params`` checks for every pair.
     """
     a = validate_params(link, alpha)
     X = pair_sum_matrix(a)
     np.fill_diagonal(X, -np.inf)  # p(-inf) = +0.0 under every link
-    return np.asarray(edge_prob(link, X))
+    return link_values(link, X)[0]
 
 
 def expected_degrees(link: LinkKind, alpha: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ Two input formats:
   n x n 0/1 matrix, which must be symmetric with a zero diagonal.
 
 Vertices are 1-indexed in files and in ``EdgeList.edges``, and 0-indexed
-inside degree vectors and adjacency matrices.
+inside degree vectors.
 """
 
 from __future__ import annotations
@@ -100,12 +100,6 @@ class EdgeList:
             raise ValueError(f"vertex count n={self.n} is too large "
                              "to hold a degree vector") from None
         return d.astype(np.int64, copy=False)
-
-    def adjacency(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n), dtype=np.uint8)
-        i, j = self.edges[:, 0] - 1, self.edges[:, 1] - 1
-        A[i, j] = A[j, i] = 1
-        return A
 
 
 def _strip_comment(line: str) -> str:
@@ -284,7 +278,7 @@ def parse_edges(text: str, fmt: str = "edgelist") -> EdgeList:
     fmt = fmt.lower()
     if fmt == "edgelist":
         return _parse_edgelist(text)
-    if fmt in ("ucinet-dl", "dl"):
+    if fmt == "ucinet-dl":
         return _parse_ucinet_dl(text)
     raise ValueError(f"unknown format {fmt!r}")
 

@@ -15,6 +15,7 @@ of the scenario (worker count changes nothing, bit for bit).
 from __future__ import annotations
 
 import ctypes
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,7 +82,6 @@ class Scenario:
 class PairSummary:
     coverage_percent: float
     mean_ci_length: float
-    used: int
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
     for col, pr in enumerate(scenario.pairs):
         cov = 100.0 * int(hits[col]) / used if used else float("nan")
         mean_len = float(length_sums[col]) / used if used else float("nan")
-        per_pair[pr] = PairSummary(cov, mean_len, used)
+        per_pair[pr] = PairSummary(cov, mean_len)
     ne = 100.0 * (scenario.replicates - used) / scenario.replicates
     xi = {pr: xi_all[:, col].copy() for col, pr in enumerate(scenario.pairs)}
     return CoverageReport(scenario, per_pair, ne, xi)
@@ -222,7 +222,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
 # scenario files and report CSVs
 # ---------------------------------------------------------------------------
 
-def _scenario_pairs(text: str) -> tuple[tuple[int, int], ...]:
+def parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
+    """Vertex pairs ``i,j`` separated by ``;`` (scenario files, ``qq --pair``)."""
     pairs = []
     for tok in text.split(";"):
         tok = tok.strip()
@@ -230,9 +231,16 @@ def _scenario_pairs(text: str) -> tuple[tuple[int, int], ...]:
             continue
         ij = tok.split(",")
         if len(ij) != 2:
-            raise ParseError(f"bad pair {tok!r} in scenario pairs")
+            raise ParseError(f"bad pair {tok!r}; expected i,j")
         pairs.append((int(ij[0]), int(ij[1])))
     return tuple(pairs)
+
+
+def _flag(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ParseError(f"expected 1/0, true/false or yes/no, got {text!r}")
+    return word in ("1", "true", "yes")
 
 
 # scenario-file keys that map one-to-one onto a Scenario field
@@ -241,9 +249,9 @@ _CELL_KEYS = {
     "n": int,
     "replicates": int,
     "seed": int,
-    "pairs": _scenario_pairs,
+    "pairs": parse_pairs,
     "level": float,
-    "exact": lambda v: v.lower() in ("1", "true", "yes"),
+    "exact": _flag,
 }
 _FILE_KEYS = {*_CELL_KEYS, "l", "noise", "workers"}
 
@@ -254,7 +262,8 @@ def parse_scenario_file(text: str) -> tuple[list[Scenario], int]:
     One ``key = value`` (or ``key: value``) per line, ``#`` comments.
     Keys: link, n, L (comma list allowed), noise (semicolon list of
     mechanism grammar strings, or 'none'), replicates, seed, pairs
-    (e.g. ``1,2; 50,51; 99,100``), level, exact, workers; any other key
+    (e.g. ``1,2; 50,51; 99,100``), level, exact (1/0, true/false or
+    yes/no, in any case), workers; any other key, or a key given twice,
     is a ParseError. A key left out takes the ``Scenario`` default.
     Cells run noise blocks x L columns, each from the same master seed,
     so that a cell's report does not depend on which other cells are in
@@ -265,16 +274,15 @@ def parse_scenario_file(text: str) -> tuple[list[Scenario], int]:
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        for sep in ("=", ":"):
-            if sep in body:
-                key, val = body.split(sep, 1)
-                break
-        else:
+        kv = re.split("[=:]", body, maxsplit=1)  # the value may hold "=" or ":"
+        if len(kv) != 2:
             raise ParseError(f"expected key = value, got {body!r}", lineno)
-        key = key.strip()
+        key = kv[0].strip()
         if key.lower() not in _FILE_KEYS:
             raise ParseError(f"unknown scenario key {key!r}", lineno)
-        raw[key.lower()] = val.strip()
+        if key.lower() in raw:
+            raise ParseError(f"scenario key {key!r} given twice", lineno)
+        raw[key.lower()] = kv[1].strip()
 
     for req in ("link", "n"):
         if req not in raw:

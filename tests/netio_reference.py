@@ -46,12 +46,6 @@ class EdgeList:
                            count=2 * len(self.edges))
         return np.bincount(ends - 1, minlength=self.n).astype(np.int64, copy=False)
 
-    def adjacency(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n), dtype=np.uint8)
-        for (i, j) in self.edges:
-            A[i - 1, j - 1] = A[j - 1, i - 1] = 1
-        return A
-
 
 def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()

@@ -68,8 +68,8 @@ def test_criterion_01_kapferer_golden_tables(link_name):
     table = table_from_degrees(d, link)
     elapsed = time.perf_counter() - t0
     bad = []
-    if not table.exists:
-        _report(1, f"table[{link_name}]", False, f"fit does not exist: {table.reason}")
+    if not table.result.exists:
+        _report(1, f"table[{link_name}]", False, f"fit does not exist: {table.result.reason}")
     for row in table.rows:
         g_alpha, g_lo, g_hi, g_se = golden[row.vertex]
         diffs = {

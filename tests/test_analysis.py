@@ -10,7 +10,7 @@ from privdeg.noise import TwoSideHermite
 def test_equal_noisy_degrees_get_equal_fits():
     table = table_from_degrees(np.array([3.0, 5.0, 3.0, 5.0, 3.0, 5.0, 4.0, 4.0]),
                                LinkKind.LOGIT)
-    assert table.exists
+    assert table.result.exists
     by_deg = {}
     for r in table.rows:
         by_deg.setdefault(r.dtilde, set()).add(round(r.alpha, 10))
@@ -32,7 +32,7 @@ def test_alpha_monotone_in_noisy_degree(tailorshop_text):
     assert removed == [17, 22]
     for link in (LinkKind.LOG, LinkKind.LOGIT, LinkKind.CLOGLOG):
         table = table_from_degrees(noisy_degrees(pruned, None, 0), link, labels=labels)
-        assert table.exists
+        assert table.result.exists
         rows = sorted(table.rows, key=lambda r: (r.dtilde, r.vertex))
         for a, b in zip(rows, rows[1:]):
             if b.dtilde > a.dtilde:
@@ -48,14 +48,14 @@ def test_analyze_with_noise_is_seed_deterministic(tailorshop_text):
     t1 = table_from_degrees(noisy_degrees(pruned, mech, 99), LinkKind.LOGIT)
     t2 = table_from_degrees(noisy_degrees(pruned, mech, 99), LinkKind.LOGIT)
     assert [r.dtilde for r in t1.rows] == [r.dtilde for r in t2.rows]
-    if t1.exists and t2.exists:
+    if t1.result.exists and t2.result.exists:
         assert [r.alpha for r in t1.rows] == [r.alpha for r in t2.rows]
 
 
 def test_nonexistent_fit_marks_rows_absent():
     table = table_from_degrees(np.array([0.0, 3.0, 2.0, 3.0]), LinkKind.LOGIT)
-    assert not table.exists
-    assert table.reason
+    assert not table.result.exists
+    assert table.result.reason
     assert all(r.alpha is None and r.se is None for r in table.rows)
 
 

@@ -115,6 +115,31 @@ def test_qq_subcommand(tmp_path):
     assert len(lines) > 10
 
 
+def test_qq_out_writes_one_file_per_pair(tmp_path):
+    sc = tmp_path / "cell.scenario"
+    sc.write_text(SCENARIO)
+    assert main(["qq", str(sc), "--out", str(tmp_path / "all.csv")]) == 0
+    assert main(["qq", str(sc), "--pair", "23,24; 1,2",
+                 "--out", str(tmp_path / "some.csv")]) == 0
+    for i, j in ((1, 2), (23, 24)):
+        one = tmp_path / f"one_{i}_{j}.csv"
+        assert main(["qq", str(sc), "--pair", f"{i},{j}", "--out", str(one)]) == 0
+        assert (tmp_path / f"all_{i}_{j}.csv").read_bytes() == one.read_bytes()
+        assert (tmp_path / f"some_{i}_{j}.csv").read_bytes() == one.read_bytes()
+    assert not (tmp_path / "all.csv").exists() and not (tmp_path / "some.csv").exists()
+
+
+@pytest.mark.parametrize("pair, err", [("1,2,3", "bad pair '1,2,3'; expected i,j"),
+                                       (";", "--pair ';' names no pair")])
+def test_qq_rejects_a_malformed_pair(tmp_path, capsys, pair, err):
+    sc = tmp_path / "cell.scenario"
+    sc.write_text(SCENARIO)
+    out = tmp_path / "qq.csv"
+    assert main(["qq", str(sc), "--pair", pair, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
 def test_scenario_overrides_agree_in_simulate_and_qq(tmp_path, monkeypatch):
     # several blocks, so that a file's `workers = 3` would start a pool
     monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", 24 * 10)
@@ -165,15 +190,16 @@ def test_bounds_hermite_rejects_a_law_without_jumps(tmp_path, capsys):
 
 def test_bounds_subcommand(tmp_path):
     out = tmp_path / "bounds.csv"
-    assert main(["bounds", "--kind", "subgamma", "--noise", "herm2:a1=1,a2=1",
-                 "--n", "5", "--reps", "2000", "--grid", "10",
-                 "--seed", "2", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,bound,empirical,mc_stderr"
-    assert len(lines) == 11
-    for line in lines[1:]:
-        t, bound, emp, se = (float(v) for v in line.split(","))
-        assert 0 <= bound <= 1 and 0 <= emp <= 1
+    for kind in ("subgamma", "subexp"):
+        assert main(["bounds", "--kind", kind, "--noise", "herm2:a1=1,a2=1",
+                     "--n", "5", "--reps", "2000", "--grid", "10",
+                     "--seed", "2", "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "t,bound,empirical,mc_stderr"
+        assert len(lines) == 11
+        for line in lines[1:]:
+            t, bound, emp, se = (float(v) for v in line.split(","))
+            assert 0 <= bound <= 1 and 0 <= emp <= 1
 
 
 def test_sample_rejects_bad_link(tmp_path):

@@ -9,7 +9,9 @@ import engine_reference
 from privdeg import simulate
 from privdeg.estimator import normal_quantile
 from privdeg.links import EdgeSampler, LinkKind
-from privdeg.noise import TwoSideHermite, hermite_budget_intensity, sample
+from privdeg.netio import ParseError
+from privdeg.noise import (DiscreteLaplace, TwoSideHermite, hermite_budget_intensity,
+                           sample)
 from privdeg.simulate import (CoverageReport, Scenario, default_pairs,
                               parse_scenario_file, qq_csv, qq_export,
                               report_csv, run_scenario, truth_vector)
@@ -193,6 +195,27 @@ def test_scenario_file_omitted_keys_take_scenario_defaults():
     assert cell == Scenario(LinkKind.LOG, 12, -1.0, None, level=0.9, exact=True)
 
 
+def test_colon_line_splits_at_its_first_separator():
+    (cell,), _ = parse_scenario_file("link: logit\nn: 10\nnoise: dlap:p=0.5\n"
+                                     "pairs = 1,2\n")
+    assert cell == Scenario(LinkKind.LOGIT, 10, 0.0, DiscreteLaplace(0.5), pairs=((1, 2),))
+
+
+def test_exact_takes_only_boolean_words():
+    for value, want in (("1", True), ("TRUE", True), ("Yes", True),
+                        ("0", False), ("false", False), ("NO", False)):
+        (cell,), _ = parse_scenario_file(f"link = logit\nn = 10\nexact = {value}\n")
+        assert cell.exact is want
+    for value in ("on", "off", "2", ""):
+        with pytest.raises(ParseError, match="expected 1/0, true/false or yes/no"):
+            parse_scenario_file(f"link = logit\nn = 10\nexact = {value}\n")
+
+
+def test_scenario_file_rejects_a_repeated_key():
+    with pytest.raises(ParseError, match="line 4: scenario key 'L' given twice"):
+        parse_scenario_file("link = logit\nn = 10\nl = 0.1\nL: 0.2\n")
+
+
 def test_pool_never_exceeds_the_block_count(monkeypatch):
     sizes = []
 
@@ -234,8 +257,7 @@ def _reference_report(scenario: Scenario) -> CoverageReport:
         for rec in kept:
             length += rec[col][1]
         hits = sum(int(rec[col][0]) for rec in kept)
-        per_pair[pr] = simulate.PairSummary(
-            100.0 * hits / len(kept), length / len(kept), len(kept))
+        per_pair[pr] = simulate.PairSummary(100.0 * hits / len(kept), length / len(kept))
         xi[pr] = np.array([rec[col][2] for rec in kept])
     ne = 100.0 * (len(records) - len(kept)) / len(records)
     return CoverageReport(scenario, per_pair, ne, xi)
