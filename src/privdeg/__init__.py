@@ -21,9 +21,9 @@ from .noise import (CenteredGeometric, ContinuousLaplace, DiscreteLaplace,
                     mechanism_label, moments, parse_mechanism, pmf, sample,
                     sub_gamma_witness)
 from .estimator import (EstimateResult, JacobianMatrix,
-                        NonexistentEstimateError, SolverOptions,
-                        approx_inverse_s, confidence_interval, jacobian,
-                        moment_residual, solve, solve_many, xi_statistic)
+                        NonexistentEstimateError, approx_inverse_s,
+                        confidence_interval, jacobian, moment_residual, solve,
+                        solve_many, xi_statistic)
 from .bounds import (BernsteinBound, HermiteSumRadius, SubExpNormBound,
                      SubGammaMaxBound, SubGammaSumBound, max_expectation_bound,
                      psi1_norm, tail_bound)

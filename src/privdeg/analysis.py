@@ -8,8 +8,7 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .estimator import (EstimateResult, SolverOptions, confidence_interval,
-                        normal_quantile, solve)
+from .estimator import EstimateResult, confidence_interval, normal_quantile, solve
 from .links import LinkKind
 from .netio import EdgeList
 
@@ -34,15 +33,14 @@ class ResultTable:
 
 def table_from_degrees(dtilde: np.ndarray, link: LinkKind,
                        labels: Optional[list[int]] = None,
-                       level: float = 0.95,
-                       options: SolverOptions | None = None) -> ResultTable:
+                       level: float = 0.95) -> ResultTable:
     """Fit a noisy degree sequence and lay out the per-vertex table."""
     d = np.asarray(dtilde, dtype=float).reshape(-1)
     labs = labels if labels is not None else list(range(1, d.size + 1))
     if len(labs) != d.size:
         raise ValueError("label list length must match the degree sequence")
     normal_quantile(level)  # checks the level even when the fit will not exist
-    res = solve(link, d, options)
+    res = solve(link, d)
     if not res.exists:
         rows = tuple(ResultRow(v, float(d[k]), None, None, None, None)
                      for k, v in enumerate(labs))

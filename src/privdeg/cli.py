@@ -17,7 +17,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .analysis import ResultTable, noisy_degrees, table_from_degrees
-from .estimator import SolverOptions
 from .links import DomainError, EdgeSampler, LinkKind
 from .netio import (EdgeList, ParseError, kept_labels, parse_edges,
                     prune_zero_degree, read_degree_file, serialize_edges,
@@ -28,6 +27,9 @@ from .simulate import (parse_pairs, parse_scenario_file, qq_csv, report_csv,
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NONEXISTENT = 3
+
+# noise draws one bounds run may make: --reps x --n, or --reps for subexp
+_MAX_DRAWS = 2**24
 
 
 def _write(out: str | None, text: str) -> None:
@@ -65,21 +67,15 @@ def _add_common(p: argparse.ArgumentParser, *, link=True, noise=True) -> None:
     if noise:
         p.add_argument("--seed", type=int, default=0, help="seed of the noise draw")
         p.add_argument("--noise", default=None,
-                       help="noise mechanism, e.g. dlap:p=0.5 or herm2:a1=1.2,a2=0.3")
-        p.add_argument("--no-noise", action="store_true",
-                       help="zero-noise override (release raw degrees)")
+                       help="noise mechanism, e.g. dlap:p=0.5 or herm2:a1=1.2,a2=0.3, "
+                            "or none (release raw degrees)")
 
 
 def _mechanism(args) -> noise_mod.NoiseMechanism | None:
-    if getattr(args, "no_noise", False):
-        return None
+    # not argparse's required=True: its SystemExit would bypass main's exit codes
     if args.noise is None:
-        raise ParseError("specify a mechanism with --noise, or pass --no-noise")
-    return noise_mod.parse_mechanism(args.noise)
-
-
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(tol=args.tol, max_iter=args.max_iter)
+        raise ParseError("specify a mechanism with --noise, or --noise none")
+    return noise_mod.parse_release(args.noise)
 
 
 def _report_fit(link: LinkKind, table: ResultTable) -> int:
@@ -115,8 +111,7 @@ def cmd_privatize(args) -> int:
 def cmd_estimate(args) -> int:
     link = LinkKind.parse(args.link)
     d = read_degree_file(Path(args.input).read_text())
-    table = table_from_degrees(d, link, level=args.level,
-                               options=_solver_options(args))
+    table = table_from_degrees(d, link, level=args.level)
     _write(args.out, _result_table_csv(table, []))
     return _report_fit(link, table)
 
@@ -130,43 +125,43 @@ def cmd_analyze(args) -> int:
         labels = kept_labels(e)
         e, removed = prune_zero_degree(e)
     d = noisy_degrees(e, _mechanism(args), args.seed)
-    table = table_from_degrees(d, link, labels=labels, level=args.level,
-                               options=_solver_options(args))
+    table = table_from_degrees(d, link, labels=labels, level=args.level)
     _write(args.out, _result_table_csv(table, removed))
     return _report_fit(link, table)
 
 
-def _scenario_cells(args) -> tuple[list, int]:
-    """Cells and worker count of the scenario file; --seed and --workers
-    override the file's values."""
-    cells, workers = parse_scenario_file(Path(args.scenario).read_text())
+def _scenario_cells(args) -> list:
+    """Cells of the scenario file; --seed overrides the file's seed."""
+    cells = parse_scenario_file(Path(args.scenario).read_text())
     if args.seed is not None:
         cells = [replace(cell, seed=args.seed) for cell in cells]
-    return cells, args.workers if args.workers is not None else workers
+    return cells
 
 
 def cmd_simulate(args) -> int:
-    cells, workers = _scenario_cells(args)
-    reports = [run_scenario(cell, workers=workers) for cell in cells]
+    reports = [run_scenario(cell, workers=args.workers) for cell in _scenario_cells(args)]
     _write(args.out, report_csv(reports))
     return EXIT_OK
 
 
 def cmd_qq(args) -> int:
-    cells, workers = _scenario_cells(args)
+    cells = _scenario_cells(args)
     if len(cells) != 1:
         raise ParseError("qq needs a single-cell scenario (one L, one noise)")
-    pairs = parse_pairs(args.pair) if args.pair else cells[0].pairs
-    if not pairs:
-        raise ParseError(f"--pair {args.pair!r} names no pair")
-    report = run_scenario(cells[0], workers=workers)
-    if args.out and len(pairs) > 1:
+    cell = cells[0]
+    if args.pair is not None:  # checked by Scenario before any replicate runs
+        pairs = parse_pairs(args.pair)
+        if not pairs:
+            raise ParseError(f"--pair {args.pair!r} names no pair")
+        cell = replace(cell, pairs=pairs)
+    report = run_scenario(cell, workers=args.workers)
+    if args.out and len(cell.pairs) > 1:
         base = Path(args.out)
-        for pr in pairs:
+        for pr in cell.pairs:
             path = base.with_name(f"{base.stem}_{pr[0]}_{pr[1]}{base.suffix}")
             path.write_text(qq_csv(report, pr))
     else:
-        _write(args.out, qq_csv(report, pairs[0]))
+        _write(args.out, qq_csv(report, cell.pairs[0]))
     return EXIT_OK
 
 
@@ -176,8 +171,13 @@ def cmd_bounds(args) -> int:
     for flag, value in (("--n", args.n), ("--reps", args.reps), ("--grid", args.grid)):
         if value < 1:
             raise ParseError(f"{flag} must be at least 1, got {value}")
-    rng = np.random.default_rng(args.seed)
+    kind = args.kind.lower()
     reps = args.reps
+    n_draws = reps if kind == "subexp" else reps * args.n
+    if n_draws > _MAX_DRAWS:
+        count = f"--reps {reps}" + ("" if kind == "subexp" else f" x --n {args.n}")
+        raise ValueError(f"{count} = {n_draws} noise draws exceed the cap of {_MAX_DRAWS}")
+    rng = np.random.default_rng(args.seed)
 
     def draw_table() -> np.ndarray:
         """A reps x n table of draws; ValueError when it cannot be allocated."""
@@ -189,7 +189,6 @@ def cmd_bounds(args) -> int:
 
     mean, var = noise_mod.moments(mech)
     wit = noise_mod.sub_gamma_witness(mech)
-    kind = args.kind.lower()
     if kind == "subexp":
         spec = bounds_mod.SubExpNormBound(bounds_mod.psi1_norm(mech))
         draws = np.abs(noise_mod.sample(mech, rng, size=reps) - mean)
@@ -250,16 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="edge list or UCINET dl file (format sniffed)")
     p.set_defaults(fn=cmd_privatize)
 
-    def _add_solver(pp):
-        pp.add_argument("--tol", type=float, default=1e-8,
-                        help="relative sup-norm residual tolerance")
-        pp.add_argument("--max-iter", type=int, default=200)
-
     p = sub.add_parser("estimate", help="fit vertex parameters from noisy degrees")
     _add_common(p, noise=False)
     p.add_argument("input", help="degree file: 'value' or 'vertex value' lines")
     p.add_argument("--level", type=float, default=0.95)
-    _add_solver(p)
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("analyze", help="end-to-end: network -> noise -> fit table")
@@ -268,22 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--keep-isolated", action="store_true",
                    help="do not prune zero-degree vertices first")
-    _add_solver(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("simulate", help="run a scenario file, emit the report CSV")
     p.add_argument("scenario", help="key = value scenario file")
     p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("qq", help="quantile pairs of the standardized statistic")
     p.add_argument("scenario", help="single-cell scenario file")
     p.add_argument("--pair", default=None,
-                   help="which pairs, as in a scenario file: 1,2 or 1,2; 50,51")
+                   help="override the scenario's pairs: 1,2 or 1,2; 50,51")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_qq)
 

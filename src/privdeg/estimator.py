@@ -42,7 +42,6 @@ import numpy as np
 from .links import LinkKind, link_inverse, link_values, pair_sum_matrix
 
 __all__ = [
-    "SolverOptions",
     "EstimateResult",
     "JacobianMatrix",
     "NonexistentEstimateError",
@@ -69,21 +68,13 @@ class NonexistentEstimateError(RuntimeError):
     """Raised when a quantity is requested from a nonexistent estimate."""
 
 
-# Step halvings per Newton iteration before a fit counts as stalled.
+# Newton converges once the sup-norm residual is at most
+# _TOL * max(1, max|dtilde|) and gives up after _MAX_ITER steps (the fits
+# of the shipped scenarios take 3 to 7). Step halving, at most
+# _MAX_HALVINGS per step, makes the residual norm strictly decrease.
+_TOL = 1e-8
+_MAX_ITER = 200
 _MAX_HALVINGS = 40
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Newton solver controls.
-
-    tol is relative: convergence requires the sup-norm residual to drop
-    below tol * max(1, max|dtilde|). Step halving (at most _MAX_HALVINGS
-    per iteration) enforces a monotone decrease of the residual norm.
-    """
-
-    tol: float = 1e-8
-    max_iter: int = 200
 
 
 @dataclass(frozen=True)
@@ -236,7 +227,7 @@ def _classes(d: np.ndarray, x0: Optional[np.ndarray]):
 
 
 def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
-            tol: np.ndarray, inverses: list, opts: SolverOptions) -> list[EstimateResult]:
+            tol: np.ndarray, inverses: list) -> list[EstimateResult]:
     """Damped Newton on a stack of g collapsed systems with k classes each.
 
     u, m and b (g, k) hold each member's distinct degrees, class sizes and
@@ -260,7 +251,7 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
     F, V = _residual_and_slope(link, b, u, m)
     res = np.max(np.abs(F), axis=1)
     # V holds W o p' at b; each accepted trial point brings its own
-    for it in range(opts.max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         v = V.sum(axis=2)
         done = res <= tol
         if done.any():
@@ -272,7 +263,7 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             keep = ~done
             rows, u, m, b, tol, F, V, res, v = (
                 x[keep] for x in (rows, u, m, b, tol, F, V, res, v))
-        if it == opts.max_iter:
+        if it == _MAX_ITER:
             break
         _diagonal(V)[...] += v
         singular = np.zeros(rows.size, dtype=bool)
@@ -333,12 +324,11 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             keep = ~stalled
             rows, u, m, b, tol, F, V, res = (
                 x[keep] for x in (rows, u, m, b, tol, F, V, res))
-    stop(np.ones(rows.size, dtype=bool), opts.max_iter, res, "iteration limit reached")
+    stop(np.ones(rows.size, dtype=bool), _MAX_ITER, res, "iteration limit reached")
     return fits
 
 
 def solve(link: LinkKind, dtilde: np.ndarray,
-          options: SolverOptions | None = None,
           x0: Optional[np.ndarray] = None) -> EstimateResult:
     """Solve the moment system for a noisy degree sequence.
 
@@ -353,11 +343,10 @@ def solve(link: LinkKind, dtilde: np.ndarray,
     (see the module docstring); iterations, residuals and diagnostics are
     those of the full system, whose residual has the same entries.
     """
-    return next(solve_many(link, [dtilde], options, None if x0 is None else [x0]))
+    return next(solve_many(link, [dtilde], None if x0 is None else [x0]))
 
 
-def solve_many(link: LinkKind, dtildes, options: SolverOptions | None = None,
-               x0s=None) -> Iterator[EstimateResult]:
+def solve_many(link: LinkKind, dtildes, x0s=None) -> Iterator[EstimateResult]:
     """Yield ``solve`` of each noisy degree sequence (and start), in order.
 
     dtildes may be any iterable, x0s a sequence of starts or None. Fits
@@ -367,14 +356,13 @@ def solve_many(link: LinkKind, dtildes, options: SolverOptions | None = None,
     result is the one ``solve`` gives for its sequence alone, bit for
     bit, and is yielded once it and every result before it are known.
     """
-    opts = options or SolverOptions()
     ready: dict[int, EstimateResult] = {}  # results not yet yielded
     waiting: dict[int, list] = {}  # k -> collapsed systems of a stack
     yielded = 0
 
     def run(stack: list) -> None:
         u, m, b, tol = (np.array([s[c] for s in stack]) for c in (1, 2, 3, 4))
-        fits = _newton(link, u, m, b, tol, [s[5] for s in stack], opts)
+        fits = _newton(link, u, m, b, tol, [s[5] for s in stack])
         ready.update((s[0], fit) for s, fit in zip(stack, fits))
 
     for f, dtilde in enumerate(dtildes):
@@ -394,7 +382,7 @@ def solve_many(link: LinkKind, dtildes, options: SolverOptions | None = None,
                     raise ValueError("x0 length must match dtilde")
             first, inverse, m = _classes(d, x0)
             b = (x0 if x0 is not None else initial_point(link, d))[first]
-            tol = opts.tol * max(1.0, float(np.max(np.abs(d))))
+            tol = _TOL * max(1.0, float(np.max(np.abs(d))))
             k = first.size
             stack = waiting.setdefault(k, [])
             stack.append((f, d[first], m, b, tol, inverse))

@@ -36,7 +36,8 @@ The mechanism grammar used by the CLI:
     lap:b=1.0   dlap:p=0.5   geo:q=0.5   herm:a1=1.0,a2=0.5
     herm2:a1=1.2,a2=0.3   tsp:lambda=2,mu=2
 
-Keys are case-insensitive.
+Keys are case-insensitive. Where a release may have no noise (the CLI's
+``--noise`` and a scenario file's ``noise`` key), ``none`` says so.
 """
 
 from __future__ import annotations
@@ -504,6 +505,12 @@ def parse_mechanism(text: str) -> NoiseMechanism:
         return cls(*[kv[key] for key in cls.keys])
     except KeyError as exc:
         raise ValueError(f"missing parameter {exc} for mechanism {name!r}") from None
+
+
+def parse_release(text: str) -> NoiseMechanism | None:
+    """The noise of a release: None (raw degrees) for 'none' or an empty
+    string, in any case, else ``parse_mechanism(text)``."""
+    return None if text.strip().lower() in ("none", "") else parse_mechanism(text)
 
 
 def mechanism_label(mech: NoiseMechanism) -> str:

@@ -28,7 +28,7 @@ from . import noise as noise_mod
 from .estimator import _ELEMENT_BUDGET, _ndtri, normal_quantile, solve_many
 # Not called here; perfbench/tracing.py wraps these four names in this module.
 from .estimator import solve, xi_statistic  # noqa: F401
-from .links import EdgeSampler, LinkKind, expected_degrees
+from .links import EdgeSampler, LinkKind
 from .links import degrees, sample_graph  # noqa: F401
 from .netio import ParseError
 
@@ -61,7 +61,6 @@ class Scenario:
     seed: int = 0
     pairs: tuple[tuple[int, int], ...] = ()
     level: float = 0.95
-    exact: bool = False  # zero-noise override: dtilde = E d at the truth
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -144,12 +143,11 @@ def _block(scenario: Scenario, z: float,
                 dt = dt + noise_mod.sample(scenario.noise, rng, size=scenario.n)
             yield dt
 
-    dts = [expected_degrees(link, truth)] * len(children) if scenario.exact else draws()
     i, j = (np.array(col) - 1 for col in zip(*scenario.pairs))
     ij = np.concatenate((i, j))
     exists = np.zeros(len(children), dtype=bool)
     a, v = np.zeros((len(children), ij.size)), np.zeros((len(children), ij.size))
-    for r, fit in enumerate(solve_many(link, dts)):
+    for r, fit in enumerate(solve_many(link, draws())):
         if fit.exists:
             exists[r], a[r], v[r] = True, fit.alpha_hat[ij], fit.v_hat[ij]
     (ai, aj), (vi, vj) = np.hsplit(a[exists], 2), np.hsplit(v[exists], 2)
@@ -160,34 +158,49 @@ def _block(scenario: Scenario, z: float,
     return hit, half, xi
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: run numpy's bundled OpenBLAS on one thread.
-
-    A forked worker otherwise keeps one BLAS thread per core, so w workers
-    run w times as many threads as there are cores. Does nothing when
-    numpy carries no OpenBLAS of its own.
-    """
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    or None when numpy carries no OpenBLAS of its own."""
     for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
                        .glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                set_threads = getattr(lib, name)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-                return
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get, put = (getattr(lib, f"{prefix}{verb}_num_threads{suffix}", None)
+                        for verb in ("get", "set"))
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _one_blas_thread() -> Optional[int]:
+    """Run numpy's bundled OpenBLAS on one thread and return the count
+    before (None, doing nothing, when numpy carries no OpenBLAS of its own).
+
+    Also the pool initializer: a forked worker otherwise keeps one BLAS
+    thread per core, so w workers run w times as many threads as cores.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        return None
+    before = threads[0]()
+    threads[1](1)
+    return before
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
     """Execute a scenario, optionally fanning blocks of replicates over processes.
 
     Per-replicate seeds are pre-assigned (child r of the scenario seed),
-    block boundaries depend on n and the replicate index alone, and
-    results are folded in replicate order, so any worker count produces
-    an identical report.
+    block boundaries depend on n and the replicate index alone, every
+    block runs on one BLAS thread (multi-threaded LU can round
+    differently), and results are folded in replicate order, so any
+    worker count produces an identical report.
     """
     children = np.random.SeedSequence(scenario.seed).spawn(scenario.replicates)
     z = normal_quantile(scenario.level)
@@ -196,7 +209,12 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
              for lo in range(0, scenario.replicates, size)]
     workers = min(workers, len(tasks))  # a pool starts all its workers at once
     if workers <= 1:
-        blocks = [_block(*t) for t in tasks]
+        before = _one_blas_thread()
+        try:
+            blocks = [_block(*t) for t in tasks]
+        finally:
+            if before is not None:
+                _openblas_threads()[1](before)
     else:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_one_blas_thread) as pool:
@@ -236,40 +254,32 @@ def parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _flag(text: str) -> bool:
-    word = text.lower()
-    if word not in ("1", "true", "yes", "0", "false", "no"):
-        raise ParseError(f"expected 1/0, true/false or yes/no, got {text!r}")
-    return word in ("1", "true", "yes")
-
-
-# scenario-file keys that map one-to-one onto a Scenario field
-_CELL_KEYS = {
+# the parser of each scenario-file key (lower case); L and noise take lists
+_KEYS = {
     "link": LinkKind.parse,
     "n": int,
+    "l": lambda text: [float(v) for v in text.split(",")],
+    "noise": lambda text: [noise_mod.parse_release(tok) for tok in text.split(";")],
     "replicates": int,
     "seed": int,
     "pairs": parse_pairs,
     "level": float,
-    "exact": _flag,
 }
-_FILE_KEYS = {*_CELL_KEYS, "l", "noise", "workers"}
 
 
-def parse_scenario_file(text: str) -> tuple[list[Scenario], int]:
-    """The cells of a key-value scenario file and its worker count.
+def parse_scenario_file(text: str) -> list[Scenario]:
+    """The cells of a key-value scenario file.
 
     One ``key = value`` (or ``key: value``) per line, ``#`` comments.
     Keys: link, n, L (comma list allowed), noise (semicolon list of
     mechanism grammar strings, or 'none'), replicates, seed, pairs
-    (e.g. ``1,2; 50,51; 99,100``), level, exact (1/0, true/false or
-    yes/no, in any case), workers; any other key, or a key given twice,
-    is a ParseError. A key left out takes the ``Scenario`` default.
-    Cells run noise blocks x L columns, each from the same master seed,
-    so that a cell's report does not depend on which other cells are in
-    the grid.
+    (e.g. ``1,2; 50,51; 99,100``) and level. An unknown key, a key given
+    twice or a value that does not parse is a ParseError naming its
+    line. A key left out takes the ``Scenario`` default. Cells run noise
+    blocks x L columns, each from the same master seed, so that a cell's
+    report does not depend on which other cells are in the grid.
     """
-    raw: dict[str, str] = {}
+    given: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -278,23 +288,21 @@ def parse_scenario_file(text: str) -> tuple[list[Scenario], int]:
         if len(kv) != 2:
             raise ParseError(f"expected key = value, got {body!r}", lineno)
         key = kv[0].strip()
-        if key.lower() not in _FILE_KEYS:
+        name = key.lower()
+        if name not in _KEYS:
             raise ParseError(f"unknown scenario key {key!r}", lineno)
-        if key.lower() in raw:
+        if name in given:
             raise ParseError(f"scenario key {key!r} given twice", lineno)
-        raw[key.lower()] = kv[1].strip()
+        try:
+            given[name] = _KEYS[name](kv[1].strip())
+        except ValueError as exc:
+            raise ParseError(f"bad {key} value: {exc}", lineno) from None
 
     for req in ("link", "n"):
-        if req not in raw:
+        if req not in given:
             raise ParseError(f"scenario file is missing the {req!r} key")
-    given = {key: parse(raw[key]) for key, parse in _CELL_KEYS.items() if key in raw}
-    noises = [
-        None if tok.strip().lower() in ("none", "") else noise_mod.parse_mechanism(tok)
-        for tok in raw.get("noise", "none").split(";")
-    ]
-    Ls = [float(v) for v in raw.get("l", "0").split(",")]
-    cells = [Scenario(L=L, noise=mech, **given) for mech in noises for L in Ls]
-    return cells, int(raw.get("workers", 1))
+    Ls, noises = given.pop("l", [0.0]), given.pop("noise", [None])
+    return [Scenario(L=L, noise=mech, **given) for mech in noises for L in Ls]
 
 
 def report_csv(reports: list[CoverageReport]) -> str:

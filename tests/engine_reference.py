@@ -22,12 +22,12 @@ from typing import Optional
 
 import numpy as np
 
+from privdeg import estimator
 from privdeg.estimator import (_MAX_HALVINGS, EstimateResult, JacobianMatrix,
-                               SolverOptions, _classes, _nonexistence_reason,
-                               initial_point)
+                               _classes, _nonexistence_reason, initial_point)
 from privdeg import noise as noise_mod
 from privdeg.links import (EdgeSampler, Graph, LinkKind, edge_prob_matrix,
-                           expected_degrees, pair_sum_matrix, validate_params)
+                           pair_sum_matrix, validate_params)
 from privdeg.simulate import Scenario, truth_vector
 
 
@@ -105,9 +105,8 @@ class ReferenceResult(EstimateResult):
 
 
 def solve(link: LinkKind, dtilde: np.ndarray,
-          options: SolverOptions | None = None,
           x0: Optional[np.ndarray] = None) -> ReferenceResult:
-    opts = options or SolverOptions()
+    max_iter = estimator._MAX_ITER  # read at call time, as tests patch it
     d = np.asarray(dtilde, dtype=float).reshape(-1)
 
     def fail(reason: str, it: int, res: float) -> ReferenceResult:
@@ -117,7 +116,7 @@ def solve(link: LinkKind, dtilde: np.ndarray,
     if reason is not None:
         return fail(reason, 0, float("inf"))
 
-    tol = opts.tol * max(1.0, float(np.max(np.abs(d))))
+    tol = estimator._TOL * max(1.0, float(np.max(np.abs(d))))
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).reshape(-1)
     first, inverse, m = _classes(d, x0)
@@ -126,7 +125,7 @@ def solve(link: LinkKind, dtilde: np.ndarray,
     F = moment_residual(link, b, u, m)
     res = float(np.max(np.abs(F)))
 
-    for it in range(opts.max_iter + 1):
+    for it in range(max_iter + 1):
         V = _weighted(_dpm_extended, link, b, m)
         v = V.sum(axis=1)
         if res <= tol:
@@ -135,7 +134,7 @@ def solve(link: LinkKind, dtilde: np.ndarray,
             pair_abs[alone, alone] = 0.0
             return ReferenceResult(b[inverse], v[inverse], it, res, True, None,
                                    float(pair_abs.max()))
-        if it == opts.max_iter:
+        if it == max_iter:
             break
         V[np.diag_indices(m.size)] += v
         try:
@@ -156,7 +155,7 @@ def solve(link: LinkKind, dtilde: np.ndarray,
             scale *= 0.5
         else:
             return fail("step stalled (no residual decrease)", it, res)
-    return fail("iteration limit reached", opts.max_iter, res)
+    return fail("iteration limit reached", max_iter, res)
 
 
 def replicate_records(scenario: Scenario, z: float) -> list:
@@ -167,13 +166,10 @@ def replicate_records(scenario: Scenario, z: float) -> list:
     records = []
     for child in np.random.SeedSequence(scenario.seed).spawn(scenario.replicates):
         rng = np.random.default_rng(child)
-        if scenario.exact:
-            dt = expected_degrees(scenario.link, truth)
-        else:
-            dt = sampler.degrees(rng)
-            if scenario.noise is not None:
-                dt = dt + np.asarray(
-                    noise_mod.sample(scenario.noise, rng, size=scenario.n), dtype=float)
+        dt = sampler.degrees(rng)
+        if scenario.noise is not None:
+            dt = dt + np.asarray(
+                noise_mod.sample(scenario.noise, rng, size=scenario.n), dtype=float)
         res = solve(scenario.link, dt)
         if not res.exists:
             records.append(None)

@@ -32,7 +32,7 @@ from privdeg.bounds import (BernsteinBound, HermiteSumRadius, SubExpNormBound,
                             SubGammaMaxBound, SubGammaSumBound,
                             bernstein_from_psi1, mc_survival, psi1_norm,
                             tail_bound)
-from privdeg.estimator import SolverOptions, approx_inverse_s, jacobian, solve
+from privdeg.estimator import approx_inverse_s, jacobian, solve
 from privdeg.links import (LinkKind, degrees, edge_prob, edge_prob_deriv,
                            expected_degrees, sample_graph)
 from privdeg.noise import (DiscreteLaplace, Hermite, TwoSideHermite,
@@ -391,7 +391,9 @@ def test_criterion_09_approx_inverse_decay():
 
 def test_criterion_10_worker_determinism():
     from privdeg.simulate import report_csv
-    s = Scenario(LinkKind.LOGIT, 40, 0.4, NOISE_CASE, replicates=80, seed=31337)
+    # 1000 replicates at n = 40 run as three blocks of at most 409, so the
+    # 4- and 8-worker runs do start a pool
+    s = Scenario(LinkKind.LOGIT, 40, 0.4, NOISE_CASE, replicates=1000, seed=31337)
     reports = [run_scenario(s, workers=w) for w in (1, 4, 8)]
     csvs = {report_csv([r]) for r in reports}
     xi_equal = all(

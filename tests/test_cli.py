@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import netio_reference
-from privdeg import simulate
+from privdeg import cli, simulate
 from privdeg.bounds import HermiteSumRadius, tail_bound
 from privdeg.cli import main
 from privdeg.links import LinkKind, sample_graph
@@ -49,7 +49,7 @@ def test_privatize_no_noise_returns_raw_degrees(tmp_path):
     graph = tmp_path / "g.edges"
     graph.write_text("n=4\n1 2\n2 3\n3 4\n")
     out = tmp_path / "d.txt"
-    assert main(["privatize", str(graph), "--no-noise", "--out", str(out)]) == 0
+    assert main(["privatize", str(graph), "--noise", "none", "--out", str(out)]) == 0
     vals = [float(line.split()[1]) for line in out.read_text().strip().splitlines()]
     assert vals == [1.0, 2.0, 2.0, 1.0]
 
@@ -58,7 +58,7 @@ def test_analyze_fixture(tmp_path, tailorshop_text):
     src = tmp_path / "shop.dl"
     src.write_text(tailorshop_text)
     out = tmp_path / "table.csv"
-    code = main(["analyze", str(src), "--link", "logit", "--no-noise",
+    code = main(["analyze", str(src), "--link", "logit", "--noise", "none",
                  "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
@@ -130,8 +130,13 @@ def test_qq_out_writes_one_file_per_pair(tmp_path):
 
 
 @pytest.mark.parametrize("pair, err", [("1,2,3", "bad pair '1,2,3'; expected i,j"),
-                                       (";", "--pair ';' names no pair")])
-def test_qq_rejects_a_malformed_pair(tmp_path, capsys, pair, err):
+                                       (";", "--pair ';' names no pair"),
+                                       ("1,30", "bad pair (1, 30) for n=24"),
+                                       ("2,2", "bad pair (2, 2) for n=24")])
+def test_qq_rejects_a_malformed_pair(tmp_path, capsys, monkeypatch, pair, err):
+    def no_block(*args):
+        raise AssertionError("a bad --pair must fail before any replicate runs")
+    monkeypatch.setattr(simulate, "_block", no_block)
     sc = tmp_path / "cell.scenario"
     sc.write_text(SCENARIO)
     out = tmp_path / "qq.csv"
@@ -140,20 +145,48 @@ def test_qq_rejects_a_malformed_pair(tmp_path, capsys, pair, err):
     assert not out.exists()
 
 
+def test_qq_pair_overrides_the_scenario_pairs(tmp_path):
+    sc = tmp_path / "cell.scenario"
+    sc.write_text(SCENARIO)
+    listed = tmp_path / "listed.scenario"
+    listed.write_text(SCENARIO.replace("pairs = 1,2; 23,24", "pairs = 5,6"))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["qq", str(sc), "--pair", "5,6", "--out", str(a)]) == 0
+    assert main(["qq", str(listed), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["privatize", "analyze"])
+def test_missing_noise_exits_2_and_none_releases_raw_degrees(tmp_path, capsys,
+                                                              tailorshop_text, command):
+    shop = tmp_path / "shop.dl"
+    shop.write_text(tailorshop_text)
+    out = tmp_path / "out.txt"
+    assert main([command, str(shop), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: specify a mechanism with --noise, or --noise none\n"
+    assert not out.exists()
+    outs = []
+    for spelling in ("none", "NONE", ""):
+        assert main([command, str(shop), "--noise", spelling, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_scenario_overrides_agree_in_simulate_and_qq(tmp_path, monkeypatch):
-    # several blocks, so that a file's `workers = 3` would start a pool
+    # several blocks, so that a pool would start if any run asked for one
     monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", 24 * 10)
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("--workers 0 must run in-process")
+        raise AssertionError("--workers 0 and the default of 1 must run in-process")
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
-    pooled = tmp_path / "pooled.scenario"
-    pooled.write_text(SCENARIO + "workers = 3\n")
+    cell = tmp_path / "cell.scenario"
+    cell.write_text(SCENARIO)
     reseeded = tmp_path / "reseeded.scenario"
     reseeded.write_text(SCENARIO.replace("seed = 11", "seed = 5"))
     for cmd in (["simulate"], ["qq", "--pair", "1,2"]):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main([*cmd, str(pooled), "--seed", "5", "--workers", "0",
+        assert main([*cmd, str(cell), "--seed", "5", "--workers", "0",
                      "--out", str(a)]) == 0
         assert main([*cmd, str(reseeded), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -228,7 +261,7 @@ def test_analyze_warns_on_positive_log_pair_sum(tmp_path, capsys, tailorshop_tex
     src = tmp_path / "shop.dl"
     src.write_text(tailorshop_text)
     for link, warned in (("log", True), ("logit", False)):
-        assert main(["analyze", str(src), "--link", link, "--no-noise",
+        assert main(["analyze", str(src), "--link", link, "--noise", "none",
                      "--out", str(tmp_path / f"{link}.csv")]) == 0
         assert ("warning: log-link fit" in capsys.readouterr().err) == warned
 
@@ -271,7 +304,7 @@ def test_cli_run_does_not_load_scipy(tmp_path, command):
         "simulate": ["simulate", str(cell), "--out", out],
         "qq": ["qq", str(cell), "--pair", "1,2", "--out", out],
         "estimate": ["estimate", str(degrees), "--link", "logit", "--out", out],
-        "analyze": ["analyze", shop, "--link", "logit", "--no-noise", "--out", out],
+        "analyze": ["analyze", shop, "--link", "logit", "--noise", "none", "--out", out],
     }[command]
     assert _main_in_fresh_python(argv) == "0 False"
     if argv:  # a header and at least three rows
@@ -294,7 +327,7 @@ def test_infinite_normal_quantile_exits_2(tmp_path, capsys, tailorshop_text):
     shop = tmp_path / "shop.dl"
     shop.write_text(tailorshop_text)
     for argv in (["simulate", str(cell)],
-                 ["analyze", str(shop), "--no-noise", "--level", level]):
+                 ["analyze", str(shop), "--noise", "none", "--level", level]):
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 2
         assert "normal quantile is infinite" in capsys.readouterr().err
@@ -324,11 +357,11 @@ def test_analyze_huge_declared_n_exits_2(tmp_path, capsys, n):
     net = tmp_path / "huge.edges"
     net.write_text(f"n={n}\n1 2\n")
     for extra in ([], ["--keep-isolated"]):
-        assert main(["analyze", str(net), "--no-noise",
+        assert main(["analyze", str(net), "--noise", "none",
                      "--out", str(tmp_path / "t.csv"), *extra]) == 2
         assert capsys.readouterr().err == \
             f"error: vertex count n={n} is too large to hold a degree vector\n"
-    assert main(["privatize", str(net), "--no-noise",
+    assert main(["privatize", str(net), "--noise", "none",
                  "--out", str(tmp_path / "p.txt")]) == 2
 
 
@@ -341,10 +374,36 @@ def test_bounds_rejects_counts_below_one(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["subgammamax", "hermite"])
+@pytest.mark.parametrize("kind", ["subgammamax", "hermite", "subgamma", "bernstein"])
 def test_bounds_unallocatable_draw_table_exits_2(tmp_path, capsys, kind):
-    # 1e14 float64 draws are 728 TiB, beyond any 64-bit address space:
-    # the allocation fails at once, so nothing is allocated
+    # 1e14 draws are over the cap, so nothing is drawn: the sum kinds
+    # would otherwise loop 1e9 times, the table kinds ask for 728 TiB
+    out = tmp_path / "b.csv"
+    assert main(["bounds", "--kind", kind, "--n", "1000000000", "--reps", "100000",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --reps 100000 x --n 1000000000 = 100000000000000 noise draws "
+        f"exceed the cap of {cli._MAX_DRAWS}\n")
+    assert not out.exists()
+
+
+def test_bounds_subexp_draws_count_reps_alone(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert main(["bounds", "--kind", "subexp", "--reps", str(cli._MAX_DRAWS + 1),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --reps {cli._MAX_DRAWS + 1} = {cli._MAX_DRAWS + 1} noise draws "
+        f"exceed the cap of {cli._MAX_DRAWS}\n")
+    assert not out.exists()
+    assert main(["bounds", "--kind", "subexp", "--n", "1000000000", "--reps", "100",
+                 "--grid", "3", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["subgammamax", "hermite"])
+def test_bounds_draw_table_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, kind):
+    # without the cap, 1e14 float64 draws (728 TiB, beyond any 64-bit
+    # address space) fail at allocation, so nothing is allocated
+    monkeypatch.setattr(cli, "_MAX_DRAWS", 10**15)
     out = tmp_path / "b.csv"
     assert main(["bounds", "--kind", kind, "--n", "1000000000", "--reps", "100000",
                  "--out", str(out)]) == 2
@@ -377,39 +436,13 @@ def test_sample_alpha_file_draws_at_that_alpha(tmp_path):
     assert out.read_text() == netio_reference.sample_text(g.adjacency)
 
 
-TIED_DEGREES = "3\n3\n2\n2\n4\n2\n"  # logit needs 4 Newton steps at --tol 1e-8
-
-
-def test_estimate_max_iter_limit_exits_3(tmp_path, capsys):
-    d = tmp_path / "d.txt"
-    d.write_text(TIED_DEGREES)
-    assert main(["estimate", str(d), "--max-iter", "1",
-                 "--out", str(tmp_path / "fit.csv")]) == 3
-    assert capsys.readouterr().err == \
-        "estimate does not exist: iteration limit reached\n"
-
-
-def test_estimate_tol_changes_the_fit(tmp_path):
-    d = tmp_path / "d.txt"
-    d.write_text(TIED_DEGREES)
-    fits = {}
-    for tol in ("1e-8", "1e-2"):
-        out = tmp_path / f"fit_{tol}.csv"
-        assert main(["estimate", str(d), "--tol", tol, "--out", str(out)]) == 0
-        fits[tol] = out.read_text()
-    default = tmp_path / "fit.csv"
-    assert main(["estimate", str(d), "--out", str(default)]) == 0
-    assert default.read_text() == fits["1e-8"] != fits["1e-2"]
-
-
 REPORTS = Path(__file__).parent / "data" / "reports"
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 
 @pytest.mark.parametrize("scenario", [SCENARIOS / "demo.scenario",
                                       SCENARIOS / "grid.scenario",
-                                      REPORTS / "log_lap.scenario",
-                                      REPORTS / "exact.scenario"], ids=lambda p: p.stem)
+                                      REPORTS / "log_lap.scenario"], ids=lambda p: p.stem)
 def test_simulate_reports_equal_the_golden_bytes(tmp_path, scenario):
     out = tmp_path / "report.csv"
     assert main(["simulate", str(scenario), "--workers", "1", "--out", str(out)]) == 0

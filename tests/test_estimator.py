@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import engine_reference
 from privdeg import estimator
-from privdeg.estimator import (NonexistentEstimateError, SolverOptions,
-                               _ndtri, _weighted_values, approx_inverse_s,
+from privdeg.estimator import (NonexistentEstimateError, _ndtri, _weighted_values, approx_inverse_s,
                                confidence_interval, initial_point, jacobian,
                                moment_residual, normal_quantile, solve,
                                solve_many, xi_statistic)
@@ -290,17 +289,17 @@ def test_log_fit_reports_pair_sum_diagnostic():
     assert res.max_abs_pair_sum is not None and res.max_abs_pair_sum > 0
 
 
-def dense_newton(link, d, opts=SolverOptions()):
+def dense_newton(link, d):
     """Reference: damped Newton on the full n x n system, no grouping."""
-    tol = opts.tol * max(1.0, np.max(np.abs(d)))
+    tol = estimator._TOL * max(1.0, np.max(np.abs(d)))
     a = initial_point(link, d)
     F = moment_residual(link, a, d)
     res = np.max(np.abs(F))
-    for it in range(opts.max_iter + 1):
+    for it in range(estimator._MAX_ITER + 1):
         V = jacobian(link, a).matrix
         if res <= tol:
             return a, np.diag(V), it
-        if it == opts.max_iter:
+        if it == estimator._MAX_ITER:
             return None
         try:
             step = np.linalg.solve(V, F)
@@ -456,29 +455,29 @@ def _two_class_fits(n_random: int = 48):
     return ds, x0s + [None] * 3
 
 
-def _rejected_trials(monkeypatch, link, d, x0, opts) -> int:
+def _rejected_trials(monkeypatch, link, d, x0) -> int:
     """Damping trials that a lone converged fit rejected (0 if it failed)."""
     calls = []
     evaluate = estimator._residual_and_slope
-    monkeypatch.setattr(estimator, "_residual_and_slope",
-                        lambda *a: calls.append(1) or evaluate(*a))
-    res = solve(link, d, opts, x0=x0)
-    monkeypatch.undo()
+    with monkeypatch.context() as mp:
+        mp.setattr(estimator, "_residual_and_slope",
+                   lambda *a: calls.append(1) or evaluate(*a))
+        res = solve(link, d, x0=x0)
     return len(calls) - 1 - res.iterations if res.exists else 0
 
 
 @pytest.mark.parametrize("budget", [estimator._ELEMENT_BUDGET, 12])
-@pytest.mark.parametrize("max_iter", [200, 3])
+@pytest.mark.parametrize("max_iter", [estimator._MAX_ITER, 3])
 @pytest.mark.parametrize("link", LINKS)
 def test_stacked_fits_match_lone_reference_fits_bitwise(link, max_iter, budget,
                                                         monkeypatch):
     # every k = 2 member shares one stack (three per stack at budget 12)
     ds, x0s = _two_class_fits()
-    opts = SolverOptions(max_iter=max_iter)
+    monkeypatch.setattr(estimator, "_MAX_ITER", max_iter)
     with monkeypatch.context() as mp:
         mp.setattr(estimator, "_ELEMENT_BUDGET", budget)
-        got = list(solve_many(link, ds, opts, x0s))
-    want = [engine_reference.solve(link, d, opts, x0=x0) for d, x0 in zip(ds, x0s)]
+        got = list(solve_many(link, ds, x0s))
+    want = [engine_reference.solve(link, d, x0=x0) for d, x0 in zip(ds, x0s)]
     for g, w in zip(got, want):
         assert_same_fit(g, w)
     # the stack mixes the ways a member can leave it
@@ -490,7 +489,7 @@ def test_stacked_fits_match_lone_reference_fits_bitwise(link, max_iter, budget,
         assert "iteration limit reached" in reasons
         return
     assert len({w.iterations for w in want if w.exists}) >= 4
-    assert any(_rejected_trials(monkeypatch, link, d, x0, opts) > 0
+    assert any(_rejected_trials(monkeypatch, link, d, x0) > 0
                for d, x0 in zip(ds, x0s))
     if link != LinkKind.LOG:
         assert {"singular Jacobian", "step stalled (no residual decrease)"} <= reasons

@@ -10,8 +10,8 @@ from privdeg import simulate
 from privdeg.estimator import normal_quantile
 from privdeg.links import EdgeSampler, LinkKind
 from privdeg.netio import ParseError
-from privdeg.noise import (DiscreteLaplace, TwoSideHermite, hermite_budget_intensity,
-                           sample)
+from privdeg.noise import (ContinuousLaplace, DiscreteLaplace, TwoSideHermite,
+                           hermite_budget_intensity, sample)
 from privdeg.simulate import (CoverageReport, Scenario, default_pairs,
                               parse_scenario_file, qq_csv, qq_export,
                               report_csv, run_scenario, truth_vector)
@@ -43,16 +43,6 @@ def test_scenario_validation():
         Scenario(LinkKind.LOGIT, 10, 0.0, None, pairs=((1, 11),))
     with pytest.raises(ValueError):
         Scenario(LinkKind.LOGIT, 10, 0.0, None, replicates=0)
-
-
-def test_exact_override_centers_intervals_at_truth():
-    s = Scenario(LinkKind.LOGIT, 12, 0.8, TwoSideHermite(1.0, 0.5),
-                 replicates=1, seed=5, exact=True)
-    rep = run_scenario(s)
-    assert rep.nonexistence_percent == 0.0
-    for pr, summary in rep.per_pair.items():
-        assert summary.coverage_percent == 100.0
-        assert abs(rep.xi[pr][0]) < 1e-6
 
 
 def test_report_is_worker_count_invariant():
@@ -142,10 +132,8 @@ def test_scenario_file_parsing_and_grid():
     replicates = 8
     seed = 4
     pairs = 1,2; 29,30
-    workers = 2
     """
-    cells, workers = parse_scenario_file(text)
-    assert workers == 2
+    cells = parse_scenario_file(text)
     assert len(cells) == 4
     assert cells[0].noise == TwoSideHermite(1.0, 0.5)
     assert cells[1].L == 0.5
@@ -180,35 +168,44 @@ def test_scenario_file_rejects_unknown_keys(text, key, line):
 
 def test_shipped_scenario_files_parse():
     root = Path(__file__).parents[1] / "scenarios"
-    demo, workers = parse_scenario_file((root / "demo.scenario").read_text())
-    assert workers == 4 and len(demo) == 1 and demo[0].replicates == 1000
-    grid, workers = parse_scenario_file((root / "grid.scenario").read_text())
-    assert workers == 1 and len(grid) == 4 and grid[0].seed == 7
+    demo = parse_scenario_file((root / "demo.scenario").read_text())
+    assert len(demo) == 1 and demo[0].replicates == 1000
+    grid = parse_scenario_file((root / "grid.scenario").read_text())
+    assert len(grid) == 4 and grid[0].seed == 7
 
 
 def test_scenario_file_omitted_keys_take_scenario_defaults():
-    cells, workers = parse_scenario_file("link = cloglog\nn = 12\n")
-    assert workers == 1
-    assert cells == [Scenario(LinkKind.CLOGLOG, 12, 0.0, None)]
-    (cell,), _ = parse_scenario_file("link = log\nn = 12\nL = -1\n"
-                                     "level = 0.9\nexact = yes\n")
-    assert cell == Scenario(LinkKind.LOG, 12, -1.0, None, level=0.9, exact=True)
+    assert parse_scenario_file("link = cloglog\nn = 12\n") == \
+        [Scenario(LinkKind.CLOGLOG, 12, 0.0, None)]
+    (cell,) = parse_scenario_file("link = log\nn = 12\nL = -1\nlevel = 0.9\n"
+                                  "noise = None\n")
+    assert cell == Scenario(LinkKind.LOG, 12, -1.0, None, level=0.9)
 
 
 def test_colon_line_splits_at_its_first_separator():
-    (cell,), _ = parse_scenario_file("link: logit\nn: 10\nnoise: dlap:p=0.5\n"
-                                     "pairs = 1,2\n")
+    (cell,) = parse_scenario_file("link: logit\nn: 10\nnoise: dlap:p=0.5\n"
+                                  "pairs = 1,2\n")
     assert cell == Scenario(LinkKind.LOGIT, 10, 0.0, DiscreteLaplace(0.5), pairs=((1, 2),))
 
 
-def test_exact_takes_only_boolean_words():
-    for value, want in (("1", True), ("TRUE", True), ("Yes", True),
-                        ("0", False), ("false", False), ("NO", False)):
-        (cell,), _ = parse_scenario_file(f"link = logit\nn = 10\nexact = {value}\n")
-        assert cell.exact is want
-    for value in ("on", "off", "2", ""):
-        with pytest.raises(ParseError, match="expected 1/0, true/false or yes/no"):
-            parse_scenario_file(f"link = logit\nn = 10\nexact = {value}\n")
+@pytest.mark.parametrize("line, key", [
+    ("n = abc", "n"),
+    ("link = huh", "link"),
+    ("L = 0.1, x", "L"),
+    ("noise = lap:b=1.0; zap:q=1", "noise"),
+    ("replicates = 2.5", "replicates"),
+    ("seed: -", "seed"),
+    ("Pairs = 1,2; 3-4", "Pairs"),
+    ("pairs = 1,x", "pairs"),
+    ("level = high", "level"),
+])
+def test_scenario_value_error_names_its_line_and_key(line, key):
+    text = f"# cell\n{line}\n" + "".join(
+        f"{k} = {v}\n" for k, v in (("link", "logit"), ("n", "10"))
+        if not line.lower().startswith(k + " "))
+    with pytest.raises(ParseError, match=f"^line 2: bad {key} value: ") as err:
+        parse_scenario_file(text)
+    assert err.value.line == 2
 
 
 def test_scenario_file_rejects_a_repeated_key():
@@ -287,8 +284,14 @@ def test_blocks_split_k_groups_and_match_lone_fits_at_any_worker_count(monkeypat
             assert np.array_equal(got.xi[pr], want.xi[pr])
 
 
-def test_exact_mode_blocks_match_lone_fits():
-    sc = Scenario(LinkKind.LOG, 30, -1.2, None, replicates=3, exact=True)
-    got, want = run_scenario(sc), _reference_report(sc)
-    assert report_csv([got]) == report_csv([want])
-    assert all(np.array_equal(got.xi[pr], want.xi[pr]) for pr in sc.pairs)
+def test_report_at_n400_is_worker_count_invariant(monkeypatch):
+    # k = n = 400 under Laplace noise: multi-threaded LU rounds differently
+    # from the one-thread LU of a pool worker, so the in-process run must
+    # use one BLAS thread too; a budget of 800 degrees makes 3 blocks
+    monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", 800)
+    sc = Scenario(LinkKind.CLOGLOG, 400, 1.0, ContinuousLaplace(1.0), replicates=6, seed=1)
+    threads = simulate._openblas_threads()
+    before = threads[0]() if threads else None
+    one, two = (report_csv([run_scenario(sc, workers=w)]) for w in (1, 2))
+    assert one == two
+    assert (threads[0]() if threads else None) == before  # the caller's count is back
