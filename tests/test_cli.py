@@ -436,17 +436,40 @@ def test_sample_alpha_file_draws_at_that_alpha(tmp_path):
     assert out.read_text() == netio_reference.sample_text(g.adjacency)
 
 
-REPORTS = Path(__file__).parent / "data" / "reports"
-SCENARIOS = Path(__file__).parents[1] / "scenarios"
+ROOT = Path(__file__).parents[1]
+REPORTS = ROOT / "tests" / "data" / "reports"
 
 
-@pytest.mark.parametrize("scenario", [SCENARIOS / "demo.scenario",
-                                      SCENARIOS / "grid.scenario",
-                                      REPORTS / "log_lap.scenario"], ids=lambda p: p.stem)
-def test_simulate_reports_equal_the_golden_bytes(tmp_path, scenario):
-    out = tmp_path / "report.csv"
-    assert main(["simulate", str(scenario), "--workers", "1", "--out", str(out)]) == 0
-    assert out.read_bytes() == (REPORTS / f"{scenario.stem}.csv").read_bytes()
+def _assert_golden(tmp_path, monkeypatch, argv: list[str], golden: str) -> None:
+    """``privdeg argv`` run from the repository root writes the bytes of
+    tests/data/reports/<golden>."""
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / golden
+    assert main([*argv, "--out", str(out)]) == 0
+    regen = " ".join(["PYTHONPATH=src python -m privdeg.cli", *argv,
+                      "--out", f"tests/data/reports/{golden}"])
+    assert out.read_bytes() == (REPORTS / golden).read_bytes(), (
+        f"output differs from tests/data/reports/{golden}. If the change is meant, "
+        f"regenerate it from the repository root with\n    {regen}\n"
+        "and explain each changed digit in CHANGES.md.")
+
+
+@pytest.mark.parametrize("scenario", ["scenarios/demo.scenario",
+                                      "scenarios/grid.scenario",
+                                      "tests/data/reports/log_lap.scenario"],
+                         ids=lambda p: Path(p).stem)
+def test_simulate_reports_equal_the_golden_bytes(tmp_path, monkeypatch, scenario):
+    _assert_golden(tmp_path, monkeypatch, ["simulate", scenario, "--workers", "1"],
+                   f"{Path(scenario).stem}.csv")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["qq", "scenarios/demo.scenario", "--pair", "50,51"], "qq_demo.csv"),
+    *((["analyze", "tests/data/tailorshop_synthetic.dl", "--link", link,
+        "--noise", "none"], f"analyze_{link}.csv") for link in ("logit", "cloglog")),
+], ids=["qq_demo", "analyze_logit", "analyze_cloglog"])
+def test_qq_and_analyze_equal_the_golden_bytes(tmp_path, monkeypatch, argv, golden):
+    _assert_golden(tmp_path, monkeypatch, argv, golden)
 
 
 def test_pool_workers_run_one_blas_thread():
