@@ -18,8 +18,7 @@ from .links import (DomainError, EdgeSampler, Graph, LinkKind, degrees,
 from .noise import (CenteredGeometric, ContinuousLaplace, DiscreteLaplace,
                     Hermite, NoiseMechanism, SubGammaParams, TwoSideHermite,
                     TwoSidePoisson, hermite_budget_intensity,
-                    mechanism_label, moments, parse_mechanism, pmf, sample,
-                    sub_gamma_witness)
+                    mechanism_label, parse_mechanism, pmf, sample)
 from .estimator import (EstimateResult, JacobianMatrix,
                         NonexistentEstimateError, approx_inverse_s,
                         confidence_interval, jacobian, moment_residual, solve,

@@ -187,8 +187,8 @@ def cmd_bounds(args) -> int:
             raise ValueError(f"--reps {reps} x --n {args.n} noise draws do not "
                              "fit in memory") from None
 
-    mean, var = noise_mod.moments(mech)
-    wit = noise_mod.sub_gamma_witness(mech)
+    mean, var = mech.moments()
+    wit = mech.sub_gamma_witness()
     if kind == "subexp":
         spec = bounds_mod.SubExpNormBound(bounds_mod.psi1_norm(mech))
         draws = np.abs(noise_mod.sample(mech, rng, size=reps) - mean)

@@ -33,8 +33,8 @@ extension exp(alpha_i + alpha_j), defined for all real pair sums; see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterator, Optional
 
 import numpy as np
@@ -402,96 +402,20 @@ def _require(result: EstimateResult) -> None:
         raise NonexistentEstimateError(result.reason or "estimate does not exist")
 
 
-# Cephes ndtri (S. L. Moshier), the rational approximations that
-# scipy.special.ndtri evaluates; _ndtri returns the same doubles. The Q
-# denominators are monic: their leading 1 makes Cephes' p1evl a polevl
-# (1 * x + c rounds as x + c).
-# P0/Q0: central branch, exp(-2) < y <= 1 - exp(-2), in (y - 1/2)^2.
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-             -5.66762857469070293439e1, 1.39312609387279679503e1,
-             -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
-             8.63602421390890590575e1, -2.25462687854119370527e2,
-             2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-# P1/Q1: tails with x = sqrt(-2 log y) in [2, 8), i.e. y down to exp(-32)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-             5.71628192246421288162e1, 4.40805073893200834700e1,
-             1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-             -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
-             4.13172038254672030440e1, 1.50425385692907503408e1,
-             2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-# P2/Q2: tails with x >= 8
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-             3.93881025292474443415e0, 1.33303460815807542389e0,
-             2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6,
-             6.23974539184983293730e-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
-             1.37702099489081330271e0, 2.16236993594496635890e-1,
-             1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_SQRT_2PI = 2.50662827463100050242
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    """Horner evaluation of a polynomial, highest power first."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(y: float) -> float:
-    """Standard normal quantile: the x with Phi(x) = y, for y in [0, 1].
-
-    Scalar and pure Python, so that no run needs to load scipy, which is
-    slow to import. It uses math.log and math.sqrt, never numpy's SIMD
-    ufuncs, whose last bit can differ, and so matches scipy.special.ndtri
-    bit for bit. Gives -inf at 0, inf at 1 and nan outside [0, 1].
-    """
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not (0.0 < y < 1.0):
-        return math.nan
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
-    else:
-        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
-    x = x0 - x1
-    return x if upper else -x
-
-
 def normal_quantile(level: float) -> float:
     """Two-sided standard normal quantile z with P(|Z| <= z) = level.
 
-    Raises ValueError unless level is in (0, 1) and z is finite (a level
-    within an ulp of 1 rounds 0.5 + level / 2 up to 1).
+    z comes from ``statistics.NormalDist`` (Wichura's AS241), so no run
+    needs scipy. Raises ValueError unless level is in (0, 1) and z is
+    finite (a level within an ulp of 1 rounds 0.5 + level / 2 up to 1).
     """
     if not (0 < level < 1):
         raise ValueError("confidence level must be in (0, 1)")
-    z = _ndtri(0.5 + level / 2.0)
-    if not math.isfinite(z):
+    y = 0.5 + level / 2.0
+    if y >= 1.0:  # inv_cdf raises StatisticsError at 1
         raise ValueError(f"confidence level {level!r} is too close to 1: "
                          "its normal quantile is infinite")
-    return z
+    return NormalDist().inv_cdf(y)
 
 
 def confidence_interval(result: EstimateResult, i: int | np.ndarray,

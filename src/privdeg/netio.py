@@ -284,11 +284,12 @@ def parse_edges(text: str, fmt: str = "edgelist") -> EdgeList:
 
 
 def sniff_format(text: str) -> str:
-    """'ucinet-dl' when the first non-blank line is a dl header, else 'edgelist'."""
-    for line in text.splitlines():
-        if line.strip():
-            return "ucinet-dl" if line.strip().lower().startswith("dl") else "edgelist"
-    return "edgelist"
+    """'ucinet-dl' when the first non-blank line is a dl header, else 'edgelist'.
+
+    Every character that ``str.splitlines`` breaks at is whitespace to
+    ``str.lstrip``, so the first non-blank line starts the stripped text.
+    """
+    return "ucinet-dl" if text.lstrip()[:2].lower() == "dl" else "edgelist"
 
 
 def serialize_edges(e: EdgeList) -> str:

@@ -1,8 +1,9 @@
 """Noise mechanisms for private degree release.
 
 Each mechanism is a frozen dataclass whose methods carry its whole law,
-so a law is defined in its class and nowhere else; the module-level
-functions (``sample``, ``moments``, ``pmf``, ...) only call them. A law
+so a law is defined in its class and nowhere else, and callers call
+those methods directly. The module keeps ``sample`` (draws as floats),
+``pmf`` and ``psi1_norm``, the bisection shared by every law. A law
 has a sampler driven by a caller-supplied generator, exact moments, the
 centred MGF, E exp(|X|/t), a pmf when it is discrete, and a sub-Gamma
 witness (upsilon, c): parameters such that the centered mechanism
@@ -404,7 +405,7 @@ def _poisson_cutoff(lam: float, tail: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the law of a mechanism, one function per part
+# float draws, pmf and the sub-exponential norm of any mechanism
 # ---------------------------------------------------------------------------
 
 def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None):
@@ -413,31 +414,10 @@ def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None):
     return np.asarray(out, dtype=float) if size is not None else float(out)
 
 
-def moments(mech: NoiseMechanism) -> tuple[float, float]:
-    """Exact (mean, variance)."""
-    return mech.moments()
-
-
 def pmf(mech: NoiseMechanism, k: int) -> float:
     """Exact probability mass at integer k for the discrete mechanisms;
     TypeError for the continuous Laplace mechanism, which has no pmf."""
     return mech.pmf(k)
-
-
-def support_cutoff(mech: NoiseMechanism, tail: float = 1e-12) -> int:
-    """K such that the mass outside [-K, K] is below the requested tail."""
-    return mech.support_cutoff(tail)
-
-
-def centered_mgf(mech: NoiseMechanism, s) -> np.ndarray | float:
-    """Exact E exp(s (X - E X)) where finite; +inf where the MGF diverges."""
-    out = mech.centered_mgf(np.asarray(s, dtype=float))
-    return out if np.ndim(s) else float(out)
-
-
-def abs_exp_moment(mech: NoiseMechanism, t: float) -> float:
-    """Exact E exp(|X| / t), or +inf when the expectation diverges."""
-    return math.inf if t <= 0 else mech.abs_exp_moment(t)
 
 
 def psi1_norm(mech: NoiseMechanism) -> float:
@@ -447,30 +427,24 @@ def psi1_norm(mech: NoiseMechanism) -> float:
     truncated far below the working precision); 60 bisection steps give
     relative precision well beyond 1e-9.
     """
-    _, var = moments(mech)
+    _, var = mech.moments()
     hi = max(math.sqrt(var), 1e-6)
-    while abs_exp_moment(mech, hi) > 2.0:
+    while mech.abs_exp_moment(hi) > 2.0:
         hi *= 2.0
         if hi > 1e12:
             raise ValueError(f"psi1 norm diverges for {mech!r}")
     lo = hi / 2.0
-    while abs_exp_moment(mech, lo) <= 2.0:
+    while mech.abs_exp_moment(lo) <= 2.0:
         lo /= 2.0
         if lo < 1e-12:
             return lo
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if abs_exp_moment(mech, mid) <= 2.0:
+        if mech.abs_exp_moment(mid) <= 2.0:
             hi = mid
         else:
             lo = mid
     return hi
-
-
-def sub_gamma_witness(mech: NoiseMechanism) -> SubGammaParams:
-    """A (upsilon, c) pair certifying the sub-Gamma MGF envelope (see the
-    witness routes in the module docstring)."""
-    return mech.sub_gamma_witness()
 
 
 # ---------------------------------------------------------------------------

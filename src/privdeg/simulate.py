@@ -20,12 +20,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
 
 from . import noise as noise_mod
-from .estimator import _ELEMENT_BUDGET, _ndtri, normal_quantile, solve_many
+from .estimator import _ELEMENT_BUDGET, normal_quantile, solve_many
 # Not called here; perfbench/tracing.py wraps these four names in this module.
 from .estimator import solve, xi_statistic  # noqa: F401
 from .links import EdgeSampler, LinkKind
@@ -79,8 +80,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class PairSummary:
-    coverage_percent: float
-    mean_ci_length: float
+    """Both fields are None when no replicate's fit exists."""
+
+    coverage_percent: Optional[float]
+    mean_ci_length: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,8 @@ def qq_export(report: CoverageReport, pair: tuple[int, int]) -> list[tuple[float
         raise LookupError(f"pair {pair} was not reported in this scenario")
     xs = np.sort(report.xi[pair])
     m = xs.size
-    theo = [_ndtri((k - 0.5) / m) for k in range(1, m + 1)]
+    inv_cdf = NormalDist().inv_cdf
+    theo = [inv_cdf((k - 0.5) / m) for k in range(1, m + 1)]
     return list(zip(theo, xs.tolist()))
 
 
@@ -228,9 +232,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
         length_sums += row
     per_pair = {}
     for col, pr in enumerate(scenario.pairs):
-        cov = 100.0 * int(hits[col]) / used if used else float("nan")
-        mean_len = float(length_sums[col]) / used if used else float("nan")
-        per_pair[pr] = PairSummary(cov, mean_len)
+        per_pair[pr] = (PairSummary(100.0 * int(hits[col]) / used,
+                                    float(length_sums[col]) / used)
+                        if used else PairSummary(None, None))
     ne = 100.0 * (scenario.replicates - used) / scenario.replicates
     xi = {pr: xi_all[:, col].copy() for col, pr in enumerate(scenario.pairs)}
     return CoverageReport(scenario, per_pair, ne, xi)
@@ -306,7 +310,11 @@ def parse_scenario_file(text: str) -> list[Scenario]:
 
 
 def report_csv(reports: list[CoverageReport]) -> str:
-    """One row per (pair, L, noise) cell, mirroring the table layout."""
+    """One row per (pair, L, noise) cell, mirroring the table layout.
+
+    Coverage and CI length are left empty when no fit of the cell exists;
+    its nonexistence_percent of 100 says why.
+    """
     lines = ["link,n,replicates,noise,L,pair_i,pair_j,"
              "coverage_percent,mean_ci_length,nonexistence_percent"]
     for rep in reports:
@@ -314,10 +322,11 @@ def report_csv(reports: list[CoverageReport]) -> str:
         noise = noise_mod.mechanism_label(s.noise) if s.noise else "none"
         for (i, j) in s.pairs:
             p = rep.per_pair[(i, j)]
+            fit = ("," if p.coverage_percent is None else
+                   f"{p.coverage_percent:.17g},{p.mean_ci_length:.17g}")
             lines.append(
                 f"{s.link.value},{s.n},{s.replicates},{noise},{s.L:.17g},"
-                f"{i},{j},{p.coverage_percent:.17g},{p.mean_ci_length:.17g},"
-                f"{rep.nonexistence_percent:.17g}")
+                f"{i},{j},{fit},{rep.nonexistence_percent:.17g}")
     return "\n".join(lines) + "\n"
 
 

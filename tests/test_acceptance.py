@@ -36,8 +36,8 @@ from privdeg.estimator import approx_inverse_s, jacobian, solve
 from privdeg.links import (LinkKind, degrees, edge_prob, edge_prob_deriv,
                            expected_degrees, sample_graph)
 from privdeg.noise import (DiscreteLaplace, Hermite, TwoSideHermite,
-                           TwoSidePoisson, hermite_budget_intensity, moments,
-                           pmf, sample, sub_gamma_witness, support_cutoff)
+                           TwoSidePoisson, hermite_budget_intensity, pmf,
+                           sample)
 from privdeg.simulate import Scenario, run_scenario, truth_vector
 
 PRINT_ROUNDING = 0.005  # half a unit in the last printed decimal place
@@ -252,7 +252,7 @@ def test_criterion_07_distribution_suite():
     # pmf normalization
     for mech in (DiscreteLaplace(0.5), TwoSideHermite(4 * LAM / 5, LAM / 5),
                  TwoSidePoisson(1.5, 1.0), Hermite(1.2, 0.8)):
-        K = support_cutoff(mech, 1e-12)
+        K = mech.support_cutoff(1e-12)
         total = sum(pmf(mech, k) for k in range(-K, K + 1))
         if not (1 - 1e-9 <= total <= 1 + 1e-12):
             problems.append(f"normalization {mech} = {total}")
@@ -278,7 +278,7 @@ def test_criterion_07_distribution_suite():
     # Hermite probability generating function
     a1, a2 = 1.2, 0.8
     hm = Hermite(a1, a2)
-    K = support_cutoff(hm, 1e-18)
+    K = hm.support_cutoff(1e-18)
     ks = np.arange(0, K + 1)
     ps = np.array([pmf(hm, int(k)) for k in ks])
     for s in np.arange(0.1, 0.95, 0.1):
@@ -293,7 +293,7 @@ def test_criterion_07_distribution_suite():
                               TwoSidePoisson(1.5, 1.0), Hermite(1.2, 0.8))):
         rng = np.random.default_rng(900 + i)
         draws = np.asarray(sample(mech, rng, size=100_000)).astype(int)
-        K = support_cutoff(mech, 1e-9)
+        K = mech.support_cutoff(1e-9)
         ks_ = np.arange(-K, K + 1)
         probs = np.array([pmf(mech, int(k)) for k in ks_])
         counts = np.array([(draws == k).sum() for k in ks_], dtype=float)
@@ -337,13 +337,13 @@ def test_criterion_08_bound_domination():
     results["bernstein"] = _dominates(s10, bernstein_from_psi1(psi1_norm(mech), 10))
 
     mech = NOISE_CASE
-    wit = sub_gamma_witness(mech)
+    wit = mech.sub_gamma_witness()
     rng = np.random.default_rng(83)
     s10 = np.abs(np.asarray(sample(mech, rng, size=(R, 10))).sum(axis=1))
     results["subgamma_sum"] = _dominates(s10, SubGammaSumBound(10 * wit.upsilon, wit.c))
 
     mech = TwoSidePoisson(2.0, 2.0)
-    wit = sub_gamma_witness(mech)
+    wit = mech.sub_gamma_witness()
     rng = np.random.default_rng(84)
     mx = np.max(np.abs(np.asarray(sample(mech, rng, size=(R, 20)))), axis=1)
     results["subgamma_max"] = _dominates(mx, SubGammaMaxBound(wit.upsilon, wit.c, 20))
@@ -351,7 +351,7 @@ def test_criterion_08_bound_domination():
     # radius form: P(|mean - mu| >= radius(x)) <= 2 exp(-x)
     n = 50
     hm = Hermite(1.2, 0.8)
-    mu, var = moments(hm)
+    mu, var = hm.moments()
     rng = np.random.default_rng(85)
     dev = np.abs(np.asarray(sample(hm, rng, size=(R, n))).mean(axis=1) - mu)
     spec = HermiteSumRadius(sigma2=n * var, r=2.0, w=1.0 / n)

@@ -8,8 +8,7 @@ from privdeg.bounds import (BernsteinBound, HermiteSumRadius, SubExpNormBound,
                             bernstein_from_psi1, max_expectation_bound,
                             mc_survival, psi1_norm, tail_bound)
 from privdeg.noise import (CenteredGeometric, DiscreteLaplace, Hermite,
-                           TwoSideHermite, moments, pmf, sample,
-                           sub_gamma_witness, support_cutoff)
+                           TwoSideHermite, pmf, sample)
 
 
 def test_sub_gamma_sum_reference_points():
@@ -56,9 +55,9 @@ def test_max_expectation_reference_points():
 
 def test_max_expectation_dominates_monte_carlo():
     mech = Hermite(1.0, 1.0)
-    wit = sub_gamma_witness(mech)
+    wit = mech.sub_gamma_witness()
     assert wit.upsilon == pytest.approx(5.0) and wit.c == pytest.approx(2 / 3)
-    mean, _ = moments(mech)
+    mean, _ = mech.moments()
     rng = np.random.default_rng(100)
     n, reps = 100, 10_000
     draws = np.abs(np.asarray(sample(mech, rng, size=(reps, n))) - mean)
@@ -70,7 +69,7 @@ def test_psi1_moment_bound_from_exact_pmf():
     # E|X|^k <= 2 psi1^k k! for k = 1..6, moments taken from the pmf
     mech = CenteredGeometric(0.45)
     psi = psi1_norm(mech)
-    K = support_cutoff(mech, 1e-16)
+    K = mech.support_cutoff(1e-16)
     js = np.arange(0, K + 1)
     probs = mech.q * (1 - mech.q) ** js
     absx = np.abs(js - mech.offset)
@@ -80,7 +79,7 @@ def test_psi1_moment_bound_from_exact_pmf():
 
     dl = DiscreteLaplace(0.6)
     psi = psi1_norm(dl)
-    K = support_cutoff(dl, 1e-16)
+    K = dl.support_cutoff(1e-16)
     ks = np.arange(-K, K + 1)
     probs = np.array([pmf(dl, int(k)) for k in ks])
     for k in range(1, 7):
@@ -90,8 +89,8 @@ def test_psi1_moment_bound_from_exact_pmf():
 
 def test_even_moment_bound_for_hermite_witness():
     mech = TwoSideHermite(1.3, 0.6)
-    wit = sub_gamma_witness(mech)
-    K = support_cutoff(mech, 1e-18)
+    wit = mech.sub_gamma_witness()
+    K = mech.support_cutoff(1e-18)
     ks = np.arange(-K, K + 1)
     probs = np.array([pmf(mech, int(k)) for k in ks])
     for k in (1, 2, 3):
@@ -105,15 +104,14 @@ def test_additivity_of_witnesses():
     # sum of independent mechanisms: (sum upsilon_i, max c_i) still bounds
     # the exact product MGF on the grid
     mechs = [TwoSideHermite(1.0, 0.5), TwoSideHermite(0.5, 0.2), Hermite(2.0, 1.0)]
-    wits = [sub_gamma_witness(m) for m in mechs]
+    wits = [m.sub_gamma_witness() for m in mechs]
     ups = sum(w.upsilon for w in wits)
     c = max(w.c for w in wits)
-    from privdeg.noise import centered_mgf
     ss = np.linspace(-0.9 / c, 0.9 / c, 101)
     ss = ss[ss != 0]
     exact = np.ones_like(ss)
     for m in mechs:
-        exact = exact * np.asarray(centered_mgf(m, ss))
+        exact = exact * np.asarray(m.centered_mgf(ss))
     bound = np.exp(ss ** 2 * ups / (2 * (1 - c * np.abs(ss))))
     assert np.all(exact <= bound * (1 + 1e-12))
 

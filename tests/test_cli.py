@@ -11,7 +11,7 @@ from privdeg import cli, simulate
 from privdeg.bounds import HermiteSumRadius, tail_bound
 from privdeg.cli import main
 from privdeg.links import LinkKind, sample_graph
-from privdeg.noise import TwoSidePoisson, moments
+from privdeg.noise import TwoSidePoisson
 from privdeg.simulate import truth_vector
 
 SCENARIO = """
@@ -209,7 +209,7 @@ def test_bounds_hermite_radius_uses_the_law_jump(tmp_path):
     mech = TwoSidePoisson(1.0, 1.0)
     rows = _bounds_rows(tmp_path, "--kind", "hermite", "--noise", "tsp:lambda=1,mu=1",
                         "--n", "4", "--reps", "500", "--grid", "6")
-    spec = HermiteSumRadius(sigma2=4 * moments(mech)[1], r=1.0, w=0.25)
+    spec = HermiteSumRadius(sigma2=4 * mech.moments()[1], r=1.0, w=0.25)
     xs = np.linspace(0.05, 8.0, 6)
     assert [t for t, _, _, _ in rows] == [tail_bound(spec, float(x)) for x in xs]
 

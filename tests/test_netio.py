@@ -120,6 +120,11 @@ def test_round_trip_property(n, data):
 def test_sniff_format():
     assert sniff_format("dl n=3\n...") == "ucinet-dl"
     assert sniff_format("# x\n1 2\n") == "edgelist"
+    # the header counts on the first non-blank line, past any line break
+    for text in ("\n  DL n=3", "\x1c\x85 dl n=2", " \t\r\nDl"):
+        assert sniff_format(text) == "ucinet-dl"
+    for text in ("", "  \n\n", "d\nl", "1 2\ndl n=2"):
+        assert sniff_format(text) == "edgelist"
 
 
 def test_edge_list_validation():

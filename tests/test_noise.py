@@ -10,10 +10,8 @@ from scipy import stats
 
 from privdeg.noise import (CenteredGeometric, ContinuousLaplace, DiscreteLaplace,
                            Hermite, TwoSideHermite, TwoSidePoisson,
-                           abs_exp_moment, centered_mgf,
-                           hermite_budget_intensity, mechanism_label, moments,
-                           parse_mechanism, pmf, psi1_norm, sample,
-                           sub_gamma_witness, support_cutoff)
+                           hermite_budget_intensity, mechanism_label,
+                           parse_mechanism, pmf, psi1_norm, sample)
 
 LAM = hermite_budget_intensity(2.0)
 
@@ -82,7 +80,7 @@ def test_dlap_equals_geometric_difference():
 def test_hermite_pgf_identity():
     a1, a2 = 1.2, 0.8
     m = Hermite(a1, a2)
-    K = support_cutoff(m, 1e-18)
+    K = m.support_cutoff(1e-18)
     ks = np.arange(0, K + 1)
     ps = np.array([pmf(m, int(k)) for k in ks])
     for s in np.arange(0.1, 0.95, 0.1):
@@ -95,7 +93,7 @@ def test_pmf_normalization():
     for m in DISCRETE_MECHS:
         if isinstance(m, CenteredGeometric):
             continue  # support not on the integers unless the offset is
-        K = support_cutoff(m, 1e-12)
+        K = m.support_cutoff(1e-12)
         total = sum(pmf(m, k) for k in range(-K, K + 1))
         assert total >= 1 - 1e-9
         assert total <= 1 + 1e-12
@@ -125,13 +123,13 @@ def test_pmf_rejected_for_continuous():
 # ---------------------------------------------------------------------------
 
 def test_exact_moments_reference():
-    assert moments(Hermite(1.0, 1.0)) == (3.0, 5.0)
-    assert moments(TwoSidePoisson(2.0, 2.0)) == (0.0, 4.0)
-    assert moments(DiscreteLaplace(0.5)) == (0.0, pytest.approx(4.0))
-    assert moments(CenteredGeometric(0.5)) == (0.0, pytest.approx(2.0))
-    assert moments(ContinuousLaplace(1.0)) == (0.0, 2.0)
+    assert Hermite(1.0, 1.0).moments() == (3.0, 5.0)
+    assert TwoSidePoisson(2.0, 2.0).moments() == (0.0, 4.0)
+    assert DiscreteLaplace(0.5).moments() == (0.0, pytest.approx(4.0))
+    assert CenteredGeometric(0.5).moments() == (0.0, pytest.approx(2.0))
+    assert ContinuousLaplace(1.0).moments() == (0.0, 2.0)
     a1, a2 = 4 * LAM / 5, LAM / 5
-    assert moments(TwoSideHermite(a1, a2)) == (0.0, pytest.approx(2 * (a1 + 4 * a2)))
+    assert TwoSideHermite(a1, a2).moments() == (0.0, pytest.approx(2 * (a1 + 4 * a2)))
 
 
 def test_hermite_sample_mean():
@@ -159,7 +157,7 @@ def test_mechanism_label_round_trips(mech):
 @pytest.mark.parametrize("mech", ALL_MECHS, ids=mechanism_label)
 def test_empirical_moments_match(mech):
     rng = np.random.default_rng(abs(hash(mechanism_label(mech))) % 2 ** 31)
-    mean, var = moments(mech)
+    mean, var = mech.moments()
     draws = np.asarray(sample(mech, rng, size=1_000_000))
     n = draws.size
     se_mean = draws.std(ddof=1) / math.sqrt(n)
@@ -181,7 +179,7 @@ def test_empirical_moments_match(mech):
 def test_sampler_chi_square(mech):
     rng = np.random.default_rng(abs(hash(("chi", mechanism_label(mech)))) % 2 ** 31)
     draws = np.asarray(sample(mech, rng, size=100_000)).astype(int)
-    K = support_cutoff(mech, 1e-9)
+    K = mech.support_cutoff(1e-9)
     ks = np.arange(-K, K + 1)
     probs = np.array([pmf(mech, int(k)) for k in ks])
     expected = probs * draws.size
@@ -218,14 +216,14 @@ def test_centered_geometric_sampler_chi_square():
 
 def test_hermite_witness_values():
     a1, a2 = 1.7, 0.4
-    w = sub_gamma_witness(Hermite(a1, a2))
+    w = Hermite(a1, a2).sub_gamma_witness()
     assert w.upsilon == pytest.approx(a1 + 4 * a2)
     assert w.c == pytest.approx(2.0 / 3.0)
 
 
 def test_witness_never_sub_gaussian():
     for m in ALL_MECHS:
-        assert sub_gamma_witness(m).c > 0
+        assert m.sub_gamma_witness().c > 0
 
 
 def test_continuous_laplace_psi1_closed_form():
@@ -241,7 +239,7 @@ def test_psi1_scaling_homogeneity():
     lo, hi = base, 8 * base
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if abs_exp_moment(m, mid / 2.0) <= 2.0:
+        if m.abs_exp_moment(mid / 2.0) <= 2.0:
             hi = mid
         else:
             lo = mid
@@ -261,10 +259,10 @@ def test_psi1_tail_domination_monte_carlo():
 
 @pytest.mark.parametrize("mech", ALL_MECHS, ids=mechanism_label)
 def test_mgf_domination_on_grid(mech):
-    w = sub_gamma_witness(mech)
+    w = mech.sub_gamma_witness()
     ss = np.linspace(-0.9 / w.c, 0.9 / w.c, 100)
     ss = ss[ss != 0]
-    exact = np.asarray(centered_mgf(mech, ss))
+    exact = np.asarray(mech.centered_mgf(ss))
     bound = np.asarray(w.mgf_bound(ss))
     assert np.all(np.isfinite(exact))
     assert np.all(exact <= bound * (1 + 1e-12))
@@ -325,14 +323,14 @@ def _matches(got: float, want: float) -> bool:
 def test_psi1_witness_and_pmf_are_pinned(mech):
     pin = PINS[mechanism_label(mech)]
     assert _matches(psi1_norm(mech), pin["psi1"])
-    w = sub_gamma_witness(mech)
+    w = mech.sub_gamma_witness()
     assert _matches(w.upsilon, pin["upsilon"]) and _matches(w.c, pin["c"])
     if "pmf" not in pin:
         with pytest.raises(TypeError):
             pmf(mech, 0)
         return
     K = pin["K"]
-    assert support_cutoff(mech) == K
+    assert mech.support_cutoff(1e-12) == K
     got = [pmf(mech, k) for k in range(-K - 3, K + 4)]
     assert len(got) == len(pin["pmf"])
     bad = [k - K - 3 for k, (g, want) in enumerate(zip(got, pin["pmf"]))
@@ -349,5 +347,5 @@ def test_pmf_table_is_built_once_per_mechanism(monkeypatch):
     monkeypatch.setattr(TwoSideHermite, "mass",
                         lambda self, k: calls.append(k) or mass(self, k))
     psi1_norm(mech)
-    K = support_cutoff(mech, 1e-16)
+    K = mech.support_cutoff(1e-16)
     assert sorted(calls) == list(range(-K, K + 1))
