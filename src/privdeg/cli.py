@@ -2,7 +2,8 @@
 
 Subcommands: sample, privatize, estimate, analyze, simulate, bounds, qq.
 Exit codes: 0 success, 2 input/parse error, 3 estimator nonexistence on
-a single-estimate command (estimate, analyze).
+a single-estimate command (estimate, analyze) or in every replicate of a
+qq cell.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .analysis import ResultTable, noisy_degrees, table_from_degrees
-from .links import DomainError, EdgeSampler, LinkKind
+from .links import DomainError, LinkKind, sample_graph
 from .netio import (EdgeList, ParseError, kept_labels, parse_edges,
                     prune_zero_degree, read_degree_file, serialize_edges,
                     sniff_format)
@@ -30,6 +31,8 @@ EXIT_NONEXISTENT = 3
 
 # noise draws one bounds run may make: --reps x --n, or --reps for subexp
 _MAX_DRAWS = 2**24
+# values per bounds noise.sample call, or --reps if larger (one row above 2^15)
+_BLOCK = 2**16
 
 
 def _write(out: str | None, text: str) -> None:
@@ -95,8 +98,8 @@ def cmd_sample(args) -> int:
     link = LinkKind.parse(args.link)
     alpha = (read_degree_file(Path(args.alpha_file).read_text())
              if args.alpha_file else truth_vector(args.n, args.L))
-    edges = np.argwhere(EdgeSampler(link, alpha).draw(np.random.default_rng(args.seed))) + 1
-    _write(args.out, serialize_edges(EdgeList(alpha.size, edges)))
+    _write(args.out, serialize_edges(sample_graph(link, alpha,
+                                                  np.random.default_rng(args.seed))))
     return EXIT_OK
 
 
@@ -154,8 +157,13 @@ def cmd_qq(args) -> int:
         if not pairs:
             raise ParseError(f"--pair {args.pair!r} names no pair")
         cell = replace(cell, pairs=pairs)
+    if len(cell.pairs) > 1 and args.out in (None, "-"):
+        raise ParseError(f"qq of {len(cell.pairs)} pairs needs --out FILE, one file per pair")
     report = run_scenario(cell, workers=args.workers)
-    if args.out and len(cell.pairs) > 1:
+    if not report.xi[cell.pairs[0]].size:
+        print("no fit exists in any of the cell's replicates", file=sys.stderr)
+        return EXIT_NONEXISTENT
+    if len(cell.pairs) > 1:
         base = Path(args.out)
         for pr in cell.pairs:
             path = base.with_name(f"{base.stem}_{pr[0]}_{pr[1]}{base.suffix}")
@@ -163,6 +171,21 @@ def cmd_qq(args) -> int:
     else:
         _write(args.out, qq_csv(report, cell.pairs[0]))
     return EXIT_OK
+
+
+def _folded_noise(mech, rng, n: int, reps: int, fold: np.ufunc) -> np.ndarray:
+    """|Column sums| (fold np.add) or column maxima of |X - E X| (np.maximum)
+    of an (n, reps) table of centred draws, drawn through ``noise.sample`` in
+    blocks of max(1, _BLOCK // reps) rows, each folded into one vector in place."""
+    mean = mech.moments()[0]
+    rows = max(1, _BLOCK // reps)
+    acc = np.zeros(reps)
+    for start in range(0, n, rows):
+        block = noise_mod.sample(mech, rng, size=(min(rows, n - start), reps)) - mean
+        if fold is np.maximum:
+            np.abs(block, out=block)
+        fold(acc, fold.reduce(block, axis=0), out=acc)
+    return np.abs(acc, out=acc)
 
 
 def cmd_bounds(args) -> int:
@@ -173,56 +196,42 @@ def cmd_bounds(args) -> int:
             raise ParseError(f"{flag} must be at least 1, got {value}")
     kind = args.kind.lower()
     reps = args.reps
-    n_draws = reps if kind == "subexp" else reps * args.n
-    if n_draws > _MAX_DRAWS:
-        count = f"--reps {reps}" + ("" if kind == "subexp" else f" x --n {args.n}")
-        raise ValueError(f"{count} = {n_draws} noise draws exceed the cap of {_MAX_DRAWS}")
-    rng = np.random.default_rng(args.seed)
-
-    def draw_table() -> np.ndarray:
-        """A reps x n table of draws; ValueError when it cannot be allocated."""
-        try:
-            return noise_mod.sample(mech, rng, size=(reps, args.n))
-        except MemoryError:
-            raise ValueError(f"--reps {reps} x --n {args.n} noise draws do not "
-                             "fit in memory") from None
-
-    mean, var = mech.moments()
+    n = 1 if kind == "subexp" else args.n  # rows of the draw table
+    if reps * n > _MAX_DRAWS:
+        count = f"--reps {reps}" + ("" if kind == "subexp" else f" x --n {n}")
+        raise ValueError(f"{count} = {reps * n} noise draws exceed the cap of {_MAX_DRAWS}")
     wit = mech.sub_gamma_witness()
     if kind == "subexp":
         spec = bounds_mod.SubExpNormBound(bounds_mod.psi1_norm(mech))
-        draws = np.abs(noise_mod.sample(mech, rng, size=reps) - mean)
     elif kind in ("bernstein", "subgamma"):
-        spec = (bounds_mod.bernstein_from_psi1(bounds_mod.psi1_norm(mech), args.n)
+        spec = (bounds_mod.bernstein_from_psi1(bounds_mod.psi1_norm(mech), n)
                 if kind == "bernstein" else
-                bounds_mod.SubGammaSumBound(args.n * wit.upsilon, wit.c))
-        draws = np.abs(sum(noise_mod.sample(mech, rng, size=reps) - mean
-                           for _ in range(args.n)))
+                bounds_mod.SubGammaSumBound(n * wit.upsilon, wit.c))
     elif kind == "subgammamax":
-        spec = bounds_mod.SubGammaMaxBound(wit.upsilon, wit.c, args.n)
-        draws = np.max(np.abs(draw_table() - mean), axis=1)
+        spec = bounds_mod.SubGammaMaxBound(wit.upsilon, wit.c, n)
     elif kind == "hermite":
-        # inverse (radius) form over an exponent grid: per row,
-        # t = radius(x), bound = min(1, 2 exp(-x)), empirical = P(|mean dev| >= t)
         if not isinstance(mech, noise_mod.CompoundPoisson):
             raise ParseError(f"--kind hermite needs a compound-Poisson law "
                              f"(herm, herm2, tsp), got {noise_mod.mechanism_label(mech)}")
-        spec = bounds_mod.HermiteSumRadius(sigma2=args.n * var, r=mech.jump, w=1.0 / args.n)
-        draws = np.abs(draw_table().mean(axis=1) - mean)
+        spec = bounds_mod.HermiteSumRadius(n * mech.moments()[1], mech.jump, 1.0 / n)
+    else:
+        raise ParseError(f"unknown bound kind {args.kind!r}; expected "
+                         "subexp | bernstein | subgamma | subgammamax | hermite")
+    draws = _folded_noise(mech, np.random.default_rng(args.seed), n, reps,
+                          np.maximum if kind == "subgammamax" else np.add)
+    if kind == "hermite":
+        # radius form per grid exponent x: t = radius(x), bound = min(1, 2 e^-x)
+        draws /= n
         xs = np.linspace(0.05, 8.0, args.grid)
         ts = [bounds_mod.tail_bound(spec, float(x)) for x in xs]
         bound = [min(1.0, 2 * np.exp(-x)) for x in xs]
     else:
-        raise ParseError(f"unknown bound kind {args.kind!r}; expected "
-                         "subexp | bernstein | subgamma | subgammamax | hermite")
-    if kind != "hermite":
         hi = float(np.quantile(draws, 0.9999)) + 1e-9
         ts = np.linspace(0.0, max(hi, 1.0), args.grid)
         bound = [bounds_mod.tail_bound(spec, float(t)) for t in ts]
     emp, se = bounds_mod.mc_survival(draws, ts)
-    lines = ["t,bound,empirical,mc_stderr"]
-    for t, b, p, s in zip(ts, bound, emp, se):
-        lines.append(f"{t:.17g},{b:.17g},{p:.17g},{s:.17g}")
+    lines = ["t,bound,empirical,mc_stderr"] + [
+        f"{t:.17g},{b:.17g},{p:.17g},{s:.17g}" for t, b, p, s in zip(ts, bound, emp, se)]
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

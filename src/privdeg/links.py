@@ -10,15 +10,17 @@ call it directly.
 Edges are independent Bernoulli(p_ij) with p_ij = p(alpha_i + alpha_j),
 no self-loops. The vertex parameter alpha_i measures the propensity of
 vertex i to form edges; the degree d_i = sum_j a_ij is the statistic
-released (possibly with noise) downstream.
+released (possibly with noise) downstream. ``sample_graph`` returns a
+drawn graph as an ``EdgeList``, the package's one graph type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .netio import EdgeList
 
 
 class DomainError(ValueError):
@@ -116,10 +118,8 @@ def edge_prob_deriv(link: LinkKind, x, order: int = 1) -> np.ndarray | float:
         logit:    p'' = p'(1 - 2p)
         cloglog:  p'' = p'(1 - exp(x))
 
-    Raises
-    ------
-    DomainError for the log link when any x >= 0; ValueError for an
-    unsupported derivative order.
+    Raises DomainError for the log link when any x >= 0, and ValueError
+    for an order other than 1 or 2.
     """
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
@@ -187,40 +187,15 @@ def expected_degrees(link: LinkKind, alpha: np.ndarray) -> np.ndarray:
     return edge_prob_matrix(link, alpha).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected binary graph stored as a dense symmetric 0/1 matrix."""
-
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.adjacency)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
-        if A.shape[0] < 2:
-            raise ValueError("need at least 2 vertices")
-        if not np.array_equal(A, A.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(A) != 0):
-            raise ValueError("self-loops are not allowed")
-        if not np.isin(A, (0, 1)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
-        object.__setattr__(self, "adjacency", A.astype(np.uint8))
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
-
-
 class EdgeSampler:
     """Independent Bernoulli(p_ij) edges for one (link, alpha), set up once.
 
     The draw stream is defined here and nowhere else: one
     ``rng.random(n(n-1)/2)`` call, one uniform per pair i < j in row
     order (that of ``np.triu_indices``), and pair k is an edge when its
-    uniform is below p_k. ``sample_graph`` mirrors the upper triangle
-    that ``draw`` fills and ``degrees`` sums it, so both consume the
-    same generator state and agree on every degree. The pairs are kept
+    uniform is below p_k. ``sample_graph`` lists the pairs of the upper
+    triangle that ``draw`` fills and ``degrees`` sums it, so both consume
+    the same generator state and agree on every degree. The pairs are kept
     as an n x n boolean mask, an eighth of the size of two int64 index
     arrays.
     """
@@ -249,17 +224,13 @@ class EdgeSampler:
         return A.sum(axis=1, dtype=float) + A.sum(axis=0, dtype=float)
 
 
-def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) -> Graph:
-    """Draw one graph with independent Bernoulli(p_ij) edges.
-
-    Upper-triangle entries are drawn from the supplied generator (see
-    ``EdgeSampler``) and mirrored, so the same generator state yields the
-    same graph.
-    """
-    A = EdgeSampler(link, alpha).draw(rng)
-    return Graph(A + A.T)
+def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) -> EdgeList:
+    """One graph drawn by ``EdgeSampler``; the same generator state yields the
+    same graph. ``argwhere`` lists its pairs in canonical (row-major) order."""
+    sampler = EdgeSampler(link, alpha)
+    return EdgeList(sampler.n, np.argwhere(sampler.draw(rng)) + 1)
 
 
-def degrees(g: Graph) -> np.ndarray:
-    """Degree sequence: row sums of the adjacency matrix (dtype int64)."""
-    return g.adjacency.sum(axis=1, dtype=np.int64)
+def degrees(g: EdgeList) -> np.ndarray:
+    """int64 degrees of g; a name of its own only for perfbench/tracing.py to wrap."""
+    return g.degree_vector()

@@ -103,14 +103,17 @@ class CompoundPoisson(NoiseMechanism):
 
     @cached_property
     def _abs_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """|k - mean| and pmf(k) for k in [-K, K], K the 1e-16 tail cutoff."""
+        """|k - mean| and pmf(k) for k in [-K, K], K the 1e-16 tail cutoff; a
+        zero mass gets deviation 0, so it adds 0 where exp(|k - mean|/t) is inf."""
         K = self.support_cutoff(1e-16)
         ks = np.arange(-K, K + 1)
-        return np.abs(ks - self.moments()[0]), np.array([self.pmf(int(k)) for k in ks])
+        ps = np.array([self.pmf(int(k)) for k in ks])
+        return np.where(ps > 0, np.abs(ks - self.moments()[0]), 0.0), ps
 
     def abs_exp_moment(self, t: float) -> float:
         dev, ps = self._abs_table
-        return float(np.sum(ps * np.exp(dev * (1.0 / t))))
+        with np.errstate(over="ignore"):  # a small t overflows to inf: E = inf
+            return float(np.sum(ps * np.exp(dev * (1.0 / t))))
 
 
 @dataclass(frozen=True)
@@ -171,6 +174,8 @@ class DiscreteLaplace(NoiseMechanism):
                         ((1.0 - self.p * es) * (1.0 - self.p * ems)), np.inf)
 
     def abs_exp_moment(self, t: float) -> float:
+        if 1.0 / t >= -math.log(self.p):  # p e^(1/t) >= 1, and exp may overflow
+            return math.inf
         u = self.p * math.exp(1.0 / t)
         if u >= 1.0:
             return math.inf
@@ -219,6 +224,8 @@ class CenteredGeometric(NoiseMechanism):
 
     def abs_exp_moment(self, t: float) -> float:
         q, off, r = self.q, self.offset, 1.0 / t
+        if r >= -math.log1p(-q):  # (1-q) e^r >= 1, and exp may overflow
+            return math.inf
         u = (1.0 - q) * math.exp(r)
         if u >= 1.0:
             return math.inf

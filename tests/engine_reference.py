@@ -26,12 +26,13 @@ from privdeg import estimator
 from privdeg.estimator import (_MAX_HALVINGS, EstimateResult, JacobianMatrix,
                                _classes, _nonexistence_reason, initial_point)
 from privdeg import noise as noise_mod
-from privdeg.links import (EdgeSampler, Graph, LinkKind, edge_prob_matrix,
+from privdeg.links import (EdgeSampler, LinkKind, edge_prob_matrix,
                            pair_sum_matrix, validate_params)
 from privdeg.simulate import Scenario, truth_vector
 
 
-def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) -> Graph:
+def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Dense symmetric uint8 adjacency matrix of one drawn graph."""
     a = validate_params(link, alpha)
     n = a.size
     P = edge_prob_matrix(link, a)
@@ -39,7 +40,7 @@ def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) ->
     draws = (rng.random(iu[0].size) < P[iu]).astype(np.uint8)
     A = np.zeros((n, n), dtype=np.uint8)
     A[iu] = draws
-    return Graph(A + A.T)
+    return A + A.T
 
 
 def _pm_extended(link: LinkKind, X: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import engine_reference
 import netio_reference
-from privdeg import cli, simulate
+from privdeg import cli, noise, simulate
+from privdeg import bounds as bounds_mod
 from privdeg.bounds import HermiteSumRadius, tail_bound
 from privdeg.cli import main
-from privdeg.links import LinkKind, sample_graph
+from privdeg.links import LinkKind
 from privdeg.noise import TwoSidePoisson
 from privdeg.simulate import truth_vector
 
@@ -156,6 +159,31 @@ def test_qq_pair_overrides_the_scenario_pairs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_qq_exits_3_when_no_fit_exists(tmp_path, capsys):
+    sc = tmp_path / "cell.scenario"
+    sc.write_text("link = logit\nn = 6\nL = 0\nnoise = lap:b=50\n"
+                  "replicates = 5\nseed = 1\n")
+    out = tmp_path / "qq.csv"
+    assert main(["qq", str(sc), "--pair", "1,2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "no fit exists in any of the cell's replicates\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["--out", "-"], ["--pair", "1,2; 3,4", "--out", "-"]])
+def test_qq_of_several_pairs_needs_an_out_file(tmp_path, capsys, monkeypatch, argv):
+    def no_block(*args):
+        raise AssertionError("qq must refuse before any replicate runs")
+    monkeypatch.setattr(simulate, "_block", no_block)
+    monkeypatch.chdir(tmp_path)
+    sc = tmp_path / "cell.scenario"
+    sc.write_text(SCENARIO.replace("pairs = 1,2; 23,24", "pairs = 1,2; 3,4; 23,24"))
+    assert main(["qq", str(sc), *argv]) == 2
+    k = 2 if "--pair" in argv else 3
+    assert capsys.readouterr() == ("", f"error: qq of {k} pairs needs --out FILE, "
+                                       "one file per pair\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cell.scenario"]
+
+
 @pytest.mark.parametrize("command", ["privatize", "analyze"])
 def test_missing_noise_exits_2_and_none_releases_raw_degrees(tmp_path, capsys,
                                                               tailorshop_text, command):
@@ -270,8 +298,10 @@ def test_sample_writes_the_loop_extraction_bytes(tmp_path):
     out = tmp_path / "g.edges"
     assert main(["sample", "--link", "logit", "--n", "50", "--L", "0.5",
                  "--seed", "7", "--out", str(out)]) == 0
-    g = sample_graph(LinkKind.LOGIT, truth_vector(50, 0.5), np.random.default_rng(7))
-    assert out.read_text() == netio_reference.sample_text(g.adjacency)
+    # the dense reference draw: privdeg sample itself calls links.sample_graph
+    dense = engine_reference.sample_graph(LinkKind.LOGIT, truth_vector(50, 0.5),
+                                          np.random.default_rng(7))
+    assert out.read_text() == netio_reference.sample_text(dense)
 
 
 def _main_in_fresh_python(argv: list[str] | None) -> str:
@@ -399,17 +429,58 @@ def test_bounds_subexp_draws_count_reps_alone(tmp_path, capsys):
                  "--grid", "3", "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("kind", ["subgammamax", "hermite"])
-def test_bounds_draw_table_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, kind):
-    # without the cap, 1e14 float64 draws (728 TiB, beyond any 64-bit
-    # address space) fail at allocation, so nothing is allocated
-    monkeypatch.setattr(cli, "_MAX_DRAWS", 10**15)
+def test_bounds_bernstein_sums_one_draw_per_term_at_large_reps(tmp_path):
+    # for --reps above 2^15 each block is one row: the draws and their sum
+    # are those of --n separate length-reps draws, summed term by term
+    mech = noise.parse_mechanism("herm2:a1=1,a2=1")
+    n, reps = 3, 40_000
+    rng = np.random.default_rng(5)
+    sums = sum(noise.sample(mech, rng, size=reps) - mech.moments()[0] for _ in range(n))
+    draws = np.abs(sums)
+    spec = bounds_mod.bernstein_from_psi1(bounds_mod.psi1_norm(mech), n)
+    ts = np.linspace(0.0, max(float(np.quantile(draws, 0.9999)) + 1e-9, 1.0), 20)
+    emp, se = bounds_mod.mc_survival(draws, ts)
+    want = ["t,bound,empirical,mc_stderr"] + [
+        f"{t:.17g},{tail_bound(spec, float(t)):.17g},{p:.17g},{s:.17g}"
+        for t, p, s in zip(ts, emp, se)]
     out = tmp_path / "b.csv"
-    assert main(["bounds", "--kind", kind, "--n", "1000000000", "--reps", "100000",
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("error: --reps 100000 x --n 1000000000 noise "
-                                       "draws do not fit in memory\n")
-    assert not out.exists()
+    assert main(["bounds", "--kind", "bernstein", "--noise", "herm2:a1=1,a2=1",
+                 "--n", str(n), "--reps", str(reps), "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("law", ["geo:q=0.999999", "dlap:p=1e-9",
+                                 "herm2:a1=1e-9,a2=1e-9", "tsp:lambda=1e-9,mu=1e-9"])
+def test_bounds_at_extreme_noise_intensities(tmp_path, law):
+    # psi1_norm starts its search at t = sqrt(var), where exp(|x| / t)
+    # overflows; a privdeg RuntimeWarning fails the test (pyproject.toml)
+    psi1 = bounds_mod.psi1_norm(noise.parse_mechanism(law))
+    assert math.isfinite(psi1) and psi1 > 0
+    rows = _bounds_rows(tmp_path, "--kind", "bernstein", "--noise", law,
+                        "--n", "3", "--reps", "200", "--grid", "5")
+    assert all(math.isfinite(v) for row in rows for v in row)
+
+
+def test_bounds_draws_in_blocks(tmp_path, monkeypatch):
+    sizes = []
+    real = noise.sample
+
+    def counting(mech, rng, size=None):
+        sizes.append(int(np.prod(size)))
+        return real(mech, rng, size=size)
+    monkeypatch.setattr(noise, "sample", counting)
+    out = tmp_path / "b.csv"
+    assert main(["bounds", "--kind", "subgamma", "--n", "1048576", "--reps", "1",
+                 "--grid", "3", "--out", str(out)]) == 0
+    assert sizes == [2**16] * 16
+    for kind, n, reps in (("subgammamax", 300, 1000), ("hermite", 5, 70_000),
+                          ("subexp", 1, 100_000)):
+        sizes.clear()
+        assert main(["bounds", "--kind", kind, "--n", str(n), "--reps", str(reps),
+                     "--grid", "3", "--out", str(out)]) == 0
+        assert sum(sizes) == (reps if kind == "subexp" else n * reps)
+        assert max(sizes) <= max(2**16, reps)
 
 
 def test_pair_set_of_huge_n_exits_2(tmp_path, capsys):
@@ -432,8 +503,8 @@ def test_sample_alpha_file_draws_at_that_alpha(tmp_path):
     out = tmp_path / "g.edges"
     assert main(["sample", "--link", "cloglog", "--alpha-file", str(src),
                  "--seed", "4", "--out", str(out)]) == 0
-    g = sample_graph(LinkKind.CLOGLOG, alpha, np.random.default_rng(4))
-    assert out.read_text() == netio_reference.sample_text(g.adjacency)
+    dense = engine_reference.sample_graph(LinkKind.CLOGLOG, alpha, np.random.default_rng(4))
+    assert out.read_text() == netio_reference.sample_text(dense)
 
 
 ROOT = Path(__file__).parents[1]
