@@ -26,6 +26,18 @@ the plug-in asymptotic precision of alpha_hat_i (variance 1 / V_ii),
 which feeds the confidence intervals and the standardized pair
 statistic; in the collapsed system it is v_a = sum_b W_ab D_ab.
 
+Each Newton step solves J x = G for the step x, with J the collapsed
+negated Jacobian. A fit whose stack in ``solve_many`` has one member
+(k >= 91, see ``_ELEMENT_BUDGET``) solves it by conjugate gradients
+preconditioned by diag(J), the paper's approximate inverse
+S = diag(1 / v_ii): at k = 400 that takes about 6 matrix-vector
+products instead of an O(k^3) LU factorisation. W scales the columns of
+J, so with ties J is not symmetric, but diag(m) J = P^T V P for the
+n x k class indicator P is symmetric positive definite, and CG runs on
+diag(m) J x = m o G. A stack of several members, and a step that CG
+cannot finish (see ``_cg_step``), factors J with ``np.linalg.solve``
+instead.
+
 For the log link the moment function is evaluated through the analytic
 extension exp(alpha_i + alpha_j), defined for all real pair sums; see
 ``moment_residual`` for why.
@@ -75,6 +87,18 @@ class NonexistentEstimateError(RuntimeError):
 _TOL = 1e-8
 _MAX_ITER = 200
 _MAX_HALVINGS = 40
+
+# A CG Newton step stops once its residual 2-norm is at most
+# _CG_RTOL * ||m o G||_2: at 1e-12 the sim_n400_lap report moved in its
+# last digits, at 1e-14 it is byte-identical to the LU step's. CG gives
+# up, and the step falls back to LU, after min(k, _CG_MAX_ITER)
+# iterations. Steps took 5-6 iterations on sim_n400_lap, 6-7 on
+# analyze_n2000, at most 12 over sampled cells of all three links at
+# n = 100 to 1000 and at most 15 on sequences within 1e-10 of a
+# degree-polytope facet, so a step that fails costs at most 50
+# matrix-vector products before its LU.
+_CG_RTOL = 1e-14
+_CG_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -201,11 +225,41 @@ def initial_point(link: LinkKind, dtilde: np.ndarray) -> np.ndarray:
 
 
 def _nonexistence_reason(link: LinkKind, d: np.ndarray) -> Optional[str]:
+    """Why no root exists for d, or None when none of the checks fails.
+
+    A logit or cloglog root needs d strictly inside the polytope of
+    degree sequences (Rinaldo, Petrovic & Fienberg 2013), whose facets
+    are, for disjoint vertex sets S and T,
+
+        sum_S d_i - sum_T d_i <= |S| (n - 1 - |T|).
+
+    For |S| = s the tightest one takes S as the s largest entries and
+    T = {i not in S : d_i < s}, so sorting and prefix sums check them all
+    in O(n log n). Its excess over the bound is at most
+    (n - s)(s - d_min) - s(n - 1 - d_max), whose maximum over s is
+    (d_min + d_max + 1)^2 / 4 - n d_min; when that is negative, as for
+    most released sequences, no facet can fail and the prefix sums are
+    skipped. At n = 2 the polytope is a segment without interior and
+    only the single-vertex facets are checked. The log link's p may
+    exceed 1, so the polytope does not bound it: it keeps only the check
+    d_i > 0.
+    """
     n = d.size
-    if np.any(d <= 0):
+    a = np.sort(d)
+    d_min, d_max = float(a[0]), float(a[-1])
+    if d_min <= 0:
         return "noisy degree at or below 0"
-    if link in (LinkKind.LOGIT, LinkKind.CLOGLOG) and np.any(d >= n - 1):
+    if link == LinkKind.LOG:
+        return None
+    if d_max >= n - 1:
         return "noisy degree at or above n-1"
+    if n > 2 and (d_min + d_max + 1) ** 2 >= 4 * n * d_min:
+        low = np.concatenate(([0.0], a.cumsum()))  # low[c]: sum of the c smallest
+        s = np.arange(1, n + 1)
+        rest = n - s
+        c = np.minimum(a.searchsorted(s), rest)  # |T| for each s
+        if (low[n] - low[rest] - low[c] >= s * (n - 1 - c)).any():
+            return "noisy degrees on a degree-polytope facet or outside it"
     return None
 
 
@@ -226,6 +280,44 @@ def _classes(d: np.ndarray, x0: Optional[np.ndarray]):
     return first[order], rank[inverse.reshape(-1)], counts[order].astype(float)
 
 
+def _cg_step(V: np.ndarray, F: np.ndarray, m: np.ndarray) -> Optional[np.ndarray]:
+    """Newton step x with V x = F by Jacobi-preconditioned conjugate gradients.
+
+    V is one collapsed system's negated Jacobian (k, k), F its residual
+    and m its class sizes. CG runs on diag(m) V x = m o F, which is
+    symmetric positive definite (see the module docstring). Returns None
+    when a diagonal entry is not positive and finite, on a breakdown, or
+    when the residual has not reached _CG_RTOL * ||m o F||_2 within
+    min(k, _CG_MAX_ITER) iterations; the caller then factors V.
+    """
+    diag = V.diagonal() * m
+    if not np.all((diag > 0) & (diag < np.inf)):
+        return None
+    with np.errstate(all="ignore"):  # a breakdown shows as pq <= 0 or NaN
+        r = F * m  # the residual at x = 0
+        stop = _CG_RTOL * np.sqrt(r @ r)
+        if not 0 < stop < np.inf:
+            return None
+        x = np.zeros_like(r)
+        z = r / diag
+        p, rz = z, r @ z
+        for _ in range(min(r.size, _CG_MAX_ITER)):
+            q = V @ p
+            q *= m
+            pq = p @ q
+            if not pq > 0:
+                return None
+            a = rz / pq
+            x += a * p
+            r -= a * q
+            if np.sqrt(r @ r) <= stop:
+                return x
+            z = r / diag
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+    return None
+
+
 def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             tol: np.ndarray, inverses: list) -> list[EstimateResult]:
     """Damped Newton on a stack of g collapsed systems with k classes each.
@@ -238,8 +330,13 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
     member's result does not depend on the rest of the stack, bit for
     bit. Members stop converged or with one of the reasons that ``solve``
     reports.
+
+    A member with k >= 91 runs alone (see ``solve_many``) and takes its
+    steps by ``_cg_step``. The test is on k, not on how many rows are still
+    running, so that a member's steps do not depend on its stack.
     """
     g, k = u.shape
+    alone = _ELEMENT_BUDGET // (k * k) <= 1  # a stack of one, see solve_many
     fits: list[Optional[EstimateResult]] = [None] * g
     rows = np.arange(g)  # member of each running row
     b = np.array(b, dtype=float)
@@ -267,16 +364,20 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             break
         _diagonal(V)[...] += v
         singular = np.zeros(rows.size, dtype=bool)
-        try:
-            step = np.linalg.solve(V, F[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # find the singular members one by one; the rest keep their steps
-            step = np.empty_like(F)
-            for r in range(rows.size):
-                try:
-                    step[r] = np.linalg.solve(V[r:r + 1], F[r:r + 1, :, None])[0, :, 0]
-                except np.linalg.LinAlgError:
-                    singular[r] = True
+        step = _cg_step(V[0], F[0], m[0]) if alone else None
+        if step is not None:
+            step = step[None]
+        else:
+            try:
+                step = np.linalg.solve(V, F[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                # find the singular members one by one; the rest keep their steps
+                step = np.empty_like(F)
+                for r in range(rows.size):
+                    try:
+                        step[r] = np.linalg.solve(V[r:r + 1], F[r:r + 1, :, None])[0, :, 0]
+                    except np.linalg.LinAlgError:
+                        singular[r] = True
         del V
         stop(singular, it, res, "singular Jacobian")
         nonfinite = ~singular & ~np.all(np.isfinite(step), axis=1)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import ClassVar
@@ -432,19 +433,22 @@ def psi1_norm(mech: NoiseMechanism) -> float:
 
     The expectation is exact per mechanism (closed form or a summation
     truncated far below the working precision); 60 bisection steps give
-    relative precision well beyond 1e-9.
+    relative precision well beyond 1e-9. The bracket starts at the
+    standard deviation, or at the least positive float when the variance
+    underflows to 0 (Laplace with b below about 1e-162). A norm below the
+    least normal float raises ValueError: bisection could not resolve it.
     """
     _, var = mech.moments()
-    hi = max(math.sqrt(var), 1e-6)
+    hi = math.sqrt(var) or math.ulp(0.0)
     while mech.abs_exp_moment(hi) > 2.0:
         hi *= 2.0
         if hi > 1e12:
             raise ValueError(f"psi1 norm diverges for {mech!r}")
     lo = hi / 2.0
-    while mech.abs_exp_moment(lo) <= 2.0:
+    while lo >= sys.float_info.min and mech.abs_exp_moment(lo) <= 2.0:
         lo /= 2.0
-        if lo < 1e-12:
-            return lo
+    if lo < sys.float_info.min:
+        raise ValueError(f"psi1 norm of {mech!r} is below the least normal float")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mech.abs_exp_moment(mid) <= 2.0:

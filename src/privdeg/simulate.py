@@ -46,8 +46,11 @@ def truth_vector(n: int, L: float) -> np.ndarray:
 
 
 def default_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The three reported pairs: (1,2), (n/2, n/2+1), (n-1, n); 1-indexed."""
-    return ((1, 2), (n // 2, n // 2 + 1), (n - 1, n))
+    """The three reported pairs: (1,2), (n/2, n/2+1), (n-1, n); 1-indexed.
+
+    At n <= 3 two of them coincide, and the pair is listed once.
+    """
+    return tuple(dict.fromkeys(((1, 2), (n // 2, n // 2 + 1), (n - 1, n))))
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,11 @@ class Scenario:
         if self.n < 2:
             raise ValueError("need n >= 2")
         ps = self.pairs or default_pairs(self.n)
-        for (i, j) in ps:
+        for at, (i, j) in enumerate(ps):
             if not (1 <= i <= self.n and 1 <= j <= self.n) or i == j:
                 raise ValueError(f"bad pair ({i}, {j}) for n={self.n}")
+            if (i, j) in ps[:at]:
+                raise ValueError(f"pair ({i}, {j}) is listed twice")
         object.__setattr__(self, "pairs", tuple(ps))
         # the truth itself must be admissible for the link
         if self.link == LinkKind.LOG and self.L >= 0:

@@ -99,6 +99,20 @@ def test_simulate_deterministic_across_workers(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_simulate_with_cg_steps_is_deterministic_across_workers(tmp_path):
+    # Laplace noise leaves k = n = 120 >= 91 classes, so every Newton step
+    # is a CG step; 140 replicates make two blocks of 136 and 4
+    sc = tmp_path / "cell.scenario"
+    sc.write_text("link = cloglog\nn = 120\nL = 0.4\nnoise = lap:b=1.0\n"
+                  "replicates = 140\nseed = 3\n")
+    outs = []
+    for w in (1, 2):
+        out = tmp_path / f"report_{w}.csv"
+        assert main(["simulate", str(sc), "--workers", str(w), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     sc = tmp_path / "cell.scenario"
     sc.write_text(SCENARIO)
@@ -135,7 +149,8 @@ def test_qq_out_writes_one_file_per_pair(tmp_path):
 @pytest.mark.parametrize("pair, err", [("1,2,3", "bad pair '1,2,3'; expected i,j"),
                                        (";", "--pair ';' names no pair"),
                                        ("1,30", "bad pair (1, 30) for n=24"),
-                                       ("2,2", "bad pair (2, 2) for n=24")])
+                                       ("2,2", "bad pair (2, 2) for n=24"),
+                                       ("1,2; 23,24; 1,2", "pair (1, 2) is listed twice")])
 def test_qq_rejects_a_malformed_pair(tmp_path, capsys, monkeypatch, pair, err):
     def no_block(*args):
         raise AssertionError("a bad --pair must fail before any replicate runs")
@@ -145,6 +160,15 @@ def test_qq_rejects_a_malformed_pair(tmp_path, capsys, monkeypatch, pair, err):
     out = tmp_path / "qq.csv"
     assert main(["qq", str(sc), "--pair", pair, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_pair_listed_twice(tmp_path, capsys):
+    sc = tmp_path / "cell.scenario"
+    sc.write_text(SCENARIO.replace("pairs = 1,2; 23,24", "pairs = 23,24; 1,2; 23,24"))
+    out = tmp_path / "report.csv"
+    assert main(["simulate", str(sc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: pair (23, 24) is listed twice\n"
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 import engine_reference
 from privdeg import estimator
-from privdeg.estimator import (NonexistentEstimateError, _weighted_values, approx_inverse_s,
+from privdeg.estimator import (NonexistentEstimateError, _nonexistence_reason,
+                               _weighted_values, approx_inverse_s,
                                confidence_interval, initial_point, jacobian,
                                moment_residual, normal_quantile, solve,
                                solve_many, xi_statistic)
 from privdeg.links import (EdgeSampler, LinkKind, degrees, expected_degrees,
                            sample_graph)
+from privdeg.noise import ContinuousLaplace, TwoSideHermite, sample
 
 LINKS = [LinkKind.LOG, LinkKind.LOGIT, LinkKind.CLOGLOG]
 
@@ -265,6 +268,50 @@ def test_solve_nonexistence_rules():
     assert solve(LinkKind.LOG, d).exists
 
 
+FACET = "noisy degrees on a degree-polytope facet or outside it"
+
+
+def test_boundary_sequence_inside_the_simple_checks_does_not_exist():
+    # the 4-path's degrees lie on the facet S = {3, 4}, T = {1, 2}; without
+    # the facet check Newton stops at alpha = +-9.18 once the residual
+    # falls under tol
+    for link in (LinkKind.LOGIT, LinkKind.CLOGLOG):
+        res = solve(link, np.array([1.0, 1.0, 2.0, 2.0]))
+        assert (res.exists, res.reason, res.iterations) == (False, FACET, 0)
+        assert solve(link, np.array([1.0, 1.1, 2.0, 2.0])).exists
+    # the log link keeps its single check d_i > 0
+    assert solve(LinkKind.LOG, np.array([1.0, 1.0, 2.0, 2.0])).reason is None
+
+
+def min_facet_slack(d: np.ndarray) -> float:
+    """min over disjoint S, T, not both empty, of
+    |S| (n - 1 - |T|) - sum_S d_i + sum_T d_i, by enumeration."""
+    n = d.size
+    best = math.inf
+    for labels in itertools.product((0, 1, 2), repeat=n):  # 1: in S, 2: in T
+        if any(labels):
+            S, T = (np.array(labels) == 1), (np.array(labels) == 2)
+            best = min(best, S.sum() * (n - 1 - T.sum()) - d[S].sum() + d[T].sum())
+    return best
+
+
+@st.composite
+def half_integer_degrees(draw):
+    n = draw(st.integers(3, 7))
+    return np.array(draw(st.lists(st.integers(1, 2 * n - 3), min_size=n, max_size=n)),
+                    dtype=float) / 2.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([LinkKind.LOGIT, LinkKind.CLOGLOG]), half_integer_degrees())
+def test_degrees_off_the_open_polytope_do_not_exist(link, d):
+    # half-integer degrees in (0, n - 1) keep every slack exact
+    slack = min_facet_slack(d)
+    assert (_nonexistence_reason(link, d) is not None) == (slack <= 0)
+    if slack <= 0:
+        assert not solve(link, d).exists
+
+
 def test_solve_nonexistence_is_not_an_error():
     res = solve(LinkKind.LOGIT, np.array([-1.0, 1.0, 1.0]))
     assert not res.exists
@@ -290,7 +337,10 @@ def test_log_fit_reports_pair_sum_diagnostic():
 
 
 def dense_newton(link, d):
-    """Reference: damped Newton on the full n x n system, no grouping."""
+    """Reference: damped Newton on the full n x n system, no grouping,
+    after the same existence checks as ``solve``."""
+    if _nonexistence_reason(link, d) is not None:
+        return None
     tol = estimator._TOL * max(1.0, np.max(np.abs(d)))
     a = initial_point(link, d)
     F = moment_residual(link, a, d)
@@ -320,9 +370,8 @@ def dense_newton(link, d):
 def rounding_bound(link, alpha):
     """Agreement bound for two solves that differ only in rounding.
 
-    cond(V) amplifies rounding differences; it is large where the root
-    drifts off to infinity, e.g. d = [1, 1, 2, 2] under logit stops at
-    |alpha| = 9.2 with cond(V) = 5e7.
+    cond(V) amplifies rounding differences; it is large near the boundary
+    of the degree polytope, where the root drifts off to infinity.
     """
     return max(1e-12, 1e-15 * np.linalg.cond(jacobian(link, alpha).matrix))
 
@@ -444,15 +493,15 @@ def assert_same_fit(got, want):
 def _two_class_fits(n_random: int = 48):
     """Degree sequences of five vertices in two classes (k = 2), with and
     without starts, and three that cannot converge: two boundary degrees
-    and a cloglog singular Jacobian."""
+    and a start at which the logit and cloglog Jacobians are singular."""
     rng = np.random.default_rng(5)
     ds, x0s = [], []
     for t in range(n_random):
         ds.append(np.repeat(rng.uniform(0.2, 3.8, 2), [2, 3]))
         x0s.append(rng.normal(0.0, 3.0, 5) if t % 2 else None)
     ds += [np.array([0.0, 0.0, 2.0, 2.0, 2.0]), np.array([1.0, 1.0, 4.0, 4.0, 4.0]),
-           np.array([0.001, 0.001, 3.0, 3.0, 3.0])]
-    return ds, x0s + [None] * 3
+           np.array([1.0, 1.0, 2.0, 2.0, 2.0])]
+    return ds, x0s + [None, None, np.full(5, 40.0)]
 
 
 def _rejected_trials(monkeypatch, link, d, x0) -> int:
@@ -476,6 +525,9 @@ def test_stacked_fits_match_lone_reference_fits_bitwise(link, max_iter, budget,
     monkeypatch.setattr(estimator, "_MAX_ITER", max_iter)
     with monkeypatch.context() as mp:
         mp.setattr(estimator, "_ELEMENT_BUDGET", budget)
+        # at budget 12 the fits split into five classes by their starts run
+        # alone, and so would take CG steps; the reference takes LU steps
+        mp.setattr(estimator, "_CG_MAX_ITER", 0)
         got = list(solve_many(link, ds, x0s))
     want = [engine_reference.solve(link, d, x0=x0) for d, x0 in zip(ds, x0s)]
     for g, w in zip(got, want):
@@ -532,6 +584,101 @@ def test_solve_many_validates_each_sequence():
     with pytest.raises(ValueError, match="x0 length"):
         list(solve_many(LinkKind.LOGIT, [np.array([1.0, 1.5, 1.2])], x0s=[np.zeros(2)]))
     assert list(solve_many(LinkKind.LOGIT, [])) == []
+
+
+# ---------------------------------------------------------------------------
+# conjugate-gradient Newton step of the fits that run alone (k >= 91)
+# ---------------------------------------------------------------------------
+
+def _cell_degrees(link, n, noise, seed):
+    """Released degrees of one sampled graph whose truth spreads the
+    degrees, with Laplace (untied) or herm2 (tied) noise."""
+    lo, hi = {LinkKind.LOG: (-1.5, -0.3), LinkKind.LOGIT: (-1.5, 1.5),
+              LinkKind.CLOGLOG: (-1.5, 0.5)}[link]
+    rng = np.random.default_rng(seed)
+    alpha = lo + (hi - lo) * np.arange(1, n + 1) / n
+    mech = ContinuousLaplace(1.0) if noise == "lap" else TwoSideHermite(1.0, 0.5)
+    return EdgeSampler(link, alpha).degrees(rng) + sample(mech, rng, size=n)
+
+
+def _spy_cg(monkeypatch) -> list:
+    """Record whether each CG step finished (True) or fell back (False)."""
+    outcomes = []
+    cg = estimator._cg_step
+
+    def spy(*args):
+        step = cg(*args)
+        outcomes.append(step is not None)
+        return step
+
+    monkeypatch.setattr(estimator, "_cg_step", spy)
+    return outcomes
+
+
+def assert_same_estimate(got, want):
+    assert ((got.iterations, got.residual_inf, got.exists, got.reason)
+            == (want.iterations, want.residual_inf, want.exists, want.reason))
+    assert np.array_equal(got.alpha_hat, want.alpha_hat)
+    assert np.array_equal(got.v_hat, want.v_hat)
+
+
+@pytest.mark.parametrize("noise", ["lap", "herm2"])
+@pytest.mark.parametrize("n", [100, 400, 2000])
+@pytest.mark.parametrize("link", LINKS)
+def test_cg_step_roots_match_lu_step_roots(link, n, noise, monkeypatch):
+    d = _cell_degrees(link, n, noise, seed=n)
+    k = np.unique(d).size
+    with monkeypatch.context() as mp:
+        mp.setattr(estimator, "_CG_MAX_ITER", 0)  # every step by LU
+        lu = solve(link, d)
+    outcomes = _spy_cg(monkeypatch)
+    cg = solve(link, d)
+    assert lu.exists and cg.exists
+    assert np.max(np.abs(cg.alpha_hat - lu.alpha_hat)) <= 1e-12
+    assert np.max(np.abs(cg.v_hat / lu.v_hat - 1.0)) <= 1e-12
+    assert cg.iterations == lu.iterations
+    # k >= 91 takes every step by CG, also with ties (the m-scaled system)
+    assert outcomes == ([True] * cg.iterations if k >= 91 else [])
+    if (n, noise) != (100, "herm2"):
+        assert k >= 91 and (k < n) == (noise == "herm2")
+
+
+def test_lone_cg_fit_has_the_same_bits_inside_a_mixed_input():
+    ds = [_cell_degrees(LinkKind.LOGIT, 120, "lap", seed=1),
+          _cell_degrees(LinkKind.LOGIT, 30, "herm2", seed=2),
+          _cell_degrees(LinkKind.LOGIT, 120, "lap", seed=3),
+          _cell_degrees(LinkKind.LOGIT, 30, "herm2", seed=4),
+          _cell_degrees(LinkKind.LOGIT, 400, "herm2", seed=5)]
+    assert [np.unique(d).size >= 91 for d in ds] == [True, False, True, False, True]
+    for got, d in zip(solve_many(LinkKind.LOGIT, ds), ds):
+        assert got.exists
+        assert_same_estimate(got, solve(LinkKind.LOGIT, d))
+
+
+@pytest.mark.parametrize("link", LINKS)
+def test_cg_step_that_cannot_finish_falls_back_to_lu_bitwise(link, monkeypatch):
+    d = _cell_degrees(link, 100, "lap", seed=8)
+    monkeypatch.setattr(estimator, "_CG_MAX_ITER", 1)
+    outcomes = _spy_cg(monkeypatch)
+    got = solve(link, d)
+    assert got.exists and outcomes == [False] * got.iterations
+    assert_same_fit(got, engine_reference.solve(link, d))
+
+
+@pytest.mark.parametrize("link, start, reason", [
+    (LinkKind.LOGIT, np.full(100, 40.0), "singular Jacobian"),
+    (LinkKind.CLOGLOG, np.full(100, 40.0), "singular Jacobian"),
+    (LinkKind.LOG, np.full(100, 400.0), "non-finite Newton step"),
+    (LinkKind.LOG, np.full(100, -400.0), "singular Jacobian"),
+])
+def test_cg_system_without_a_step_keeps_its_reason(link, start, reason, monkeypatch):
+    d = np.linspace(10.0, 80.0, 100)
+    outcomes = _spy_cg(monkeypatch)
+    got = solve(link, d, x0=start)
+    assert (got.exists, got.reason, got.iterations) == (False, reason, 0)
+    assert outcomes == [False]
+    with np.errstate(over="ignore"):  # the reference's exp overflows at the start
+        assert_same_fit(got, engine_reference.solve(link, d, x0=start))
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,14 @@ def test_continuous_laplace_psi1_closed_form():
         assert psi1_norm(ContinuousLaplace(b)) == pytest.approx(2 * b, rel=1e-9)
 
 
+def test_psi1_of_tiny_laws_is_the_closed_form_or_an_error():
+    # at b = 1e-300 the variance 2 b^2 underflows to 0; the norm is still 2 b
+    for text, b in (("lap:b=1e-300", 1e-300), ("lap:b=1e-10", 1e-10)):
+        assert psi1_norm(parse_mechanism(text)) == pytest.approx(2 * b, rel=1e-9)
+    with pytest.raises(ValueError, match="least normal float"):
+        psi1_norm(ContinuousLaplace(1e-310))
+
+
 def test_psi1_scaling_homogeneity():
     # psi1(2X) = 2 psi1(X): bisect E exp(|2X|/t) = E exp(|X|/(t/2)) directly
     m = DiscreteLaplace(0.5)

@@ -34,6 +34,11 @@ def test_truth_vector_reference():
 
 def test_default_pairs():
     assert default_pairs(100) == ((1, 2), (50, 51), (99, 100))
+    assert default_pairs(3) == ((1, 2), (2, 3))  # each pair once
+    assert default_pairs(2) == ((1, 2),)
+    assert Scenario(LinkKind.LOGIT, 3, 0.0, None).pairs == ((1, 2), (2, 3))
+    with pytest.raises(ValueError, match=r"pair \(1, 2\) is listed twice"):
+        Scenario(LinkKind.LOGIT, 10, 0.0, None, pairs=((1, 2), (3, 4), (1, 2)))
 
 
 def test_scenario_validation():
