@@ -62,8 +62,8 @@ class BernsteinBound:
     kappa: float
 
     def __post_init__(self):
-        if not (self.nu2 > 0) or self.kappa < 0:
-            raise ValueError("need nu2 > 0 and kappa >= 0")
+        if not (0 < self.nu2 < math.inf) or self.kappa < 0:
+            raise ValueError("need finite nu2 > 0 and kappa >= 0")
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class SubGammaSumBound:
     c: float
 
     def __post_init__(self):
-        if not (self.upsilon > 0) or self.c < 0:
-            raise ValueError("need upsilon > 0 and c >= 0")
+        if not (0 < self.upsilon < math.inf) or self.c < 0:
+            raise ValueError("need finite upsilon > 0 and c >= 0")
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def bernstein_from_psi1(psi1: float, n: int = 1) -> BernsteinBound:
     gives nu_i^2 = 4 psi1^2 and kappa = psi1; for a sum of n iid terms
     nu2 = 4 n psi1^2.
     """
-    return BernsteinBound(nu2=4.0 * n * psi1 ** 2, kappa=psi1)
+    return BernsteinBound(nu2=4.0 * n * (psi1 * psi1), kappa=psi1)  # inf, not OverflowError
 
 
 def mc_survival(statistic_draws: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

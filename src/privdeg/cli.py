@@ -200,15 +200,14 @@ def cmd_bounds(args) -> int:
     if reps * n > _MAX_DRAWS:
         count = f"--reps {reps}" + ("" if kind == "subexp" else f" x --n {n}")
         raise ValueError(f"{count} = {reps * n} noise draws exceed the cap of {_MAX_DRAWS}")
-    wit = mech.sub_gamma_witness()
     if kind == "subexp":
         spec = bounds_mod.SubExpNormBound(bounds_mod.psi1_norm(mech))
-    elif kind in ("bernstein", "subgamma"):
-        spec = (bounds_mod.bernstein_from_psi1(bounds_mod.psi1_norm(mech), n)
-                if kind == "bernstein" else
-                bounds_mod.SubGammaSumBound(n * wit.upsilon, wit.c))
-    elif kind == "subgammamax":
-        spec = bounds_mod.SubGammaMaxBound(wit.upsilon, wit.c, n)
+    elif kind == "bernstein":
+        spec = bounds_mod.bernstein_from_psi1(bounds_mod.psi1_norm(mech), n)
+    elif kind in ("subgamma", "subgammamax"):
+        wit = mech.sub_gamma_witness()
+        spec = (bounds_mod.SubGammaSumBound(n * wit.upsilon, wit.c) if kind == "subgamma"
+                else bounds_mod.SubGammaMaxBound(wit.upsilon, wit.c, n))
     elif kind == "hermite":
         if not isinstance(mech, noise_mod.CompoundPoisson):
             raise ParseError(f"--kind hermite needs a compound-Poisson law "

@@ -15,13 +15,11 @@ Witness routes:
 
 * Compound-Poisson mechanisms (Hermite, two-sided Hermite, two-sided
   Poisson; subclasses of ``CompoundPoisson``) get the analytic witness
-  (variance, r/3), where r is the class constant ``jump``, the largest
-  jump size of the compound representation. Their E exp(|X|/t) sums a
-  pmf table over [-K, K] that is built once per mechanism.
-* Geometric-type mechanisms (discrete Laplace, centered geometric) and
-  the continuous Laplace go through the sub-exponential norm
-  psi1 = inf{t > 0 : E exp(|X|/t) <= 2}, computed by bisection on the
-  exact expectation, with (upsilon, c) = ((2 psi1)^2, 2 psi1).
+  (variance, r/3), r the class constant ``jump``, the largest jump of the
+  compound representation. Each builds its pmf once, as one numpy array.
+* The others (discrete and continuous Laplace, centered geometric) go
+  through the sub-exponential norm psi1 = inf{t > 0 : E exp(|X|/t) <= 2},
+  by bisection on the exact expectation: (upsilon, c) = ((2 psi1)^2, 2 psi1).
 
 A new mechanism is a frozen dataclass subclassing ``NoiseMechanism``
 (or ``CompoundPoisson``, setting ``jump``). It sets the grammar ``name``
@@ -29,8 +27,9 @@ and ``keys`` (one per field, in field order) and defines
 ``draw(rng, size)`` (integer laws may return integers), ``moments()`` as
 exact (mean, variance), ``centered_mgf(s)`` on a float array and, outside
 ``CompoundPoisson``, ``abs_exp_moment(t)`` for t > 0. A discrete law adds
-``mass(k)`` at an integer k and ``support_cutoff(tail)``. Listing the
-class in ``_MECHANISMS`` lets the grammar parse it.
+``support_cutoff(tail)`` and ``mass(k)`` at an integer k, or in
+``CompoundPoisson`` its pmf array ``_pmf_array(n)``. Listing the class in
+``_MECHANISMS`` lets the grammar parse it.
 
 The mechanism grammar used by the CLI:
 
@@ -52,6 +51,10 @@ from typing import ClassVar
 
 import numpy as np
 
+# points of one Poisson pmf table of a compound-Poisson law; its O(points^2) convolutions
+# put a two-sided Hermite psi1 norm at about 10 s at the cap (2-core Xeon, numpy 2.4)
+_MAX_TABLE = 160_001
+
 
 @dataclass(frozen=True)
 class SubGammaParams:
@@ -61,8 +64,8 @@ class SubGammaParams:
     c: float
 
     def __post_init__(self):
-        if not (self.upsilon > 0):
-            raise ValueError("upsilon must be positive")
+        if not (0 < self.upsilon < math.inf):
+            raise ValueError(f"upsilon must be positive and finite, got {self.upsilon!r}")
         if self.c < 0:
             raise ValueError("scale parameter c must be nonnegative")
 
@@ -89,13 +92,14 @@ class NoiseMechanism:
 
     def sub_gamma_witness(self) -> SubGammaParams:
         psi = psi1_norm(self)
-        return SubGammaParams((2.0 * psi) ** 2, 2.0 * psi)
+        return SubGammaParams((2.0 * psi) * (2.0 * psi), 2.0 * psi)  # inf, not OverflowError
 
 
 class CompoundPoisson(NoiseMechanism):
     """A discrete law with a compound-Poisson representation whose largest
-    jump is ``jump``: witness (variance, jump / 3), and E exp(|X|/t) from
-    a pmf table over the support."""
+    jump is ``jump``: witness (variance, jump / 3). ``_pmf_array(n)`` builds
+    its pmf once, as (k0, P) with P[i] = P(X = k0 + i), from Poisson pmf
+    tables of n = 2 K + 1 points, K the 1e-15 tail cutoff."""
 
     jump: ClassVar[float]
 
@@ -103,13 +107,27 @@ class CompoundPoisson(NoiseMechanism):
         return SubGammaParams(self.moments()[1], self.jump / 3.0)
 
     @cached_property
+    def _pmf_table(self) -> tuple[int, np.ndarray]:
+        var = self.moments()[1]
+        if var > _MAX_TABLE ** 2:  # n > var / 2, and support_cutoff walks ~sqrt(var) steps
+            raise ValueError(f"{self!r}: its variance {var:.3g} puts its pmf tables "
+                             f"over the cap of {_MAX_TABLE} support points")
+        n = 2 * self.support_cutoff(1e-15) + 1
+        if n > _MAX_TABLE:
+            raise ValueError(f"{self!r} needs pmf tables of {n} support points, "
+                             f"over the cap of {_MAX_TABLE}")
+        return self._pmf_array(n)
+
+    def mass(self, k: int) -> float:
+        k0, ps = self._pmf_table  # outside the table the mass is below the tail: 0
+        return float(ps[k - k0]) if 0 <= k - k0 < ps.size else 0.0
+
+    @cached_property
     def _abs_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """|k - mean| and pmf(k) for k in [-K, K], K the 1e-16 tail cutoff; a
-        zero mass gets deviation 0, so it adds 0 where exp(|k - mean|/t) is inf."""
-        K = self.support_cutoff(1e-16)
-        ks = np.arange(-K, K + 1)
-        ps = np.array([self.pmf(int(k)) for k in ks])
-        return np.where(ps > 0, np.abs(ks - self.moments()[0]), 0.0), ps
+        """|k - mean| (0 at a zero mass, so it adds 0 where exp is inf) and the pmf."""
+        k0, ps = self._pmf_table
+        dev = np.abs(np.arange(k0, k0 + ps.size) - self.moments()[0])
+        return np.where(ps > 0, dev, 0.0), ps
 
     def abs_exp_moment(self, t: float) -> float:
         dev, ps = self._abs_table
@@ -133,7 +151,7 @@ class ContinuousLaplace(NoiseMechanism):
         return rng.laplace(0.0, self.b, size=size)
 
     def moments(self) -> tuple[float, float]:
-        return 0.0, 2.0 * self.b ** 2
+        return 0.0, 2.0 * self.b * self.b  # inf past b ~ 9.5e153, not OverflowError
 
     def centered_mgf(self, s: np.ndarray) -> np.ndarray:
         u = self.b * s
@@ -144,9 +162,6 @@ class ContinuousLaplace(NoiseMechanism):
 
     def pmf(self, k) -> float:
         raise TypeError("continuous mechanism has a density, not a pmf")
-
-    def support_cutoff(self, tail: float) -> int:
-        raise TypeError(f"no discrete support for {self!r}")
 
 
 @dataclass(frozen=True)
@@ -175,12 +190,10 @@ class DiscreteLaplace(NoiseMechanism):
                         ((1.0 - self.p * es) * (1.0 - self.p * ems)), np.inf)
 
     def abs_exp_moment(self, t: float) -> float:
-        if 1.0 / t >= -math.log(self.p):  # p e^(1/t) >= 1, and exp may overflow
+        lu = math.log(self.p) + 1.0 / t  # log u, u = p e^(1/t)
+        if lu >= 0.0:  # u >= 1, and exp may overflow
             return math.inf
-        u = self.p * math.exp(1.0 / t)
-        if u >= 1.0:
-            return math.inf
-        return (1.0 - self.p) / (1.0 + self.p) * (1.0 + 2.0 * u / (1.0 - u))
+        return (1.0 - self.p) / (1.0 + self.p) * (1.0 + math.exp(lu)) / -math.expm1(lu)
 
     def mass(self, k: int) -> float:
         return (1.0 - self.p) / (1.0 + self.p) * self.p ** abs(k)
@@ -215,7 +228,7 @@ class CenteredGeometric(NoiseMechanism):
         return g - self.offset
 
     def moments(self) -> tuple[float, float]:
-        return 0.0, (1.0 - self.q) / self.q ** 2
+        return 0.0, self.offset / self.q  # inf, not ZeroDivisionError, at tiny q
 
     def centered_mgf(self, s: np.ndarray) -> np.ndarray:
         es = np.exp(s)
@@ -224,20 +237,16 @@ class CenteredGeometric(NoiseMechanism):
         return np.exp(-s * self.offset) * raw
 
     def abs_exp_moment(self, t: float) -> float:
+        # r = 1/t: a finite geometric sum in v = (1-q) e^-r over the k1 values
+        # G <= offset, a geometric tail in u = (1-q) e^r above; 1 - v = -expm1(log v)
         q, off, r = self.q, self.offset, 1.0 / t
-        if r >= -math.log1p(-q):  # (1-q) e^r >= 1, and exp may overflow
+        lq = math.log1p(-q)
+        if r >= -lq:  # u >= 1, and exp may overflow
             return math.inf
-        u = (1.0 - q) * math.exp(r)
-        if u >= 1.0:
-            return math.inf
-        k0 = int(math.floor(off))
-        total = 0.0
-        for k in range(k0 + 1):  # below-mean part, finite
-            total += q * (1.0 - q) ** k * math.exp((off - k) * r)
-        # above-mean geometric tail, closed form from k0+1 upward
-        head = q * (1.0 - q) ** (k0 + 1) * math.exp((k0 + 1 - off) * r)
-        total += head / (1.0 - u)
-        return total
+        k1 = math.floor(off) + 1
+        below = q * math.exp(off * r) * math.expm1(k1 * (lq - r)) / math.expm1(lq - r)
+        above = q * math.exp(k1 * lq + (k1 - off) * r) / -math.expm1(lq + r)
+        return below + above
 
     def mass(self, k: int) -> float:
         # support is {j - offset : j = 0, 1, ...}; integer k hits it only
@@ -277,17 +286,11 @@ class _HermiteLaw(CompoundPoisson):
     def support_cutoff(self, tail: float) -> int:
         return _poisson_cutoff(self.a1, tail) + 2 * _poisson_cutoff(self.a2, tail)
 
-    @cached_property
-    def _one_pmf(self) -> tuple[int, np.ndarray]:
-        """Support cutoff K (1e-15 tail) of one Hermite draw and its pmf h on
-        0..2K, the convolution of N1 and 2 N2; no entry depends on K."""
-        K = self.support_cutoff(1e-15)
-        p1 = _poisson_pmf(self.a1, np.arange(2 * K + 1))
-        p2 = _poisson_pmf(self.a2, np.arange(K + 1))
-        h = np.zeros(2 * K + 1)
-        for j in range(K + 1):
-            h[2 * j:] += p2[j] * p1[: 2 * K + 1 - 2 * j]
-        return K, h
+    def _one_pmf(self, n: int) -> np.ndarray:
+        """pmf of one draw on 0..n-1: Poisson(a1) convolved with Poisson(a2) on the evens."""
+        p2 = np.zeros(n)
+        p2[::2] = _poisson_pmf(self.a2, (n + 1) // 2)
+        return np.convolve(_poisson_pmf(self.a1, n), p2)[:n]
 
 
 @dataclass(frozen=True)
@@ -310,9 +313,8 @@ class Hermite(_HermiteLaw):
     def centered_mgf(self, s: np.ndarray) -> np.ndarray:
         return np.exp(self._one_cgf(s))
 
-    def mass(self, k: int) -> float:
-        K, h = self._one_pmf  # past 2K the mass is far below the 1e-15 tail: 0
-        return float(h[k]) if 0 <= k <= 2 * K else 0.0
+    def _pmf_array(self, n: int) -> tuple[int, np.ndarray]:
+        return 0, self._one_pmf(n)
 
 
 @dataclass(frozen=True)
@@ -330,13 +332,10 @@ class TwoSideHermite(_HermiteLaw):
     def centered_mgf(self, s: np.ndarray) -> np.ndarray:
         return np.exp(self._one_cgf(s) + self._one_cgf(-s))
 
-    def mass(self, k: int) -> float:
-        K, h = self._one_pmf
-        if abs(k) > K:
-            return 0.0
-        # P(Y1 - Y2 = k) = sum_m P(Y1 = k + m) P(Y2 = m), over m >= 0, k + m >= 0
-        m = np.arange(max(0, -k), K + 1)
-        return float(np.sum(h[k + m] * h[m]))
+    def _pmf_array(self, n: int) -> tuple[int, np.ndarray]:
+        # P(Y1 - Y2 = k) = sum_m P(Y1 = k + m) P(Y2 = m), for k = 1-n..n-1
+        h = self._one_pmf(n)
+        return 1 - n, np.correlate(h, h, "full")
 
 
 @dataclass(frozen=True)
@@ -350,10 +349,8 @@ class TwoSidePoisson(CompoundPoisson):
     jump = 1.0
 
     def __post_init__(self):
-        if self.lam < 0 or self.mu < 0:
-            raise ValueError("two-sided Poisson intensities must be nonnegative")
-        if self.lam == 0 and self.mu == 0:
-            raise ValueError("two-sided Poisson needs lam > 0 or mu > 0")
+        if self.lam < 0 or self.mu < 0 or self.lam == self.mu == 0:
+            raise ValueError("two-sided Poisson intensities must be >= 0, one of them > 0")
 
     def draw(self, rng, size):
         return rng.poisson(self.lam, size=size) - rng.poisson(self.mu, size=size)
@@ -365,18 +362,8 @@ class TwoSidePoisson(CompoundPoisson):
         return np.exp(self.lam * (np.exp(s) - 1.0 - s) +
                       self.mu * (np.exp(-s) - 1.0 + s))
 
-    def mass(self, k: int) -> float:
-        lam, mu = self.lam, self.mu
-        if lam == 0.0 or mu == 0.0:  # one Poisson count, added or subtracted
-            j, rate = (k, lam) if mu == 0.0 else (-k, mu)
-            return 0.0 if j < 0 else math.exp(j * math.log(rate) - rate - math.lgamma(j + 1))
-        from scipy.special import ive  # imported here: scipy is slow to load
-
-        # I_k(x) e^-(lam + mu) as ive(k, x) e^(x - lam - mu): the unscaled
-        # I_k(x) overflows where e^-(lam + mu) underflows
-        x = 2.0 * math.sqrt(lam * mu)
-        return (math.exp(x - lam - mu) * (lam / mu) ** (k / 2.0) *
-                float(ive(abs(k), x)))
+    def _pmf_array(self, n: int) -> tuple[int, np.ndarray]:
+        return 1 - n, np.correlate(_poisson_pmf(self.lam, n), _poisson_pmf(self.mu, n), "full")
 
     def support_cutoff(self, tail: float) -> int:
         return (_poisson_cutoff(max(self.lam, 1e-12), tail) +
@@ -393,9 +380,17 @@ _MECHANISMS = {cls.name: cls for cls in (ContinuousLaplace, DiscreteLaplace,
 # Poisson helpers
 # ---------------------------------------------------------------------------
 
-def _poisson_pmf(lam: float, k: np.ndarray) -> np.ndarray:
-    """Poisson(lam) pmf at nonnegative integers k, for lam > 0."""
-    return np.exp(k * math.log(lam) - lam - np.array([math.lgamma(v + 1) for v in k]))
+def _poisson_pmf(lam: float, n: int) -> np.ndarray:
+    """Poisson(lam) pmf on 0..n-1 (a point mass at 0 for lam = 0). Its logs
+    are summed outward from the mode m in steps log(lam / j), which do not
+    cancel as k log(lam) - lam - lgamma(k + 1) does at large lam."""
+    if lam == 0.0:
+        return np.eye(1, n).ravel()
+    m = min(int(lam), n - 1)
+    steps = np.log(lam / np.arange(1.0, n))  # log P(j) - log P(j - 1), j = 1..n-1
+    down, up = np.cumsum(steps[:m][::-1])[::-1], np.cumsum(steps[m:])
+    log_mode = m * math.log(lam) - lam - math.lgamma(m + 1)
+    return np.exp(log_mode + np.concatenate((-down, [0.0], up)))
 
 
 def _poisson_cutoff(lam: float, tail: float) -> int:
@@ -435,14 +430,18 @@ def psi1_norm(mech: NoiseMechanism) -> float:
     truncated far below the working precision); 60 bisection steps give
     relative precision well beyond 1e-9. The bracket starts at the
     standard deviation, or at the least positive float when the variance
-    underflows to 0 (Laplace with b below about 1e-162). A norm below the
-    least normal float raises ValueError: bisection could not resolve it.
+    underflows to 0 (Laplace with b below about 1e-162). Its doublings are
+    bounded by the float range, whatever the law's scale: only an overflow
+    means divergence. An overflowing variance, a diverging norm or one
+    below the least normal float raises ValueError.
     """
     _, var = mech.moments()
+    if var == math.inf:
+        raise ValueError(f"psi1 norm of {mech!r}: its variance overflows a float")
     hi = math.sqrt(var) or math.ulp(0.0)
     while mech.abs_exp_moment(hi) > 2.0:
         hi *= 2.0
-        if hi > 1e12:
+        if hi == math.inf:
             raise ValueError(f"psi1 norm diverges for {mech!r}")
     lo = hi / 2.0
     while lo >= sys.float_info.min and mech.abs_exp_moment(lo) <= 2.0:

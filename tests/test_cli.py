@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -267,10 +268,62 @@ def test_bounds_hermite_radius_uses_the_law_jump(tmp_path):
 
 
 def test_bounds_hermite_rejects_a_law_without_jumps(tmp_path, capsys):
-    assert main(["bounds", "--kind", "hermite", "--noise", "dlap:p=0.5",
-                 "--reps", "100", "--out", str(tmp_path / "b.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "b.csv").exists()
+    # no psi1 norm is computed first, so its errors cannot hide this one
+    for law in ("dlap:p=0.5", "geo:q=1e-12"):
+        assert main(["bounds", "--kind", "hermite", "--noise", law,
+                     "--reps", "100", "--out", str(tmp_path / "b.csv")]) == 2
+        assert capsys.readouterr().err == ("error: --kind hermite needs a compound-Poisson "
+                                           f"law (herm, herm2, tsp), got {law}\n")
+        assert not (tmp_path / "b.csv").exists()
+
+
+def test_bounds_bernstein_computes_one_psi1_norm(tmp_path, monkeypatch):
+    calls = []
+    real = noise.psi1_norm
+
+    def counting(mech):
+        calls.append(mech)
+        return real(mech)
+    monkeypatch.setattr(noise, "psi1_norm", counting)
+    monkeypatch.setattr(bounds_mod, "psi1_norm", counting)
+    _bounds_rows(tmp_path, "--kind", "bernstein", "--noise", "dlap:p=0.5",
+                 "--n", "3", "--reps", "200", "--grid", "5")
+    assert calls == [noise.DiscreteLaplace(0.5)]
+
+
+@pytest.mark.parametrize("kind", ["subexp", "bernstein", "subgamma", "subgammamax",
+                                  "hermite"])
+def test_bounds_at_laplace_scales_near_the_float_range(tmp_path, capsys, kind):
+    # at b = 1e300 the variance 2 b^2 overflows; at b = 9e153 it does not,
+    # but (2 psi1)^2 does. Each ends in one error line or a finite table,
+    # never in a traceback, an infinite norm or a NaN.
+    for law, codes in (("lap:b=1e300", (2,)), ("lap:b=9e153", (0, 2))):
+        out = tmp_path / "b.csv"
+        code = main(["bounds", "--kind", kind, "--noise", law, "--n", "3",
+                     "--reps", "100", "--grid", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in codes
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+        else:
+            rows = _bounds_rows(tmp_path, "--kind", kind, "--noise", law, "--n", "3",
+                                "--reps", "100", "--grid", "5")
+            assert all(math.isfinite(v) for row in rows for v in row)
+            assert all(0 < bound <= 1 for _, bound, _, _ in rows)
+
+
+def test_bounds_refuses_a_pmf_table_over_the_cap(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    start = time.perf_counter()
+    assert main(["bounds", "--kind", "bernstein", "--noise", "herm:a1=1e6,a2=1e6",
+                 "--reps", "100", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    n = 2 * noise.Hermite(1e6, 1e6).support_cutoff(1e-15) + 1
+    assert err == (f"error: Hermite(a1=1000000.0, a2=1000000.0) needs pmf tables of {n} "
+                   f"support points, over the cap of {noise._MAX_TABLE}\n")
+    assert not out.exists()
 
 
 def test_bounds_subcommand(tmp_path):
@@ -344,8 +397,8 @@ def _main_in_fresh_python(argv: list[str] | None) -> str:
 
 @pytest.mark.parametrize("command", ["import", "simulate", "qq", "estimate", "analyze"])
 def test_cli_run_does_not_load_scipy(tmp_path, command):
-    # the normal quantile is computed without scipy; only the two-sided
-    # Poisson pmf imports it, at its first call
+    # the normal quantile is computed without scipy, and no privdeg module
+    # imports it
     cell = tmp_path / "cell.scenario"
     cell.write_text("link = logit\nn = 10\nL = 0.2\nnoise = herm2:a1=0.1,a2=0.05\n"
                     "replicates = 5\nseed = 3\n")
@@ -366,11 +419,12 @@ def test_cli_run_does_not_load_scipy(tmp_path, command):
 
 
 def test_bounds_path_does_not_load_scipy(tmp_path):
-    # psi1 of a two-sided Hermite law and its tail bound need no scipy
+    # psi1 of a compound-Poisson law and its tail bound need no scipy
     out = tmp_path / "b.csv"
-    assert _main_in_fresh_python(["bounds", "--kind", "bernstein", "--noise",
-                                  "herm2:a1=1.47,a2=0.37", "--n", "5",
-                                  "--reps", "1000", "--out", str(out)]) == "0 False"
+    for law in ("herm2:a1=1.47,a2=0.37", "tsp:lambda=2,mu=1"):
+        assert _main_in_fresh_python(["bounds", "--kind", "bernstein", "--noise", law,
+                                      "--n", "5", "--reps", "1000",
+                                      "--out", str(out)]) == "0 False"
     assert out.read_text().startswith("t,bound,empirical,mc_stderr\n")
 
 
@@ -585,3 +639,23 @@ def test_pool_workers_run_one_blas_thread():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() in ("1", "no bundled openblas")
+
+
+def test_blas_thread_pin_keeps_lu_fallback_reports_equal_across_thread_counts(tmp_path):
+    # with CG off, every fit at k >= 91 factors V by LU; without the pin,
+    # OpenBLAS at 2 threads rounds this cell's report differently than at 1
+    cell = tmp_path / "cell.scenario"
+    cell.write_text("link = cloglog\nn = 120\nL = 0.5\nnoise = lap:b=1.0\n"
+                    "replicates = 12\nseed = 3\n")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report_{threads}.csv"
+        code = ("import sys; from privdeg import estimator; "
+                "from privdeg.cli import main; estimator._CG_MAX_ITER = 0; "
+                f"sys.exit(main(['simulate', {str(cell)!r}, '--out', {str(out)!r}]))")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                              os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", code], env=env, timeout=300, check=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from privdeg.noise import (CenteredGeometric, ContinuousLaplace, DiscreteLaplace
                            Hermite, TwoSideHermite, TwoSidePoisson,
                            hermite_budget_intensity, mechanism_label,
                            parse_mechanism, pmf, psi1_norm, sample)
+from privdeg.noise import _MAX_TABLE
 
 LAM = hermite_budget_intensity(2.0)
 
@@ -56,7 +58,7 @@ def test_two_side_poisson_matches_brute_convolution():
 
 
 def test_two_side_poisson_large_intensities_are_finite():
-    # exp(-800) I_0(800) is 0 * inf unless the Bessel factor is scaled
+    # e^-800 underflows: no mass may be formed as e^-(lam + mu) times a large factor
     assert pmf(TwoSidePoisson(400, 400), 0) == pytest.approx(0.0141069, rel=1e-5)
     j = np.arange(0, 2000)
     for lam, mu in ((400.0, 400.0), (400.0, 300.0)):
@@ -318,7 +320,8 @@ def test_mechanism_validation():
 # psi1, witness, the 1e-12 support cutoff K and the pmf on [-K-3, K+3] of
 # each mechanism, keyed by its label, as computed by the implementation
 # that preceded the mechanism classes (one isinstance dispatch per part of
-# the law)
+# the law). That implementation truncated the herm2 sum at k = -42..-37;
+# those six entries hold the pinned value at +k.
 PINS = json.loads((Path(__file__).parent / "data" / "noise_pins.json").read_text())
 
 
@@ -347,13 +350,67 @@ def test_psi1_witness_and_pmf_are_pinned(mech):
 
 
 def test_pmf_table_is_built_once_per_mechanism(monkeypatch):
-    # the compound-Poisson E exp(|X|/t) reads a table built at its first
-    # call, so the psi1 bisection evaluates the pmf once per support point
-    mech = TwoSideHermite(1.4730777507324677, 0.36826943768311693)
+    # a compound-Poisson law builds its pmf array at the first call that
+    # needs it; psi1 and every later pmf value read that array
     calls = []
-    mass = TwoSideHermite.mass
-    monkeypatch.setattr(TwoSideHermite, "mass",
-                        lambda self, k: calls.append(k) or mass(self, k))
+    build = TwoSideHermite._pmf_array
+    monkeypatch.setattr(TwoSideHermite, "_pmf_array",
+                        lambda self, n: calls.append(n) or build(self, n))
+    mech = TwoSideHermite(1.4730777507324677, 0.36826943768311693)
     psi1_norm(mech)
-    K = mech.support_cutoff(1e-16)
-    assert sorted(calls) == list(range(-K, K + 1))
+    for k in range(-50, 51):
+        pmf(mech, k)
+    psi1_norm(mech)
+    assert len(calls) == 1
+    psi1_norm(TwoSideHermite(1.4730777507324677, 0.36826943768311693))
+    assert len(calls) == 2  # a second mechanism builds its own
+
+
+@pytest.mark.parametrize("mech", [BENCH_HERM2, TwoSidePoisson(1.0, 1.0)],
+                         ids=mechanism_label)
+def test_symmetric_law_pmf_is_symmetric_over_its_table(mech):
+    k0, ps = mech._pmf_table
+    assert k0 == -(ps.size // 2) and ps.size % 2 == 1
+    for k in range(0, -k0 + 1):
+        assert _matches(pmf(mech, -k), pmf(mech, k)), k
+
+
+@pytest.mark.parametrize("q", [0.4, 0.3, 0.05, 0.999999])
+def test_geometric_abs_exp_moment_is_the_term_by_term_sum(q):
+    mech = CenteredGeometric(q)
+    off = mech.offset
+    for t in (0.5, 1.0, 3.0, 40.0, 1e3):
+        r = 1.0 / t
+        if (1 - q) * math.exp(r) >= 1:
+            assert mech.abs_exp_moment(t) == math.inf
+            continue
+        ks = np.arange(0, 20_000)
+        want = math.fsum(np.exp(math.log(q) + ks * math.log1p(-q) + np.abs(ks - off) * r))
+        assert mech.abs_exp_moment(t) == pytest.approx(want, rel=1e-12)
+
+
+def test_psi1_guard_is_free_of_scale():
+    assert psi1_norm(parse_mechanism("lap:b=1e12")) == pytest.approx(2e12, rel=1e-9)
+    assert psi1_norm(parse_mechanism("lap:b=4e11")) == pytest.approx(8e11, rel=1e-9)
+    start = time.perf_counter()
+    psi = psi1_norm(parse_mechanism("geo:q=1e-12"))
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(psi) and psi > 1e12
+
+
+def test_psi1_of_an_overflowing_variance_is_an_error():
+    for text in ("lap:b=1e300", "geo:q=1e-170"):
+        mech = parse_mechanism(text)
+        assert mech.moments()[1] == math.inf
+        with pytest.raises(ValueError, match="variance overflows"):
+            psi1_norm(mech)
+
+
+@pytest.mark.parametrize("text", ["herm:a1=1e6,a2=1e6", "herm2:a1=1e300,a2=1",
+                                  "tsp:lambda=1e5,mu=1e5"])
+def test_pmf_table_over_the_cap_is_refused(text):
+    mech = parse_mechanism(text)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"pmf tables .*over the cap of {_MAX_TABLE}"):
+        psi1_norm(mech)
+    assert time.perf_counter() - start < 1.0
