@@ -106,6 +106,18 @@ TailBoundSpec = Union[SubExpNormBound, BernsteinBound, SubGammaSumBound,
                       SubGammaMaxBound, HermiteSumRadius]
 
 
+def _gamma_exponent(t: float, scale: float, c: float) -> float:
+    """(t^2 / 2) / (scale + c t), the exponent of the Bernstein and sub-Gamma
+    forms (Bernstein's t^2 / (2 nu2 + 2 kappa t) is the same number, bit for
+    bit). Where t * t overflows, past t ~ 1.3e154, it is evaluated as
+    (t / 2) / (scale / t + c), which stays finite instead of inf / inf."""
+    half_square = t * t / 2.0
+    if half_square < math.inf:
+        return half_square / (scale + c * t)
+    den = scale / t + c  # zero only at t = inf with c = 0
+    return (t / 2.0) / den if den else math.inf
+
+
 def tail_bound(spec: TailBoundSpec, t: float) -> float:
     """Evaluate a bound at deviation t (or exponent x for the radius form)."""
     if t < 0:
@@ -113,12 +125,11 @@ def tail_bound(spec: TailBoundSpec, t: float) -> float:
     if isinstance(spec, SubExpNormBound):
         return min(1.0, 2.0 * math.exp(-t / spec.psi1))
     if isinstance(spec, BernsteinBound):
-        return min(1.0, 2.0 * math.exp(-t * t / (2.0 * spec.nu2 + 2.0 * spec.kappa * t)))
+        return min(1.0, 2.0 * math.exp(-_gamma_exponent(t, spec.nu2, spec.kappa)))
     if isinstance(spec, SubGammaSumBound):
-        return min(1.0, 2.0 * math.exp(-(t * t / 2.0) / (spec.upsilon + spec.c * t)))
+        return min(1.0, 2.0 * math.exp(-_gamma_exponent(t, spec.upsilon, spec.c)))
     if isinstance(spec, SubGammaMaxBound):
-        return min(1.0, 2.0 * spec.n *
-                   math.exp(-(t * t / 2.0) / (spec.upsilon + spec.c * t)))
+        return min(1.0, 2.0 * spec.n * math.exp(-_gamma_exponent(t, spec.upsilon, spec.c)))
     if isinstance(spec, HermiteSumRadius):
         # inverse form: t plays the role of the exponent x
         return spec.w * (math.sqrt(2.0 * t * spec.sigma2) + spec.r * t / 3.0)

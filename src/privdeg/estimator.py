@@ -144,14 +144,18 @@ def _weighted_values(link: LinkKind, beta: np.ndarray,
     way in either shape. p and p' come from ``links.link_values``,
     without the log-domain guard (analytic extension for log). Diagonal
     entries with W_aa = 0 are set to zero rather than multiplied by it,
-    so an overflowing value there cannot turn a row sum into NaN.
+    so an overflowing value there cannot turn a row sum into NaN. Pair
+    sums and weighted values may overflow to inf without a warning: at a
+    far Newton trial point they give a non-finite residual, which damping
+    rejects.
     """
-    P, D = link_values(link, pair_sum_matrix(beta))
-    for A in (P, D):
-        diag = np.zeros(m.shape)
-        np.multiply(A.diagonal(axis1=-2, axis2=-1), m - 1.0, out=diag, where=m > 1)
-        A *= m[..., None, :]
-        _diagonal(A)[...] = diag
+    with np.errstate(over="ignore"):
+        P, D = link_values(link, pair_sum_matrix(beta))
+        for A in (P, D):
+            diag = np.zeros(m.shape)
+            np.multiply(A.diagonal(axis1=-2, axis2=-1), m - 1.0, out=diag, where=m > 1)
+            A *= m[..., None, :]
+            _diagonal(A)[...] = diag
     return P, D
 
 
@@ -331,6 +335,14 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
     bit. Members stop converged or with one of the reasons that ``solve``
     reports.
 
+    A member leaves the stack at one point, the top of an iteration: there
+    the converged rows record their fits, and they leave together with the
+    rows that failed in the iteration before. A row fails on a singular
+    Jacobian, a non-finite step or a stalled damping; ``stop`` records its
+    fit at once and flags it, and a flagged row takes no part in damping
+    and keeps zero rows of V until it leaves. Rows still running after
+    _MAX_ITER steps stop at the iteration limit.
+
     A member with k >= 91 runs alone (see ``solve_many``) and takes its
     steps by ``_cg_step``. The test is on k, not on how many rows are still
     running, so that a member's steps do not depend on its stack.
@@ -340,30 +352,28 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
     fits: list[Optional[EstimateResult]] = [None] * g
     rows = np.arange(g)  # member of each running row
     b = np.array(b, dtype=float)
+    failed = np.zeros(g, dtype=bool)  # rows whose fit ``stop`` has recorded
 
-    def stop(gone: np.ndarray, it: int, res: np.ndarray, reason: str) -> None:
+    def stop(gone: np.ndarray, it: int, reason: str) -> None:
         for j, r in zip(rows[gone].tolist(), res[gone].tolist()):
             fits[j] = EstimateResult(None, None, it, r, False, reason)
+        failed[gone] = True
 
     F, V = _residual_and_slope(link, b, u, m)
     res = np.max(np.abs(F), axis=1)
     # V holds W o p' at b; each accepted trial point brings its own
     for it in range(_MAX_ITER + 1):
         v = V.sum(axis=2)
-        done = res <= tol
-        if done.any():
-            for j, r, bj, vj in zip(rows[done].tolist(), res[done].tolist(), b[done],
-                                    v[done]):
-                fits[j] = EstimateResult(bj[inverses[j]], vj[inverses[j]], it, r, True)
-            if done.all():
-                return fits
-            keep = ~done
-            rows, u, m, b, tol, F, V, res, v = (
-                x[keep] for x in (rows, u, m, b, tol, F, V, res, v))
-        if it == _MAX_ITER:
+        done = res <= tol  # never a failed row: it keeps the residual it failed at
+        for j, r, bj, vj in zip(rows[done].tolist(), res[done].tolist(), b[done], v[done]):
+            fits[j] = EstimateResult(bj[inverses[j]], vj[inverses[j]], it, r, True)
+        keep = ~(done | failed)
+        if not keep.all():
+            rows, u, m, b, tol, F, V, res, v, failed = (
+                x[keep] for x in (rows, u, m, b, tol, F, V, res, v, failed))
+        if it == _MAX_ITER or not rows.size:
             break
         _diagonal(V)[...] += v
-        singular = np.zeros(rows.size, dtype=bool)
         step = _cg_step(V[0], F[0], m[0]) if alone else None
         if step is not None:
             step = step[None]
@@ -377,21 +387,15 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
                     try:
                         step[r] = np.linalg.solve(V[r:r + 1], F[r:r + 1, :, None])[0, :, 0]
                     except np.linalg.LinAlgError:
-                        singular[r] = True
+                        failed[r] = True
         del V
-        stop(singular, it, res, "singular Jacobian")
-        nonfinite = ~singular & ~np.all(np.isfinite(step), axis=1)
-        stop(nonfinite, it, res, "non-finite Newton step")
-        if (singular | nonfinite).any():
-            keep = ~(singular | nonfinite)
-            if not keep.any():
-                return fits
-            rows, u, m, b, tol, F, res, step = (
-                x[keep] for x in (rows, u, m, b, tol, F, res, step))
+        stop(failed, it, "singular Jacobian")
+        stop(~failed & ~np.all(np.isfinite(step), axis=1), it, "non-finite Newton step")
 
         # damping: halve until the sup-norm residual strictly decreases;
-        # the rows still trying have all been halved alike
-        trying = np.arange(rows.size)
+        # the rows still trying have all been halved alike; with none trying,
+        # one pass over empty arrays leaves V all zeros
+        trying = np.flatnonzero(~failed)
         V = None
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
@@ -405,27 +409,17 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
                 b, F, res, V = b_try, F_try, res_try, V_try
                 trying = trying[:0]
                 break
+            if V is None:
+                V = np.zeros((rows.size, k, k))
             acc = trying[ok]
-            if acc.size:
-                b[acc], F[acc], res[acc] = b_try[ok], F_try[ok], res_try[ok]
-                if V is None:
-                    V = np.empty((rows.size, k, k))
-                V[acc] = V_try[ok]
+            b[acc], F[acc], res[acc], V[acc] = b_try[ok], F_try[ok], res_try[ok], V_try[ok]
             del F_try, V_try
             trying = trying[~ok]
             if not trying.size:
                 break
             scale *= 0.5
-        if trying.size:
-            stalled = np.zeros(rows.size, dtype=bool)
-            stalled[trying] = True
-            stop(stalled, it, res, "step stalled (no residual decrease)")
-            if stalled.all():
-                return fits
-            keep = ~stalled
-            rows, u, m, b, tol, F, V, res = (
-                x[keep] for x in (rows, u, m, b, tol, F, V, res))
-    stop(np.ones(rows.size, dtype=bool), _MAX_ITER, res, "iteration limit reached")
+        stop(trying, it, "step stalled (no residual decrease)")
+    stop(np.arange(rows.size), _MAX_ITER, "iteration limit reached")
     return fits
 
 

@@ -109,25 +109,10 @@ def edge_prob(link: LinkKind, x) -> np.ndarray | float:
     return P if np.ndim(x) else float(P[0])
 
 
-def edge_prob_deriv(link: LinkKind, x, order: int = 1) -> np.ndarray | float:
-    """First or second derivative of the edge probability in the pair sum.
-
-    p' comes from ``link_values``; p'' from p, p' and exp(x):
-
-        log:      p'' = p'
-        logit:    p'' = p'(1 - 2p)
-        cloglog:  p'' = p'(1 - exp(x))
-
-    Raises DomainError for the log link when any x >= 0, and ValueError
-    for an order other than 1 or 2.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    P, D = _guarded_values(link, x)
-    if order == 2 and link == LinkKind.LOGIT:
-        D = D * (1.0 - 2.0 * P)
-    elif order == 2 and link == LinkKind.CLOGLOG:
-        D = D * (1.0 - np.exp(np.clip(np.asarray(x, dtype=float), None, _EXP_CLIP)))
+def edge_prob_deriv(link: LinkKind, x) -> np.ndarray | float:
+    """Derivative p'(x) of the edge probability at a scalar or array of pair
+    sums; DomainError for the log link when any x >= 0."""
+    D = _guarded_values(link, x)[1]
     return D if np.ndim(x) else float(D[0])
 
 
@@ -206,11 +191,11 @@ class EdgeSampler:
         try:
             i = np.arange(self.n)
             self.upper = i[:, None] < i
+            # validate_params has checked the log domain of every pair
+            self.p = link_values(link, pair_sum_matrix(a)[self.upper])[0]
         except MemoryError:
             raise ValueError(f"vertex count n={self.n} is too large "
                              "to hold its vertex pairs") from None
-        # validate_params has checked the log domain of every pair
-        self.p = link_values(link, pair_sum_matrix(a)[self.upper])[0]
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Upper triangle (uint8, zero elsewhere) of one drawn adjacency matrix."""

@@ -227,7 +227,7 @@ def test_criterion_06_jacobian_correctness():
             else rng.uniform(-3, 3, 1000)
         fd = (np.asarray(edge_prob(link, xs + h)) -
               np.asarray(edge_prob(link, xs - h))) / (2 * h)
-        an = np.asarray(edge_prob_deriv(link, xs, 1))
+        an = np.asarray(edge_prob_deriv(link, xs))
         rel = np.max(np.abs(an - fd) / np.maximum(1.0, np.abs(an)))
         worst = max(worst, float(rel))
     balanced = True

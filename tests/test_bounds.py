@@ -31,6 +31,24 @@ def test_tail_bounds_capped_and_monotone():
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+def test_tail_bounds_past_the_square_overflow_stay_finite():
+    # t * t overflows above t ~ 1.3e154; the exponent is then taken as
+    # (t / 2) / (upsilon / t + c), not as inf / inf capped to 1
+    t, c, upsilon = 1e155, 1.2e154, 1.44e308
+    exponent = (t / 2.0) / (upsilon / t + c)
+    assert tail_bound(SubGammaMaxBound(upsilon, c, 3), t) == \
+        pytest.approx(6.0 * math.exp(-exponent), rel=1e-12)
+    assert tail_bound(SubGammaMaxBound(upsilon, c, 3), t) == pytest.approx(0.1454, abs=1e-4)
+    assert tail_bound(SubGammaSumBound(upsilon, c), t) == pytest.approx(0.0485, abs=1e-4)
+    assert tail_bound(BernsteinBound(upsilon, c), t) == \
+        tail_bound(SubGammaSumBound(upsilon, c), t)
+    # the bounds still fall to 0 as t grows, also at t = inf
+    for spec in (BernsteinBound(1.0, 2.0), SubGammaSumBound(1.0, 0.0),
+                 SubGammaMaxBound(1.0, 2.0, 5)):
+        assert tail_bound(spec, 1e300) == 0.0
+        assert tail_bound(spec, math.inf) == 0.0
+
+
 def test_negative_deviation_rejected():
     with pytest.raises(ValueError):
         tail_bound(SubExpNormBound(1.0), -0.1)

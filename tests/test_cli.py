@@ -10,7 +10,7 @@ import pytest
 
 import engine_reference
 import netio_reference
-from privdeg import cli, noise, simulate
+from privdeg import cli, links, noise, simulate
 from privdeg import bounds as bounds_mod
 from privdeg.bounds import HermiteSumRadius, tail_bound
 from privdeg.cli import main
@@ -571,6 +571,22 @@ def test_pair_set_of_huge_n_exits_2(tmp_path, capsys):
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
             "error: vertex count n=20000000 is too large to hold its vertex pairs\n"
+        assert not out.exists()
+
+
+def test_pair_probabilities_that_do_not_fit_in_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # the n x n pair sums are built after the pair mask, under the same guard
+    def no_memory(alpha):
+        raise MemoryError
+
+    monkeypatch.setattr(links, "pair_sum_matrix", no_memory)
+    cell = tmp_path / "cell.scenario"
+    cell.write_text("link = logit\nn = 50\nreplicates = 1\n")
+    for argv in (["sample", "--n", "50"], ["simulate", str(cell)]):
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: vertex count n=50 is too large to hold its vertex pairs\n"
         assert not out.exists()
 
 

@@ -564,6 +564,38 @@ def test_stacked_sampled_fits_match_lone_reference_fits_bitwise(link):
         assert_same_fit(got, engine_reference.solve(link, d))
 
 
+def _mixed_exit_fits():
+    """k = 2 members whose starts, from near 0 to +-400, make them converge,
+    stall, hit a singular Jacobian or take a non-finite Newton step."""
+    rng = np.random.default_rng(11)
+    ds, x0s = [], []
+    for _ in range(4):
+        for s in (0.0, -10.0, 10.0, -355.0, 355.0, -400.0):
+            ds.append(np.repeat(rng.uniform(1.0, 3.0, 2), [2, 3]))
+            x0s.append(np.repeat(s + rng.normal(0.0, 1.0, 2), [2, 3]))
+    return ds, x0s
+
+
+@pytest.mark.parametrize("budget", [estimator._ELEMENT_BUDGET, 12])
+@pytest.mark.parametrize("link", LINKS)
+def test_stacked_members_leaving_by_every_exit_match_lone_reference_fits(link, budget,
+                                                                        monkeypatch):
+    # at budget 12 each stack holds three members; at 2^14 all share one
+    ds, x0s = _mixed_exit_fits()
+    monkeypatch.setattr(estimator, "_ELEMENT_BUDGET", budget)
+    got = list(solve_many(link, ds, x0s))
+    with np.errstate(over="ignore"):  # the reference's exp overflows at the far starts
+        want = [engine_reference.solve(link, d, x0=x0) for d, x0 in zip(ds, x0s)]
+    for g, w in zip(got, want):
+        assert_same_fit(g, w)
+    assert {None, "singular Jacobian", "non-finite Newton step",
+            "step stalled (no residual decrease)"} <= {w.reason for w in want}
+    # a member with a non-finite step shares a stack of three with other exits
+    newton = [w.reason for d, w in zip(ds, want) if _nonexistence_reason(link, d) is None]
+    assert any("non-finite Newton step" in newton[i:i + 3] and len(set(newton[i:i + 3])) > 1
+               for i in range(0, len(newton), 3))
+
+
 def test_solve_many_yields_a_lone_fit_before_reading_the_next_sequence():
     # k = 100 fills a stack by itself, so nothing waits in memory
     read = []
