@@ -6,18 +6,24 @@ empirical survival frequencies with Monte Carlo slack.
 
 Bound kinds
 -----------
-SubExpNormBound(psi1)           P(|X| > t)   <= 2 exp(-t / psi1)
-BernsteinBound(nu2, kappa)      P(|S_n| >= t) <= 2 exp(-t^2 / (2 nu2 + 2 kappa t))
-SubGammaSumBound(upsilon, c)    P(|S_n| >= t) <= 2 exp(-(t^2/2) / (upsilon + c t))
-SubGammaMaxBound(upsilon, c, n) P(max_i |X_i| >= t) <= 2 n exp(-(t^2/2)/(upsilon + c t))
-HermiteSumRadius(sigma2, r, w)  radius x -> w [ sqrt(2 x sigma2) + r x / 3 ],
-                                the deviation of a weighted compound-Poisson sum
-                                exceeded with probability at most 2 exp(-x)
-                                (inverse form: input is the exponent x, output
-                                the radius, not a probability).
+SubExpNormBound(psi1)             P(|X| > t) <= 2 exp(-t / psi1)
+SubGammaTail(upsilon, c, count=1) P(max_{i <= count} |X_i| >= t)
+                                    <= 2 count exp(-(t^2/2) / (upsilon + c t))
+HermiteSumRadius(sigma2, r, w)    radius x -> w [ sqrt(2 x sigma2) + r x / 3 ],
+                                  the deviation of a weighted compound-Poisson sum
+                                  exceeded with probability at most 2 exp(-x)
+                                  (inverse form: input is the exponent x, output
+                                  the radius, not a probability).
 
-The max bound is the union form of the sum bound over n coordinates; its
-expectation companion is ``max_expectation_bound``.
+``SubGammaTail`` is the sub-Gamma tail of Boucheron, Lugosi & Massart
+(2013, sec. 2.4) and carries every sub-Gamma bound:
+
+* Bernstein: the growth condition E|X|^k <= (1/2) nu2 kappa^(k-2) k! makes
+  X sub-Gamma with (upsilon, c) = (nu2, kappa), and Bernstein's
+  t^2 / (2 nu2 + 2 kappa t) is the same exponent; ``bernstein_from_psi1``.
+* Sum of n independent terms: upsilon = sum_i upsilon_i, c = max_i c_i.
+* Maximum of count terms: the union bound over the coordinates. Its
+  expectation companion is ``max_expectation_bound``.
 """
 
 from __future__ import annotations
@@ -28,13 +34,11 @@ from typing import Union
 
 import numpy as np
 
-from .noise import psi1_norm  # re-exported
+from .noise import SubGammaParams, psi1_norm  # psi1_norm re-exported
 
 __all__ = [
     "SubExpNormBound",
-    "BernsteinBound",
-    "SubGammaSumBound",
-    "SubGammaMaxBound",
+    "SubGammaTail",
     "HermiteSumRadius",
     "TailBoundSpec",
     "tail_bound",
@@ -50,43 +54,21 @@ class SubExpNormBound:
     psi1: float
 
     def __post_init__(self):
-        if not (self.psi1 > 0):
-            raise ValueError("psi1 must be positive")
+        if not (0 < self.psi1 < math.inf):
+            raise ValueError(f"psi1 must be positive and finite, got {self.psi1!r}")
 
 
 @dataclass(frozen=True)
-class BernsteinBound:
-    """Moment-growth bound with fluctuation nu2 = sum_i nu_i^2, scale kappa."""
+class SubGammaTail(SubGammaParams):
+    """Tail of the largest |X_i| of count centered sub-Gamma(upsilon, c) terms;
+    count = 1 is the tail of one term or of a sum."""
 
-    nu2: float
-    kappa: float
-
-    def __post_init__(self):
-        if not (0 < self.nu2 < math.inf) or self.kappa < 0:
-            raise ValueError("need finite nu2 > 0 and kappa >= 0")
-
-
-@dataclass(frozen=True)
-class SubGammaSumBound:
-    """Sum of independent sub-Gamma terms: upsilon = sum_i upsilon_i, c = max_i c_i."""
-
-    upsilon: float
-    c: float
+    count: int = 1
 
     def __post_init__(self):
-        if not (0 < self.upsilon < math.inf) or self.c < 0:
-            raise ValueError("need finite upsilon > 0 and c >= 0")
-
-
-@dataclass(frozen=True)
-class SubGammaMaxBound:
-    upsilon: float
-    c: float
-    n: int
-
-    def __post_init__(self):
-        if not (self.upsilon > 0) or self.c < 0 or self.n < 1:
-            raise ValueError("need upsilon > 0, c >= 0, n >= 1")
+        super().__post_init__()
+        if not (1 <= self.count < math.inf):
+            raise ValueError(f"count must be a finite number >= 1, got {self.count!r}")
 
 
 @dataclass(frozen=True)
@@ -98,19 +80,18 @@ class HermiteSumRadius:
     w: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma2 > 0) or not (self.r > 0) or not (self.w > 0):
-            raise ValueError("need sigma2, r, w all positive")
+        if not all(0 < v < math.inf for v in (self.sigma2, self.r, self.w)):
+            raise ValueError("need sigma2, r, w all positive and finite")
 
 
-TailBoundSpec = Union[SubExpNormBound, BernsteinBound, SubGammaSumBound,
-                      SubGammaMaxBound, HermiteSumRadius]
+TailBoundSpec = Union[SubExpNormBound, SubGammaTail, HermiteSumRadius]
 
 
 def _gamma_exponent(t: float, scale: float, c: float) -> float:
-    """(t^2 / 2) / (scale + c t), the exponent of the Bernstein and sub-Gamma
-    forms (Bernstein's t^2 / (2 nu2 + 2 kappa t) is the same number, bit for
-    bit). Where t * t overflows, past t ~ 1.3e154, it is evaluated as
-    (t / 2) / (scale / t + c), which stays finite instead of inf / inf."""
+    """(t^2 / 2) / (scale + c t), the sub-Gamma exponent (Bernstein's
+    t^2 / (2 nu2 + 2 kappa t) is the same number, bit for bit). Where t * t
+    overflows, past t ~ 1.3e154, it is evaluated as (t / 2) / (scale / t + c),
+    which stays finite instead of inf / inf."""
     half_square = t * t / 2.0
     if half_square < math.inf:
         return half_square / (scale + c * t)
@@ -124,12 +105,8 @@ def tail_bound(spec: TailBoundSpec, t: float) -> float:
         raise ValueError("deviation must be nonnegative")
     if isinstance(spec, SubExpNormBound):
         return min(1.0, 2.0 * math.exp(-t / spec.psi1))
-    if isinstance(spec, BernsteinBound):
-        return min(1.0, 2.0 * math.exp(-_gamma_exponent(t, spec.nu2, spec.kappa)))
-    if isinstance(spec, SubGammaSumBound):
-        return min(1.0, 2.0 * math.exp(-_gamma_exponent(t, spec.upsilon, spec.c)))
-    if isinstance(spec, SubGammaMaxBound):
-        return min(1.0, 2.0 * spec.n * math.exp(-_gamma_exponent(t, spec.upsilon, spec.c)))
+    if isinstance(spec, SubGammaTail):
+        return min(1.0, 2.0 * spec.count * math.exp(-_gamma_exponent(t, spec.upsilon, spec.c)))
     if isinstance(spec, HermiteSumRadius):
         # inverse form: t plays the role of the exponent x
         return spec.w * (math.sqrt(2.0 * t * spec.sigma2) + spec.r * t / 3.0)
@@ -139,20 +116,19 @@ def tail_bound(spec: TailBoundSpec, t: float) -> float:
 def max_expectation_bound(upsilon: float, c: float, n: int) -> float:
     """E max_i |X_i| <= sqrt(2 upsilon log(2n)) + c log(2n) for independent
     centered sub-Gamma(upsilon_i <= upsilon, c_i <= c) variables."""
-    if not (upsilon > 0) or c < 0 or n < 1:
-        raise ValueError("need upsilon > 0, c >= 0, n >= 1")
+    SubGammaTail(upsilon, c, n)  # validates the arguments
     L = math.log(2.0 * n)
     return math.sqrt(2.0 * upsilon * L) + c * L
 
 
-def bernstein_from_psi1(psi1: float, n: int = 1) -> BernsteinBound:
-    """Bernstein spec implied by the psi1 moment bound E|X|^k <= 2 psi1^k k!.
+def bernstein_from_psi1(psi1: float, n: int = 1) -> SubGammaTail:
+    """Bernstein tail of a sum of n iid terms with E|X|^k <= 2 psi1^k k!.
 
     Matching against the growth condition E|X|^k <= (1/2) nu^2 kappa^(k-2) k!
-    gives nu_i^2 = 4 psi1^2 and kappa = psi1; for a sum of n iid terms
-    nu2 = 4 n psi1^2.
+    gives nu_i^2 = 4 psi1^2 and kappa = psi1, so the sum is sub-Gamma with
+    (upsilon, c) = (nu2, kappa) = (4 n psi1^2, psi1).
     """
-    return BernsteinBound(nu2=4.0 * n * (psi1 * psi1), kappa=psi1)  # inf, not OverflowError
+    return SubGammaTail(4.0 * n * (psi1 * psi1), psi1)  # inf, not OverflowError
 
 
 def mc_survival(statistic_draws: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

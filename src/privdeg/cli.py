@@ -206,8 +206,8 @@ def cmd_bounds(args) -> int:
         spec = bounds_mod.bernstein_from_psi1(bounds_mod.psi1_norm(mech), n)
     elif kind in ("subgamma", "subgammamax"):
         wit = mech.sub_gamma_witness()
-        spec = (bounds_mod.SubGammaSumBound(n * wit.upsilon, wit.c) if kind == "subgamma"
-                else bounds_mod.SubGammaMaxBound(wit.upsilon, wit.c, n))
+        spec = (bounds_mod.SubGammaTail(n * wit.upsilon, wit.c) if kind == "subgamma"
+                else bounds_mod.SubGammaTail(wit.upsilon, wit.c, n))
     elif kind == "hermite":
         if not isinstance(mech, noise_mod.CompoundPoisson):
             raise ParseError(f"--kind hermite needs a compound-Poisson law "

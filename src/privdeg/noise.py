@@ -66,8 +66,8 @@ class SubGammaParams:
     def __post_init__(self):
         if not (0 < self.upsilon < math.inf):
             raise ValueError(f"upsilon must be positive and finite, got {self.upsilon!r}")
-        if self.c < 0:
-            raise ValueError("scale parameter c must be nonnegative")
+        if not (0 <= self.c < math.inf):
+            raise ValueError(f"scale parameter c must be nonnegative and finite, got {self.c!r}")
 
     def mgf_bound(self, s) -> np.ndarray | float:
         """exp(s^2 upsilon / (2 (1 - c|s|))) on |s| < 1/c."""
@@ -109,7 +109,7 @@ class CompoundPoisson(NoiseMechanism):
     @cached_property
     def _pmf_table(self) -> tuple[int, np.ndarray]:
         var = self.moments()[1]
-        if var > _MAX_TABLE ** 2:  # n > var / 2, and support_cutoff walks ~sqrt(var) steps
+        if var > 2 * _MAX_TABLE:  # n > var / 2 (each K > mean count), so refuse before the walk
             raise ValueError(f"{self!r}: its variance {var:.3g} puts its pmf tables "
                              f"over the cap of {_MAX_TABLE} support points")
         n = 2 * self.support_cutoff(1e-15) + 1

@@ -28,8 +28,7 @@ from golden_kapferer import DEGREE_COLUMN, GOLDEN_TABLES, SIM_CELLS
 from kapferer_reference import root_problems
 
 from privdeg.analysis import table_from_degrees
-from privdeg.bounds import (BernsteinBound, HermiteSumRadius, SubExpNormBound,
-                            SubGammaMaxBound, SubGammaSumBound,
+from privdeg.bounds import (HermiteSumRadius, SubExpNormBound, SubGammaTail,
                             bernstein_from_psi1, mc_survival, psi1_norm,
                             tail_bound)
 from privdeg.estimator import approx_inverse_s, jacobian, solve
@@ -340,13 +339,13 @@ def test_criterion_08_bound_domination():
     wit = mech.sub_gamma_witness()
     rng = np.random.default_rng(83)
     s10 = np.abs(np.asarray(sample(mech, rng, size=(R, 10))).sum(axis=1))
-    results["subgamma_sum"] = _dominates(s10, SubGammaSumBound(10 * wit.upsilon, wit.c))
+    results["subgamma_sum"] = _dominates(s10, SubGammaTail(10 * wit.upsilon, wit.c))
 
     mech = TwoSidePoisson(2.0, 2.0)
     wit = mech.sub_gamma_witness()
     rng = np.random.default_rng(84)
     mx = np.max(np.abs(np.asarray(sample(mech, rng, size=(R, 20)))), axis=1)
-    results["subgamma_max"] = _dominates(mx, SubGammaMaxBound(wit.upsilon, wit.c, 20))
+    results["subgamma_max"] = _dominates(mx, SubGammaTail(wit.upsilon, wit.c, 20))
 
     # radius form: P(|mean - mu| >= radius(x)) <= 2 exp(-x)
     n = 50

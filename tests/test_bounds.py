@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from privdeg.bounds import (BernsteinBound, HermiteSumRadius, SubExpNormBound,
-                            SubGammaMaxBound, SubGammaSumBound,
+from privdeg.bounds import (HermiteSumRadius, SubExpNormBound, SubGammaTail,
                             bernstein_from_psi1, max_expectation_bound,
                             mc_survival, psi1_norm, tail_bound)
 from privdeg.noise import (CenteredGeometric, DiscreteLaplace, Hermite,
-                           TwoSideHermite, pmf, sample)
+                           SubGammaParams, TwoSideHermite, pmf, sample)
 
 
 def test_sub_gamma_sum_reference_points():
-    spec = SubGammaSumBound(1.0, 0.0)
+    spec = SubGammaTail(1.0, 0.0)
     assert tail_bound(spec, 0.0) == 1.0              # capped: 2 exp(0) -> 1
     assert tail_bound(spec, 2.0) == pytest.approx(2 * math.exp(-2), rel=1e-12)
 
@@ -20,9 +19,9 @@ def test_sub_gamma_sum_reference_points():
 def test_tail_bounds_capped_and_monotone():
     specs = [
         SubExpNormBound(1.3),
-        BernsteinBound(4.0, 0.7),
-        SubGammaSumBound(2.0, 0.5),
-        SubGammaMaxBound(2.0, 0.5, 25),
+        SubGammaTail(4.0, 0.7),
+        SubGammaTail(2.0, 0.5),
+        SubGammaTail(2.0, 0.5, 25),
     ]
     ts = np.linspace(0, 40, 200)
     for spec in specs:
@@ -36,15 +35,13 @@ def test_tail_bounds_past_the_square_overflow_stay_finite():
     # (t / 2) / (upsilon / t + c), not as inf / inf capped to 1
     t, c, upsilon = 1e155, 1.2e154, 1.44e308
     exponent = (t / 2.0) / (upsilon / t + c)
-    assert tail_bound(SubGammaMaxBound(upsilon, c, 3), t) == \
+    assert tail_bound(SubGammaTail(upsilon, c, 3), t) == \
         pytest.approx(6.0 * math.exp(-exponent), rel=1e-12)
-    assert tail_bound(SubGammaMaxBound(upsilon, c, 3), t) == pytest.approx(0.1454, abs=1e-4)
-    assert tail_bound(SubGammaSumBound(upsilon, c), t) == pytest.approx(0.0485, abs=1e-4)
-    assert tail_bound(BernsteinBound(upsilon, c), t) == \
-        tail_bound(SubGammaSumBound(upsilon, c), t)
+    assert tail_bound(SubGammaTail(upsilon, c, 3), t) == pytest.approx(0.1454, abs=1e-4)
+    assert tail_bound(SubGammaTail(upsilon, c), t) == pytest.approx(0.0485, abs=1e-4)
     # the bounds still fall to 0 as t grows, also at t = inf
-    for spec in (BernsteinBound(1.0, 2.0), SubGammaSumBound(1.0, 0.0),
-                 SubGammaMaxBound(1.0, 2.0, 5)):
+    for spec in (SubGammaTail(1.0, 2.0), SubGammaTail(1.0, 0.0),
+                 SubGammaTail(1.0, 2.0, 5)):
         assert tail_bound(spec, 1e300) == 0.0
         assert tail_bound(spec, math.inf) == 0.0
 
@@ -52,6 +49,37 @@ def test_tail_bounds_past_the_square_overflow_stay_finite():
 def test_negative_deviation_rejected():
     with pytest.raises(ValueError):
         tail_bound(SubExpNormBound(1.0), -0.1)
+
+
+# each argument slot of every spec type and of max_expectation_bound, with
+# the values that it must refuse: a scale parameter c may be 0, a count not
+_SPEC_SLOTS = [
+    ("SubExpNormBound(psi1)", lambda v: SubExpNormBound(v), (math.inf, math.nan, 0.0)),
+    ("SubGammaParams(upsilon)", lambda v: SubGammaParams(v, 1.0), (math.inf, math.nan, 0.0)),
+    ("SubGammaParams(c)", lambda v: SubGammaParams(1.0, v), (math.inf, math.nan, -1.0)),
+    ("SubGammaTail(upsilon)", lambda v: SubGammaTail(v, 1.0, 3), (math.inf, math.nan, 0.0)),
+    ("SubGammaTail(c)", lambda v: SubGammaTail(1.0, v, 3), (math.inf, math.nan, -1.0)),
+    ("SubGammaTail(count)", lambda v: SubGammaTail(1.0, 1.0, v), (math.inf, math.nan, 0)),
+    ("HermiteSumRadius(sigma2)", lambda v: HermiteSumRadius(v, 1.0, 1.0),
+     (math.inf, math.nan, 0.0)),
+    ("HermiteSumRadius(r)", lambda v: HermiteSumRadius(1.0, v, 1.0), (math.inf, math.nan, 0.0)),
+    ("HermiteSumRadius(w)", lambda v: HermiteSumRadius(1.0, 1.0, v), (math.inf, math.nan, 0.0)),
+    ("max_expectation_bound(upsilon)", lambda v: max_expectation_bound(v, 1.0, 3),
+     (math.inf, math.nan, 0.0)),
+    ("max_expectation_bound(c)", lambda v: max_expectation_bound(1.0, v, 3),
+     (math.inf, math.nan, -1.0)),
+    ("max_expectation_bound(n)", lambda v: max_expectation_bound(1.0, 1.0, v),
+     (math.inf, math.nan, 0)),
+]
+
+
+@pytest.mark.parametrize("build, value", [
+    pytest.param(build, value, id=f"{name}={value}")
+    for name, build, values in _SPEC_SLOTS for value in values])
+def test_non_finite_or_out_of_range_spec_parameters_are_refused(build, value):
+    # a spec with an infinite scale would bound every tail by the vacuous 1
+    with pytest.raises(ValueError):
+        build(value)
 
 
 def test_hermite_radius_closed_form():

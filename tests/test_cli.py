@@ -320,9 +320,8 @@ def test_bounds_refuses_a_pmf_table_over_the_cap(tmp_path, capsys):
                  "--reps", "100", "--out", str(out)]) == 2
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
-    n = 2 * noise.Hermite(1e6, 1e6).support_cutoff(1e-15) + 1
-    assert err == (f"error: Hermite(a1=1000000.0, a2=1000000.0) needs pmf tables of {n} "
-                   f"support points, over the cap of {noise._MAX_TABLE}\n")
+    assert err == ("error: Hermite(a1=1000000.0, a2=1000000.0): its variance 5e+06 puts its "
+                   f"pmf tables over the cap of {noise._MAX_TABLE} support points\n")
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from privdeg import noise
 from privdeg.noise import (CenteredGeometric, ContinuousLaplace, DiscreteLaplace,
                            Hermite, TwoSideHermite, TwoSidePoisson,
                            hermite_budget_intensity, mechanism_label,
@@ -414,3 +415,14 @@ def test_pmf_table_over_the_cap_is_refused(text):
     with pytest.raises(ValueError, match=rf"pmf tables .*over the cap of {_MAX_TABLE}"):
         psi1_norm(mech)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text", ["herm:a1=1e6,a2=1e6", "tsp:lambda=1.2e10,mu=1.2e10"])
+def test_pmf_table_over_the_cap_is_refused_before_the_poisson_walk(text, monkeypatch):
+    # n = 2 K + 1 > var / 2 for every compound law, so a variance over
+    # 2 x the cap is refused from the variance alone, without the walk
+    def walk(lam, tail):
+        raise AssertionError("the Poisson tail was walked")
+    monkeypatch.setattr(noise, "_poisson_cutoff", walk)
+    with pytest.raises(ValueError, match=rf"its variance .* over the cap of {_MAX_TABLE}"):
+        pmf(parse_mechanism(text), 0)
