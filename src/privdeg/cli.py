@@ -176,15 +176,19 @@ def cmd_qq(args) -> int:
 def _folded_noise(mech, rng, n: int, reps: int, fold: np.ufunc) -> np.ndarray:
     """|Column sums| (fold np.add) or column maxima of |X - E X| (np.maximum)
     of an (n, reps) table of centred draws, drawn through ``noise.sample`` in
-    blocks of max(1, _BLOCK // reps) rows, each folded into one vector in place."""
+    blocks of max(1, _BLOCK // reps) rows. Each block is centred in place and
+    folded in place into the first block's fold; a one-row block is its own
+    fold, so a one-row table (subexp) keeps no array but its draw."""
     mean = mech.moments()[0]
     rows = max(1, _BLOCK // reps)
-    acc = np.zeros(reps)
+    acc = None
     for start in range(0, n, rows):
-        block = noise_mod.sample(mech, rng, size=(min(rows, n - start), reps)) - mean
+        block = noise_mod.sample(mech, rng, size=(min(rows, n - start), reps))
+        block -= mean
         if fold is np.maximum:
             np.abs(block, out=block)
-        fold(acc, fold.reduce(block, axis=0), out=acc)
+        folded = block[0] if len(block) == 1 else fold.reduce(block, axis=0)
+        acc = folded if acc is None else fold(acc, folded, out=acc)
     return np.abs(acc, out=acc)
 
 

@@ -38,6 +38,12 @@ diag(m) J x = m o G. A stack of several members, and a step that CG
 cannot finish (see ``_cg_step``), factors J with ``np.linalg.solve``
 instead.
 
+A fit evaluates the link in two (g, k, k) work arrays that it holds for
+its lifetime, g the size of its stack: the pair sums, p and p' of every
+Newton point are written into them, and no evaluation allocates a k x k
+array. ``solve_many`` lends each stack the leading part of one buffer,
+grown to its largest stack, so a run of fits reuses the same pages.
+
 For the log link the moment function is evaluated through the analytic
 extension exp(alpha_i + alpha_j), defined for all real pair sums; see
 ``moment_residual`` for why.
@@ -51,7 +57,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .links import LinkKind, link_inverse, link_values, pair_sum_matrix
+from .links import LinkKind, link_inverse, link_values
 
 __all__ = [
     "EstimateResult",
@@ -135,13 +141,17 @@ class JacobianMatrix:
     M: float
 
 
-def _weighted_values(link: LinkKind, beta: np.ndarray,
-                     m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_values(link: LinkKind, beta: np.ndarray, m: np.ndarray,
+                     out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """W o p(X) and W o p'(X) at X_ab = beta_a + beta_b, W = m[None, :] - I.
 
     beta and m are one system (k,) or a stack of systems (g, k); the
     result is (k, k) or (g, k, k), and every entry is computed the same
-    way in either shape. p and p' come from ``links.link_values``,
+    way in either shape. The two results are written to out[0] and
+    out[1] in some order: out is a C-contiguous float64 array of shape
+    (2, *beta.shape, k), and nothing else is allocated at the result's
+    size. X is formed in out[0] with the elementwise sums of
+    ``links.pair_sum_matrix``; p and p' come from ``links.link_values``,
     without the log-domain guard (analytic extension for log). Diagonal
     entries with W_aa = 0 are set to zero rather than multiplied by it,
     so an overflowing value there cannot turn a row sum into NaN. Pair
@@ -150,7 +160,8 @@ def _weighted_values(link: LinkKind, beta: np.ndarray,
     rejects.
     """
     with np.errstate(over="ignore"):
-        P, D = link_values(link, pair_sum_matrix(beta))
+        X = np.add(beta[..., :, None], beta[..., None, :], out=out[0])
+        P, D = link_values(link, X, out[1])
         for A in (P, D):
             diag = np.zeros(m.shape)
             np.multiply(A.diagonal(axis1=-2, axis2=-1), m - 1.0, out=diag, where=m > 1)
@@ -166,10 +177,11 @@ def _diagonal(A: np.ndarray) -> np.ndarray:
 
 
 def _residual_and_slope(link: LinkKind, beta: np.ndarray, u: np.ndarray,
-                        m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                        m: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed residual G(beta) and W o p'(beta_a + beta_b), from one
-    link evaluation."""
-    P, D = _weighted_values(link, beta, m)
+    link evaluation in the work arrays out (see ``_weighted_values``);
+    the slope is one of them."""
+    P, D = _weighted_values(link, beta, m, out)
     return u - P.sum(axis=-1), D
 
 
@@ -189,7 +201,8 @@ def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray) -> np
     d = np.asarray(dtilde, dtype=float).reshape(-1)
     if a.size != d.size:
         raise ValueError(f"length mismatch: alpha has {a.size}, dtilde has {d.size}")
-    return _residual_and_slope(link, a, d, np.ones(a.size))[0]
+    return _residual_and_slope(link, a, d, np.ones(a.size),
+                               np.empty((2, a.size, a.size)))[0]
 
 
 def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
@@ -199,7 +212,7 @@ def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
     exactly, so the diagonal-balance identity holds by construction.
     """
     a = np.asarray(alpha, dtype=float).reshape(-1)
-    V = _weighted_values(link, a, np.ones(a.size))[1]
+    V = _weighted_values(link, a, np.ones(a.size), np.empty((2, a.size, a.size)))[1]
     off_min = float(V[~np.eye(a.size, dtype=bool)].min())
     off_max = float(V[~np.eye(a.size, dtype=bool)].max())
     np.fill_diagonal(V, V.sum(axis=1))
@@ -323,7 +336,7 @@ def _cg_step(V: np.ndarray, F: np.ndarray, m: np.ndarray) -> Optional[np.ndarray
 
 
 def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
-            tol: np.ndarray, inverses: list) -> list[EstimateResult]:
+            tol: np.ndarray, inverses: list, work: np.ndarray) -> list[EstimateResult]:
     """Damped Newton on a stack of g collapsed systems with k classes each.
 
     u, m and b (g, k) hold each member's distinct degrees, class sizes and
@@ -346,6 +359,13 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
     A member with k >= 91 runs alone (see ``solve_many``) and takes its
     steps by ``_cg_step``. The test is on k, not on how many rows are still
     running, so that a member's steps do not depend on its stack.
+
+    work is the fit's pair of (g, k, k) work arrays, a C-contiguous
+    (2, g, k, k) float64 array held for the whole fit: each link
+    evaluation of n rows writes into its leading slab work[:, :n]. The
+    slope V of an accepted point may be such a slab; it is used up before
+    the next evaluation, and a compaction or a partial acceptance copies
+    it, so no result aliases work.
     """
     g, k = u.shape
     alone = _ELEMENT_BUDGET // (k * k) <= 1  # a stack of one, see solve_many
@@ -359,9 +379,10 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             fits[j] = EstimateResult(None, None, it, r, False, reason)
         failed[gone] = True
 
-    F, V = _residual_and_slope(link, b, u, m)
+    F, V = _residual_and_slope(link, b, u, m, work)
     res = np.max(np.abs(F), axis=1)
-    # V holds W o p' at b; each accepted trial point brings its own
+    # V holds W o p' at b: a slab of work until a compaction or a partial
+    # acceptance copies it, and used up (del V) before work is written again
     for it in range(_MAX_ITER + 1):
         v = V.sum(axis=2)
         done = res <= tol  # never a failed row: it keeps the residual it failed at
@@ -393,8 +414,10 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
         stop(~failed & ~np.all(np.isfinite(step), axis=1), it, "non-finite Newton step")
 
         # damping: halve until the sup-norm residual strictly decreases;
-        # the rows still trying have all been halved alike; with none trying,
-        # one pass over empty arrays leaves V all zeros
+        # the rows still trying have all been halved alike and evaluate in
+        # the leading slab of work; V is taken whole or, once a row is
+        # accepted apart from others, copied row by row into zeros, which the
+        # rows that stall or failed keep until they leave
         trying = np.flatnonzero(~failed)
         V = None
         scale = 1.0
@@ -402,22 +425,26 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             whole = trying.size == rows.size
             t = slice(None) if whole else trying
             b_try = b[t] + scale * step[t]
-            F_try, V_try = _residual_and_slope(link, b_try, u[t], m[t])
+            F_try, V_try = _residual_and_slope(link, b_try, u[t], m[t],
+                                               work[:, :trying.size])
             res_try = np.max(np.abs(F_try), axis=1)
             ok = np.isfinite(res_try) & (res_try < res[t])
             if whole and ok.all():
                 b, F, res, V = b_try, F_try, res_try, V_try
                 trying = trying[:0]
                 break
-            if V is None:
-                V = np.zeros((rows.size, k, k))
             acc = trying[ok]
-            b[acc], F[acc], res[acc], V[acc] = b_try[ok], F_try[ok], res_try[ok], V_try[ok]
+            if acc.size:
+                if V is None:
+                    V = np.zeros((rows.size, k, k))
+                b[acc], F[acc], res[acc], V[acc] = b_try[ok], F_try[ok], res_try[ok], V_try[ok]
             del F_try, V_try
             trying = trying[~ok]
             if not trying.size:
                 break
             scale *= 0.5
+        if V is None:
+            V = np.zeros((rows.size, k, k))
         stop(trying, it, "step stalled (no residual decrease)")
     stop(np.arange(rows.size), _MAX_ITER, "iteration limit reached")
     return fits
@@ -450,14 +477,22 @@ def solve_many(link: LinkKind, dtildes, x0s=None) -> Iterator[EstimateResult]:
     holds max(1, _ELEMENT_BUDGET // k^2) fits, the rest at the end. Each
     result is the one ``solve`` gives for its sequence alone, bit for
     bit, and is yielded once it and every result before it are known.
+    Every stack evaluates in the leading part of one flat work buffer,
+    allocated again only when a stack needs more.
     """
     ready: dict[int, EstimateResult] = {}  # results not yet yielded
     waiting: dict[int, list] = {}  # k -> collapsed systems of a stack
     yielded = 0
+    work = np.empty(0)  # the work arrays of the largest stack so far, flat
 
     def run(stack: list) -> None:
+        nonlocal work
         u, m, b, tol = (np.array([s[c] for s in stack]) for c in (1, 2, 3, 4))
-        fits = _newton(link, u, m, b, tol, [s[5] for s in stack])
+        g, k = u.shape
+        if work.size < 2 * g * k * k:
+            work = np.empty(2 * g * k * k)
+        fits = _newton(link, u, m, b, tol, [s[5] for s in stack],
+                       work[:2 * g * k * k].reshape(2, g, k, k))
         ready.update((s[0], fit) for s, fit in zip(stack, fits))
 
     for f, dtilde in enumerate(dtildes):

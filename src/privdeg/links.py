@@ -57,7 +57,8 @@ def _check_log_domain(x: np.ndarray) -> None:
         )
 
 
-def link_values(link: LinkKind, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def link_values(link: LinkKind, X: np.ndarray,
+                out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p(X) and p'(X) at an array of pair sums X, which is overwritten.
 
     The one definition of the three links:
@@ -68,24 +69,26 @@ def link_values(link: LinkKind, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     There is no log-domain guard here: the log link is its analytic
     extension exp(x) on all of R, which may overflow to +inf without a
-    warning. Each link computes p and p' from shared intermediates, in
-    place where it can, so no more than two arrays of X's shape (and
-    logit's sign mask) are live.
+    warning. Each link computes p and p' from shared intermediates in
+    place: one result is X and the other out, a float64 array of X's
+    shape that the caller provides, so no array of X's shape (other than
+    logit's sign mask) is allocated.
     """
     if link == LinkKind.LOG:
         with np.errstate(over="ignore"):
             P = np.exp(X, out=X)
-        D = P.copy()
+        np.copyto(out, P)
+        D = out
     elif link == LinkKind.LOGIT:
         pos = X >= 0
         e = np.exp(np.negative(np.abs(X, out=X), out=X), out=X)  # exp(-|x|)
-        D = np.add(e, 1.0)
+        D = np.add(e, 1.0, out=out)
         P = np.divide(e, D, out=e)               # e^x / (1 + e^x) for x < 0
         np.divide(1.0, D, out=P, where=pos)      # 1 / (1 + e^-x) for x >= 0
         np.multiply(P, np.subtract(1.0, P, out=D), out=D)   # p (1 - p)
     elif link == LinkKind.CLOGLOG:
         Xc = np.clip(X, None, _EXP_CLIP, out=X)
-        e = np.exp(Xc)
+        e = np.exp(Xc, out=out)
         D = np.exp(np.subtract(Xc, e, out=Xc), out=Xc)      # exp(x - e^x)
         P = np.negative(np.expm1(np.negative(e, out=e), out=e), out=e)
     else:  # pragma: no cover
@@ -98,7 +101,7 @@ def _guarded_values(link: LinkKind, x) -> tuple[np.ndarray, np.ndarray]:
     X = np.array(x, dtype=float, ndmin=1)
     if link == LinkKind.LOG:
         _check_log_domain(X)
-    return link_values(link, X)
+    return link_values(link, X, np.empty_like(X))
 
 
 def edge_prob(link: LinkKind, x) -> np.ndarray | float:
@@ -164,7 +167,7 @@ def edge_prob_matrix(link: LinkKind, alpha: np.ndarray) -> np.ndarray:
     a = validate_params(link, alpha)
     X = pair_sum_matrix(a)
     np.fill_diagonal(X, -np.inf)  # p(-inf) = +0.0 under every link
-    return link_values(link, X)[0]
+    return link_values(link, X, np.empty_like(X))[0]
 
 
 def expected_degrees(link: LinkKind, alpha: np.ndarray) -> np.ndarray:
@@ -192,7 +195,8 @@ class EdgeSampler:
             i = np.arange(self.n)
             self.upper = i[:, None] < i
             # validate_params has checked the log domain of every pair
-            self.p = link_values(link, pair_sum_matrix(a)[self.upper])[0]
+            X = pair_sum_matrix(a)[self.upper]
+            self.p = link_values(link, X, np.empty_like(X))[0]
         except MemoryError:
             raise ValueError(f"vertex count n={self.n} is too large "
                              "to hold its vertex pairs") from None

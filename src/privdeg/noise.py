@@ -275,8 +275,12 @@ class _HermiteLaw(CompoundPoisson):
         if not (self.a1 > 0 and self.a2 > 0):
             raise ValueError("Hermite intensities a1, a2 must be positive")
 
-    def _one_draw(self, rng, size):
-        return rng.poisson(self.a1, size=size) + 2 * rng.poisson(self.a2, size=size)
+    def _one_draw(self, rng, size, sign: int = 1, y=0):
+        """y + sign * Y for a fresh Hermite draw Y; an array y is updated in
+        place, so a two-sided draw holds two arrays of size, not three."""
+        y += sign * rng.poisson(self.a1, size=size)
+        y += (2 * sign) * rng.poisson(self.a2, size=size)
+        return y
 
     def _one_cgf(self, s: np.ndarray) -> np.ndarray:
         """log E exp(s (Y - E Y)) of one Hermite draw."""
@@ -324,7 +328,7 @@ class TwoSideHermite(_HermiteLaw):
     name = "herm2"
 
     def draw(self, rng, size):
-        return self._one_draw(rng, size) - self._one_draw(rng, size)
+        return self._one_draw(rng, size, -1, self._one_draw(rng, size))
 
     def moments(self) -> tuple[float, float]:
         return 0.0, 2.0 * (self.a1 + 4.0 * self.a2)
@@ -412,7 +416,8 @@ def _poisson_cutoff(lam: float, tail: float) -> int:
 # ---------------------------------------------------------------------------
 
 def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None):
-    """Draw from a mechanism; integer-valued laws return integer-valued floats."""
+    """Draw from a mechanism; integer-valued laws return integer-valued floats.
+    With size given the result is a fresh float64 array the caller may write."""
     out = mech.draw(rng, size)
     return np.asarray(out, dtype=float) if size is not None else float(out)
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +526,23 @@ def test_bounds_bernstein_sums_one_draw_per_term_at_large_reps(tmp_path):
                  "--n", str(n), "--reps", str(reps), "--seed", "5",
                  "--out", str(out)]) == 0
     assert out.read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("law", ["lap:b=1", "herm2:a1=1,a2=1"])
+def test_subexp_fold_keeps_no_array_but_its_draw(law):
+    # one row of 2^20 draws: centred and folded in place, so the traced peak
+    # is the draw (with an integer law's int64 array before its conversion)
+    mech = noise.parse_mechanism(law)
+    reps = 2**20
+    tracemalloc.start()
+    try:
+        got = cli._folded_noise(mech, np.random.default_rng(3), 1, reps, np.add)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * reps
+    want = np.abs(noise.sample(mech, np.random.default_rng(3), size=reps) - mech.moments()[0])
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("law", ["geo:q=0.999999", "dlap:p=1e-9",

@@ -15,7 +15,7 @@ from privdeg.estimator import (NonexistentEstimateError, _nonexistence_reason,
                                moment_residual, normal_quantile, solve,
                                solve_many, xi_statistic)
 from privdeg.links import (EdgeSampler, LinkKind, degrees, expected_degrees,
-                           sample_graph)
+                           link_values, pair_sum_matrix, sample_graph)
 from privdeg.noise import ContinuousLaplace, TwoSideHermite, sample
 
 LINKS = [LinkKind.LOG, LinkKind.LOGIT, LinkKind.CLOGLOG]
@@ -90,7 +90,8 @@ def test_collapsed_residual_matches_full_system():
         beta = rand_alpha(rng, link, 3)
         u = rng.uniform(0.5, 4.5, 3)
         full = moment_residual(link, np.repeat(beta, counts), np.repeat(u, counts))
-        collapsed = estimator._residual_and_slope(link, beta, u, counts.astype(float))[0]
+        collapsed = estimator._residual_and_slope(link, beta, u, counts.astype(float),
+                                                  np.empty((2, 3, 3)))[0]
         assert np.max(np.abs(np.repeat(collapsed, counts) - full)) < 1e-13
 
 
@@ -444,14 +445,15 @@ def _evaluation_cases():
 def test_fused_evaluator_matches_separate_evaluators(link, beta, m):
     u = np.linspace(1.0, 9.0, beta.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        P, D = _weighted_values(link, beta, m)
+        k = beta.size
+        P, D = _weighted_values(link, beta, m, np.empty((2, k, k)))
         assert P is not D
         assert np.array_equal(
             P, engine_reference._weighted(engine_reference._pm_extended, link, beta, m),
             equal_nan=True)
         assert np.array_equal(D, engine_reference.weighted_slope(link, beta, m),
                               equal_nan=True)
-        F = estimator._residual_and_slope(link, beta, u, m)[0]
+        F = estimator._residual_and_slope(link, beta, u, m, np.empty((2, k, k)))[0]
         assert np.array_equal(F, u - P.sum(axis=1), equal_nan=True)
         assert np.array_equal(F, engine_reference.moment_residual(link, beta, u, m),
                               equal_nan=True)
@@ -462,6 +464,21 @@ def test_fused_evaluator_matches_separate_evaluators(link, beta, m):
         off = ~np.eye(beta.size, dtype=bool)
         assert np.array_equal(jac.matrix[off], D[off], equal_nan=True)
         assert (jac.m, jac.M) == (ref.m, ref.M) or np.isnan(ref.m)
+
+
+@pytest.mark.parametrize("link,beta", [case[:2] for case in _evaluation_cases()])
+def test_link_values_write_into_the_callers_arrays(link, beta):
+    X = pair_sum_matrix(beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = engine_reference._pm_extended(link, X)
+        dp = engine_reference._dpm_extended(link, X)
+        Y = np.full_like(X, np.nan)
+        P, D = link_values(link, X, out=Y)
+    # p and p' are the caller's arrays X and Y, one each
+    assert (np.shares_memory(P, X) and np.shares_memory(D, Y)) or \
+        (np.shares_memory(P, Y) and np.shares_memory(D, X))
+    assert np.array_equal(P, p, equal_nan=True)
+    assert np.array_equal(D, dp, equal_nan=True)
 
 
 @pytest.mark.parametrize("link", LINKS)
@@ -687,9 +704,13 @@ def test_lone_cg_fit_has_the_same_bits_inside_a_mixed_input():
         assert_same_estimate(got, solve(LinkKind.LOGIT, d))
 
 
+@pytest.mark.parametrize("n, noise", [(100, "lap"), (400, "herm2")])
 @pytest.mark.parametrize("link", LINKS)
-def test_cg_step_that_cannot_finish_falls_back_to_lu_bitwise(link, monkeypatch):
-    d = _cell_degrees(link, 100, "lap", seed=8)
+def test_cg_step_that_cannot_finish_falls_back_to_lu_bitwise(link, n, noise, monkeypatch):
+    # a lone fit (k >= 91) in its work arrays gives the bits of the
+    # reference, which allocates each evaluation afresh
+    d = _cell_degrees(link, n, noise, seed=8)
+    assert np.unique(d).size >= 91
     monkeypatch.setattr(estimator, "_CG_MAX_ITER", 1)
     outcomes = _spy_cg(monkeypatch)
     got = solve(link, d)
@@ -711,6 +732,38 @@ def test_cg_system_without_a_step_keeps_its_reason(link, start, reason, monkeypa
     assert outcomes == [False]
     with np.errstate(over="ignore"):  # the reference's exp overflows at the start
         assert_same_fit(got, engine_reference.solve(link, d, x0=start))
+
+
+# ---------------------------------------------------------------------------
+# the two (g, k, k) work arrays that each Newton fit evaluates in
+# ---------------------------------------------------------------------------
+
+def test_lone_fits_evaluate_every_point_in_one_pair_of_work_arrays(monkeypatch):
+    pairs = []  # every (p, p') pair, kept alive so no allocation can be reused
+
+    def keep(*args):
+        pairs.append(link_values(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(estimator, "link_values", keep)
+    ds = [_cell_degrees(LinkKind.CLOGLOG, 400, "lap", seed=s) for s in (400, 401)]
+    fits = list(solve_many(LinkKind.CLOGLOG, ds))
+    assert all(f.exists for f in fits)
+    assert len(pairs) >= sum(f.iterations + 1 for f in fits)
+    assert pairs[0][0].shape == (1, 400, 400)
+    for P, D in pairs[1:]:
+        for A in (P, D):
+            assert np.shares_memory(A, pairs[0][0]) or np.shares_memory(A, pairs[0][1])
+
+
+def test_fit_results_do_not_alias_the_work_arrays_of_later_fits():
+    d1, d2 = (_cell_degrees(LinkKind.LOGIT, 120, "lap", seed=s) for s in (1, 3))
+    first = solve(LinkKind.LOGIT, d1)
+    alpha, v = first.alpha_hat.copy(), first.v_hat.copy()
+    assert solve(LinkKind.LOGIT, d2).exists and first.exists
+    assert np.array_equal(first.alpha_hat, alpha) and np.array_equal(first.v_hat, v)
+    many = list(solve_many(LinkKind.LOGIT, [d1, d2]))
+    assert_same_estimate(many[0], first)
 
 
 # ---------------------------------------------------------------------------

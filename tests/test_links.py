@@ -6,7 +6,8 @@ import pytest
 import engine_reference
 from privdeg.links import (DomainError, EdgeSampler, LinkKind, degrees,
                            edge_prob, edge_prob_deriv, edge_prob_matrix,
-                           expected_degrees, link_inverse, sample_graph)
+                           expected_degrees, link_inverse, link_values,
+                           sample_graph)
 from privdeg.netio import EdgeList
 
 LINKS = [LinkKind.LOG, LinkKind.LOGIT, LinkKind.CLOGLOG]
@@ -194,3 +195,10 @@ def test_edge_prob_and_derivatives_match_separate_evaluators_bitwise(link):
         assert np.array_equal(x, x_before)  # the input is not overwritten
         assert edge_prob(link, float(x[0])) == p[0]
         assert edge_prob_deriv(link, float(x[0])) == dp[0]
+        with np.errstate(over="ignore"):
+            X, Y = x.copy(), np.full_like(x, np.nan)
+            P, D = link_values(link, X, out=Y)
+        # p and p' are the caller's arrays X and Y, one each
+        assert (np.shares_memory(P, X) and np.shares_memory(D, Y)) or \
+            (np.shares_memory(P, Y) and np.shares_memory(D, X))
+        assert np.array_equal(P, p) and np.array_equal(D, dp)
