@@ -38,11 +38,15 @@ diag(m) J x = m o G. A stack of several members, and a step that CG
 cannot finish (see ``_cg_step``), factors J with ``np.linalg.solve``
 instead.
 
-A fit evaluates the link in two (g, k, k) work arrays that it holds for
-its lifetime, g the size of its stack: the pair sums, p and p' of every
-Newton point are written into them, and no evaluation allocates a k x k
-array. ``solve_many`` lends each stack the leading part of one buffer,
-grown to its largest stack, so a run of fits reuses the same pages.
+A fit holds one (g, k, k) slope array for its lifetime, g the size of
+its stack, and a scratch block of at most max(_ELEMENT_BUDGET, k)
+entries. ``_evaluate`` walks the rows in blocks that fit the scratch: it
+forms a block's pair sums and p in the scratch, writes W o p' into the
+slope array, and reduces the block's rows of G and of v while they are
+in cache. So p is never held whole and no evaluation allocates a k x k
+array. ``solve_many`` lends each stack the leading part of one slope
+buffer, grown to its largest stack, and one scratch, so a run of fits
+reuses the same pages.
 
 For the log link the moment function is evaluated through the analytic
 extension exp(alpha_i + alpha_j), defined for all real pair sums; see
@@ -75,10 +79,13 @@ __all__ = [
 ]
 
 
-# Element budget of a stack of fits in ``solve_many``: each of its
-# (g, k, k) arrays holds at most this many entries, or those of one fit
-# when k * k exceeds it, so fits with k > 90 run alone. Larger stacks
-# gained no speed at n = 100 and cost memory.
+# Element budget of a stack of fits in ``solve_many``: its (g, k, k)
+# slope array holds at most this many entries, or those of one fit when
+# k * k exceeds it, so fits with k > 90 run alone. Larger stacks gained no
+# speed at n = 100 and cost memory. It also sizes the blocks of
+# ``_evaluate`` (128 KiB of float64, which stays in cache): a stack is one
+# block, and a lone fit with k * k above the budget takes blocks of
+# max(1, _ELEMENT_BUDGET // k) whole rows.
 _ELEMENT_BUDGET = 2**14
 
 
@@ -141,48 +148,73 @@ class JacobianMatrix:
     M: float
 
 
-def _weighted_values(link: LinkKind, beta: np.ndarray, m: np.ndarray,
-                     out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W o p(X) and W o p'(X) at X_ab = beta_a + beta_b, W = m[None, :] - I.
+def _block_rows(g: int, k: int) -> int:
+    """Rows of each system in one ``_evaluate`` block of a stack of g
+    systems with k classes: all k when the stack fits _ELEMENT_BUDGET,
+    which every stack of ``solve_many`` does, else whole rows of a lone
+    system up to the budget."""
+    return k if g * k * k <= _ELEMENT_BUDGET else max(1, _ELEMENT_BUDGET // k)
 
-    beta and m are one system (k,) or a stack of systems (g, k); the
-    result is (k, k) or (g, k, k), and every entry is computed the same
-    way in either shape. The two results are written to out[0] and
-    out[1] in some order: out is a C-contiguous float64 array of shape
-    (2, *beta.shape, k), and nothing else is allocated at the result's
-    size. X is formed in out[0] with the elementwise sums of
-    ``links.pair_sum_matrix``; p and p' come from ``links.link_values``,
-    without the log-domain guard (analytic extension for log). Diagonal
-    entries with W_aa = 0 are set to zero rather than multiplied by it,
-    so an overflowing value there cannot turn a row sum into NaN. Pair
-    sums and weighted values may overflow to inf without a warning: at a
-    far Newton trial point they give a non-finite residual, which damping
-    rejects.
+
+def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray, m: np.ndarray,
+              out: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collapsed residual G, slope W o p' and its row sums v at beta.
+
+    beta, u and m are a stack of g systems (g, k), W = m[None, :] - I.
+    Returns (G, out, v): G = u - sum_b W_ab p(beta_a + beta_b) and
+    v = sum_b W_ab p'(beta_a + beta_b), both (g, k), and out, a
+    C-contiguous (g, k, k) float64 array holding W o p'. The rows are
+    taken in blocks of ``_block_rows(g, k)``: a block's pair sums are
+    formed in scratch, a flat float64 array of at least g * rows * k
+    entries, where ``links.link_values`` turns them into p while it
+    writes p' into the block's rows of out; both are weighted and summed
+    into the block's rows of G and v before the next block, so p is never
+    held whole. out and scratch are allocated when not given. Every entry
+    and every row sum has the bits of a whole-matrix evaluation, as a
+    block holds whole rows and each row is summed alone. Without ties
+    W o A is A with a zero diagonal, so the weighting only zeroes it.
+    Diagonal entries with W_aa = 0 are set to zero rather than multiplied
+    by it, so an overflowing value there cannot turn a row sum into NaN.
+    Pair sums and weighted values may overflow to inf without a warning:
+    at a far Newton trial point they give a non-finite residual, which
+    damping rejects.
     """
+    g, k = beta.shape
+    rows = _block_rows(g, k)
+    if out is None:
+        out = np.empty((g, k, k))
+    if scratch is None:
+        scratch = np.empty(g * rows * k)
+    G, v = np.empty((g, k)), np.empty((g, k))
+    tied = bool((m > 1).any())
     with np.errstate(over="ignore"):
-        X = np.add(beta[..., :, None], beta[..., None, :], out=out[0])
-        P, D = link_values(link, X, out[1])
-        for A in (P, D):
-            diag = np.zeros(m.shape)
-            np.multiply(A.diagonal(axis1=-2, axis2=-1), m - 1.0, out=diag, where=m > 1)
-            A *= m[..., None, :]
-            _diagonal(A)[...] = diag
-    return P, D
+        for lo in range(0, k, rows):
+            hi = min(lo + rows, k)
+            X = scratch[:g * (hi - lo) * k].reshape(g, hi - lo, k)
+            X[...] = beta[:, None, :]
+            X += beta[:, lo:hi, None]
+            P, D = link_values(link, X, out[:, lo:hi])
+            for A in (P, D):
+                # entry (a, a) of row a; copy=False: a view, or an error
+                diag = A.reshape(g, (hi - lo) * k, copy=False)[:, lo::k + 1]
+                if tied:
+                    w = m[:, lo:hi]
+                    on_diag = np.zeros(w.shape)
+                    np.multiply(diag, w - 1.0, out=on_diag, where=w > 1)
+                    A *= m[:, None, :]
+                    diag[...] = on_diag
+                else:
+                    diag[...] = 0.0
+            P.sum(axis=-1, out=G[:, lo:hi])
+            D.sum(axis=-1, out=v[:, lo:hi])
+    return np.subtract(u, G, out=G), out, v
 
 
 def _diagonal(A: np.ndarray) -> np.ndarray:
     """Writable view of the diagonals of a C-contiguous (..., k, k) array."""
     k = A.shape[-1]
     return A.reshape(*A.shape[:-2], k * k)[..., ::k + 1]
-
-
-def _residual_and_slope(link: LinkKind, beta: np.ndarray, u: np.ndarray,
-                        m: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapsed residual G(beta) and W o p'(beta_a + beta_b), from one
-    link evaluation in the work arrays out (see ``_weighted_values``);
-    the slope is one of them."""
-    P, D = _weighted_values(link, beta, m, out)
-    return u - P.sum(axis=-1), D
 
 
 def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray) -> np.ndarray:
@@ -201,8 +233,7 @@ def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray) -> np
     d = np.asarray(dtilde, dtype=float).reshape(-1)
     if a.size != d.size:
         raise ValueError(f"length mismatch: alpha has {a.size}, dtilde has {d.size}")
-    return _residual_and_slope(link, a, d, np.ones(a.size),
-                               np.empty((2, a.size, a.size)))[0]
+    return _evaluate(link, a[None], d[None], np.ones((1, a.size)))[0][0]
 
 
 def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
@@ -212,11 +243,11 @@ def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
     exactly, so the diagonal-balance identity holds by construction.
     """
     a = np.asarray(alpha, dtype=float).reshape(-1)
-    V = _weighted_values(link, a, np.ones(a.size), np.empty((2, a.size, a.size)))[1]
-    off_min = float(V[~np.eye(a.size, dtype=bool)].min())
-    off_max = float(V[~np.eye(a.size, dtype=bool)].max())
-    np.fill_diagonal(V, V.sum(axis=1))
-    return JacobianMatrix(V, off_min, off_max)
+    _, V, v = _evaluate(link, a[None], np.zeros((1, a.size)), np.ones((1, a.size)))
+    V = V[0]
+    off = V[~np.eye(a.size, dtype=bool)]
+    np.fill_diagonal(V, v[0])
+    return JacobianMatrix(V, float(off.min()), float(off.max()))
 
 
 def approx_inverse_s(v: JacobianMatrix | np.ndarray) -> np.ndarray:
@@ -336,7 +367,8 @@ def _cg_step(V: np.ndarray, F: np.ndarray, m: np.ndarray) -> Optional[np.ndarray
 
 
 def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
-            tol: np.ndarray, inverses: list, work: np.ndarray) -> list[EstimateResult]:
+            tol: np.ndarray, inverses: list, work: np.ndarray,
+            scratch: np.ndarray) -> list[EstimateResult]:
     """Damped Newton on a stack of g collapsed systems with k classes each.
 
     u, m and b (g, k) hold each member's distinct degrees, class sizes and
@@ -353,19 +385,21 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
     rows that failed in the iteration before. A row fails on a singular
     Jacobian, a non-finite step or a stalled damping; ``stop`` records its
     fit at once and flags it, and a flagged row takes no part in damping
-    and keeps zero rows of V until it leaves. Rows still running after
-    _MAX_ITER steps stop at the iteration limit.
+    and keeps zero rows of V and v until it leaves. Rows still running
+    after _MAX_ITER steps stop at the iteration limit.
 
     A member with k >= 91 runs alone (see ``solve_many``) and takes its
     steps by ``_cg_step``. The test is on k, not on how many rows are still
     running, so that a member's steps do not depend on its stack.
 
-    work is the fit's pair of (g, k, k) work arrays, a C-contiguous
-    (2, g, k, k) float64 array held for the whole fit: each link
-    evaluation of n rows writes into its leading slab work[:, :n]. The
-    slope V of an accepted point may be such a slab; it is used up before
-    the next evaluation, and a compaction or a partial acceptance copies
-    it, so no result aliases work.
+    work is the fit's (g, k, k) slope array and scratch its evaluation
+    block (see ``_evaluate``), both held for the whole fit: each link
+    evaluation of n rows writes W o p' into the leading slab work[:n] and
+    returns its row sums v with the residual, so v needs no second pass
+    over the slope. The slope V of an accepted point may be such a slab;
+    it is used up before the next evaluation, and a compaction or a
+    partial acceptance copies it (and v with it), so no result aliases
+    work.
     """
     g, k = u.shape
     alone = _ELEMENT_BUDGET // (k * k) <= 1  # a stack of one, see solve_many
@@ -379,12 +413,11 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             fits[j] = EstimateResult(None, None, it, r, False, reason)
         failed[gone] = True
 
-    F, V = _residual_and_slope(link, b, u, m, work)
+    F, V, v = _evaluate(link, b, u, m, work, scratch)
     res = np.max(np.abs(F), axis=1)
     # V holds W o p' at b: a slab of work until a compaction or a partial
     # acceptance copies it, and used up (del V) before work is written again
     for it in range(_MAX_ITER + 1):
-        v = V.sum(axis=2)
         done = res <= tol  # never a failed row: it keeps the residual it failed at
         for j, r, bj, vj in zip(rows[done].tolist(), res[done].tolist(), b[done], v[done]):
             fits[j] = EstimateResult(bj[inverses[j]], vj[inverses[j]], it, r, True)
@@ -415,36 +448,37 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
 
         # damping: halve until the sup-norm residual strictly decreases;
         # the rows still trying have all been halved alike and evaluate in
-        # the leading slab of work; V is taken whole or, once a row is
+        # the leading slab of work; V and v are taken whole or, once a row is
         # accepted apart from others, copied row by row into zeros, which the
         # rows that stall or failed keep until they leave
         trying = np.flatnonzero(~failed)
-        V = None
+        V = v = None
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             whole = trying.size == rows.size
             t = slice(None) if whole else trying
             b_try = b[t] + scale * step[t]
-            F_try, V_try = _residual_and_slope(link, b_try, u[t], m[t],
-                                               work[:, :trying.size])
+            F_try, V_try, v_try = _evaluate(link, b_try, u[t], m[t],
+                                            work[:trying.size], scratch)
             res_try = np.max(np.abs(F_try), axis=1)
             ok = np.isfinite(res_try) & (res_try < res[t])
             if whole and ok.all():
-                b, F, res, V = b_try, F_try, res_try, V_try
+                b, F, res, V, v = b_try, F_try, res_try, V_try, v_try
                 trying = trying[:0]
                 break
             acc = trying[ok]
             if acc.size:
                 if V is None:
-                    V = np.zeros((rows.size, k, k))
-                b[acc], F[acc], res[acc], V[acc] = b_try[ok], F_try[ok], res_try[ok], V_try[ok]
+                    V, v = np.zeros((rows.size, k, k)), np.zeros((rows.size, k))
+                b[acc], F[acc], res[acc] = b_try[ok], F_try[ok], res_try[ok]
+                V[acc], v[acc] = V_try[ok], v_try[ok]
             del F_try, V_try
             trying = trying[~ok]
             if not trying.size:
                 break
             scale *= 0.5
         if V is None:
-            V = np.zeros((rows.size, k, k))
+            V, v = np.zeros((rows.size, k, k)), np.zeros((rows.size, k))
         stop(trying, it, "step stalled (no residual decrease)")
     stop(np.arange(rows.size), _MAX_ITER, "iteration limit reached")
     return fits
@@ -477,22 +511,26 @@ def solve_many(link: LinkKind, dtildes, x0s=None) -> Iterator[EstimateResult]:
     holds max(1, _ELEMENT_BUDGET // k^2) fits, the rest at the end. Each
     result is the one ``solve`` gives for its sequence alone, bit for
     bit, and is yielded once it and every result before it are known.
-    Every stack evaluates in the leading part of one flat work buffer,
-    allocated again only when a stack needs more.
+    Every stack evaluates in the leading part of one flat slope buffer and
+    one flat scratch (see ``_evaluate``), each allocated again only when a
+    stack needs more: the slope buffer holds g * k * k entries and the
+    scratch at most max(_ELEMENT_BUDGET, k).
     """
     ready: dict[int, EstimateResult] = {}  # results not yet yielded
     waiting: dict[int, list] = {}  # k -> collapsed systems of a stack
     yielded = 0
-    work = np.empty(0)  # the work arrays of the largest stack so far, flat
+    work = scratch = np.empty(0)  # the largest stack's slope array and block
 
     def run(stack: list) -> None:
-        nonlocal work
+        nonlocal work, scratch
         u, m, b, tol = (np.array([s[c] for s in stack]) for c in (1, 2, 3, 4))
         g, k = u.shape
-        if work.size < 2 * g * k * k:
-            work = np.empty(2 * g * k * k)
+        if work.size < g * k * k:
+            work = np.empty(g * k * k)
+        if scratch.size < g * _block_rows(g, k) * k:
+            scratch = np.empty(g * _block_rows(g, k) * k)
         fits = _newton(link, u, m, b, tol, [s[5] for s in stack],
-                       work[:2 * g * k * k].reshape(2, g, k, k))
+                       work[:g * k * k].reshape(g, k, k), scratch)
         ready.update((s[0], fit) for s, fit in zip(stack, fits))
 
     for f, dtilde in enumerate(dtildes):

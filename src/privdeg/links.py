@@ -70,7 +70,7 @@ def link_values(link: LinkKind, X: np.ndarray,
     There is no log-domain guard here: the log link is its analytic
     extension exp(x) on all of R, which may overflow to +inf without a
     warning. Each link computes p and p' from shared intermediates in
-    place: one result is X and the other out, a float64 array of X's
+    place: p is written into X and p' into out, a float64 array of X's
     shape that the caller provides, so no array of X's shape (other than
     logit's sign mask) is allocated.
     """
@@ -87,8 +87,8 @@ def link_values(link: LinkKind, X: np.ndarray,
         np.divide(1.0, D, out=P, where=pos)      # 1 / (1 + e^-x) for x >= 0
         np.multiply(P, np.subtract(1.0, P, out=D), out=D)   # p (1 - p)
     elif link == LinkKind.CLOGLOG:
-        Xc = np.clip(X, None, _EXP_CLIP, out=X)
-        e = np.exp(Xc, out=out)
+        Xc = np.minimum(X, _EXP_CLIP, out=out)
+        e = np.exp(Xc, out=X)
         D = np.exp(np.subtract(Xc, e, out=Xc), out=Xc)      # exp(x - e^x)
         P = np.negative(np.expm1(np.negative(e, out=e), out=e), out=e)
     else:  # pragma: no cover

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ctypes
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -225,6 +224,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
             if before is not None:
                 _openblas_threads()[1](before)
     else:
+        # imported here: it loads multiprocessing, which no in-process run needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_one_blas_thread) as pool:
             blocks = list(pool.map(_block, *zip(*tasks)))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -233,7 +234,7 @@ def test_scenario_overrides_agree_in_simulate_and_qq(tmp_path, monkeypatch):
 
     def no_pool(*args, **kwargs):
         raise AssertionError("--workers 0 and the default of 1 must run in-process")
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cell = tmp_path / "cell.scenario"
     cell.write_text(SCENARIO)
     reseeded = tmp_path / "reseeded.scenario"
@@ -381,12 +382,12 @@ def test_sample_writes_the_loop_extraction_bytes(tmp_path):
     assert out.read_text() == netio_reference.sample_text(dense)
 
 
-def _main_in_fresh_python(argv: list[str] | None) -> str:
-    """'<exit code> <scipy loaded?>' of main(argv) in a new interpreter;
+def _main_in_fresh_python(argv: list[str] | None, module: str = "scipy") -> str:
+    """'<exit code> <module loaded?>' of main(argv) in a new interpreter;
     argv None only imports the CLI (exit code 0)."""
     code = ("import sys; from privdeg.cli import main; "
             f"argv = {argv!r}; "
-            "print(main(argv) if argv else 0, 'scipy' in sys.modules)")
+            f"print(main(argv) if argv else 0, {module!r} in sys.modules)")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
                                           os.environ.get("PYTHONPATH", "")])}
@@ -426,6 +427,12 @@ def test_bounds_path_does_not_load_scipy(tmp_path):
                                       "--n", "5", "--reps", "1000",
                                       "--out", str(out)]) == "0 False"
     assert out.read_text().startswith("t,bound,empirical,mc_stderr\n")
+
+
+@pytest.mark.parametrize("module", ["concurrent.futures.process", "multiprocessing"])
+def test_cli_import_does_not_load_the_process_pool(module):
+    # simulate imports ProcessPoolExecutor only when a run starts a pool
+    assert _main_in_fresh_python(None, module) == "0 False"
 
 
 def test_infinite_normal_quantile_exits_2(tmp_path, capsys, tailorshop_text):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 import engine_reference
 from privdeg import estimator
-from privdeg.estimator import (NonexistentEstimateError, _nonexistence_reason,
-                               _weighted_values, approx_inverse_s,
+from privdeg.estimator import (NonexistentEstimateError, _evaluate,
+                               _nonexistence_reason, approx_inverse_s,
                                confidence_interval, initial_point, jacobian,
                                moment_residual, normal_quantile, solve,
                                solve_many, xi_statistic)
@@ -90,8 +91,7 @@ def test_collapsed_residual_matches_full_system():
         beta = rand_alpha(rng, link, 3)
         u = rng.uniform(0.5, 4.5, 3)
         full = moment_residual(link, np.repeat(beta, counts), np.repeat(u, counts))
-        collapsed = estimator._residual_and_slope(link, beta, u, counts.astype(float),
-                                                  np.empty((2, 3, 3)))[0]
+        collapsed = _evaluate(link, beta[None], u[None], counts[None].astype(float))[0][0]
         assert np.max(np.abs(np.repeat(collapsed, counts) - full)) < 1e-13
 
 
@@ -445,15 +445,11 @@ def _evaluation_cases():
 def test_fused_evaluator_matches_separate_evaluators(link, beta, m):
     u = np.linspace(1.0, 9.0, beta.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        k = beta.size
-        P, D = _weighted_values(link, beta, m, np.empty((2, k, k)))
-        assert P is not D
-        assert np.array_equal(
-            P, engine_reference._weighted(engine_reference._pm_extended, link, beta, m),
-            equal_nan=True)
+        F, D, v = (A[0] for A in _evaluate(link, beta[None], u[None], m[None]))
+        P = engine_reference._weighted(engine_reference._pm_extended, link, beta, m)
         assert np.array_equal(D, engine_reference.weighted_slope(link, beta, m),
                               equal_nan=True)
-        F = estimator._residual_and_slope(link, beta, u, m, np.empty((2, k, k)))[0]
+        assert np.array_equal(v, D.sum(axis=1), equal_nan=True)
         assert np.array_equal(F, u - P.sum(axis=1), equal_nan=True)
         assert np.array_equal(F, engine_reference.moment_residual(link, beta, u, m),
                               equal_nan=True)
@@ -474,9 +470,8 @@ def test_link_values_write_into_the_callers_arrays(link, beta):
         dp = engine_reference._dpm_extended(link, X)
         Y = np.full_like(X, np.nan)
         P, D = link_values(link, X, out=Y)
-    # p and p' are the caller's arrays X and Y, one each
-    assert (np.shares_memory(P, X) and np.shares_memory(D, Y)) or \
-        (np.shares_memory(P, Y) and np.shares_memory(D, X))
+    # p is written into X and p' into the caller's array Y
+    assert np.shares_memory(P, X) and np.shares_memory(D, Y)
     assert np.array_equal(P, p, equal_nan=True)
     assert np.array_equal(D, dp, equal_nan=True)
 
@@ -524,9 +519,9 @@ def _two_class_fits(n_random: int = 48):
 def _rejected_trials(monkeypatch, link, d, x0) -> int:
     """Damping trials that a lone converged fit rejected (0 if it failed)."""
     calls = []
-    evaluate = estimator._residual_and_slope
+    evaluate = estimator._evaluate
     with monkeypatch.context() as mp:
-        mp.setattr(estimator, "_residual_and_slope",
+        mp.setattr(estimator, "_evaluate",
                    lambda *a: calls.append(1) or evaluate(*a))
         res = solve(link, d, x0=x0)
     return len(calls) - 1 - res.iterations if res.exists else 0
@@ -707,7 +702,7 @@ def test_lone_cg_fit_has_the_same_bits_inside_a_mixed_input():
 @pytest.mark.parametrize("n, noise", [(100, "lap"), (400, "herm2")])
 @pytest.mark.parametrize("link", LINKS)
 def test_cg_step_that_cannot_finish_falls_back_to_lu_bitwise(link, n, noise, monkeypatch):
-    # a lone fit (k >= 91) in its work arrays gives the bits of the
+    # a lone fit (k >= 91) in its slope array and scratch gives the bits of the
     # reference, which allocates each evaluation afresh
     d = _cell_degrees(link, n, noise, seed=8)
     assert np.unique(d).size >= 91
@@ -735,10 +730,58 @@ def test_cg_system_without_a_step_keeps_its_reason(link, start, reason, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# the two (g, k, k) work arrays that each Newton fit evaluates in
+# the (g, k, k) slope array and the scratch block that each Newton fit
+# evaluates in
 # ---------------------------------------------------------------------------
 
-def test_lone_fits_evaluate_every_point_in_one_pair_of_work_arrays(monkeypatch):
+def _block_cases():
+    """Systems that a budget of 3k + 5 entries at k = 13 evaluates in five
+    row blocks, the last of one row (a lone system), or in one block (a
+    stack of four with k = 3), tied and untied, with starts near 0 and at
+    +-355, where the log link's pair sums overflow exp."""
+    rng = np.random.default_rng(17)
+    for link in LINKS:
+        for g, k in ((1, 13), (4, 3)):
+            for tied in (False, True):
+                for centre in (0.0, 355.0, -355.0):
+                    beta = centre + rng.normal(0.0, 1.0, (g, k))
+                    if link == LinkKind.LOG and centre == 0.0:
+                        beta = -np.abs(beta) - 0.1
+                    m = rng.integers(1, 4, (g, k)).astype(float) if tied else np.ones((g, k))
+                    yield link, beta, m
+
+
+@pytest.mark.parametrize("link,beta,m", list(_block_cases()))
+def test_row_blocks_give_the_bits_of_a_whole_matrix_evaluation(link, beta, m, monkeypatch):
+    monkeypatch.setattr(estimator, "_ELEMENT_BUDGET", 3 * 13 + 5)
+    g, k = beta.shape
+    blocks = []  # the shape of every block of pair sums
+    link_values_ = estimator.link_values
+    monkeypatch.setattr(estimator, "link_values",
+                        lambda *a: blocks.append(a[1].shape) or link_values_(*a))
+    u = np.linspace(1.0, 9.0, g * k).reshape(g, k)
+    F, D, v = _evaluate(link, beta, u, m)  # under the suite's RuntimeWarning gate
+    assert blocks == ([(1, 3, 13)] * 4 + [(1, 1, 13)] if k == 13 else [(4, 3, 3)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(g):
+            assert np.array_equal(D[r], engine_reference.weighted_slope(link, beta[r], m[r]),
+                                  equal_nan=True)
+            assert np.array_equal(F[r], engine_reference.moment_residual(link, beta[r], u[r],
+                                                                         m[r]),
+                                  equal_nan=True)
+        assert np.array_equal(v, D.sum(axis=2), equal_nan=True)
+    if link == LinkKind.LOG and beta.mean() > 0:  # some pair sums overflowed
+        assert np.isinf(F).any() and np.isinf(v).any()
+
+
+def _owner(A: np.ndarray) -> np.ndarray:
+    """The array that owns A's memory."""
+    while A.base is not None:
+        A = A.base
+    return A
+
+
+def test_lone_fits_evaluate_every_point_in_one_slope_array_and_one_scratch(monkeypatch):
     pairs = []  # every (p, p') pair, kept alive so no allocation can be reused
 
     def keep(*args):
@@ -749,11 +792,32 @@ def test_lone_fits_evaluate_every_point_in_one_pair_of_work_arrays(monkeypatch):
     ds = [_cell_degrees(LinkKind.CLOGLOG, 400, "lap", seed=s) for s in (400, 401)]
     fits = list(solve_many(LinkKind.CLOGLOG, ds))
     assert all(f.exists for f in fits)
-    assert len(pairs) >= sum(f.iterations + 1 for f in fits)
-    assert pairs[0][0].shape == (1, 400, 400)
-    for P, D in pairs[1:]:
-        for A in (P, D):
-            assert np.shares_memory(A, pairs[0][0]) or np.shares_memory(A, pairs[0][1])
+    k = 400
+    rows = estimator._ELEMENT_BUDGET // k  # 40: each evaluation takes 10 blocks
+    assert len(pairs) % (k // rows) == 0
+    assert len(pairs) // (k // rows) >= sum(f.iterations + 1 for f in fits)
+    # p' goes into one (1, k, k) array and p into one block-sized scratch
+    slope, scratch = _owner(pairs[0][1]), _owner(pairs[0][0])
+    assert slope.nbytes == 8 * k * k
+    assert scratch.size <= max(estimator._ELEMENT_BUDGET, k)
+    for P, D in pairs:
+        assert P.shape == D.shape == (1, rows, k)
+        assert _owner(D) is slope and _owner(P) is scratch
+
+
+def test_lone_fit_peaks_below_one_and_a_half_slope_arrays():
+    # the slope array holds 8 k^2 bytes; two k x k work arrays would hold twice that
+    d = _cell_degrees(LinkKind.CLOGLOG, 400, "lap", seed=400)
+    k = np.unique(d).size
+    assert k == 400
+    tracemalloc.start()
+    try:
+        fit = solve(LinkKind.CLOGLOG, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.exists
+    assert peak < 1.5 * 8 * k * k
 
 
 def test_fit_results_do_not_alias_the_work_arrays_of_later_fits():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from itertools import combinations
 from pathlib import Path
@@ -252,7 +253,7 @@ def test_pool_never_exceeds_the_block_count(monkeypatch):
 
     # a budget of 60 degrees makes blocks of 3 replicates at n = 20
     monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", 60)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     sc = Scenario(LinkKind.LOGIT, 20, 0.3, TwoSideHermite(1.0, 0.5), replicates=9)
     want = report_csv([run_scenario(sc)])
     assert report_csv([run_scenario(sc, workers=100_000)]) == want
