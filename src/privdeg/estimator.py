@@ -42,8 +42,8 @@ A fit holds one (g, k, k) slope array for its lifetime, g the size of
 its stack, and a scratch block of at most max(_ELEMENT_BUDGET, k)
 entries. ``_evaluate`` walks the rows in blocks that fit the scratch: it
 forms a block's pair sums and p in the scratch, writes W o p' into the
-slope array, and reduces the block's rows of G and of v while they are
-in cache. So p is never held whole and no evaluation allocates a k x k
+slope array, and reduces the block's rows of G and of v before it forms
+the next block. So p is never held whole and no evaluation allocates a k x k
 array. ``solve_many`` lends each stack the leading part of one slope
 buffer, grown to its largest stack, and one scratch, so a run of fits
 reuses the same pages.
@@ -82,9 +82,9 @@ __all__ = [
 # Element budget of a stack of fits in ``solve_many``: its (g, k, k)
 # slope array holds at most this many entries, or those of one fit when
 # k * k exceeds it, so fits with k > 90 run alone. Larger stacks gained no
-# speed at n = 100 and cost memory. It also sizes the blocks of
-# ``_evaluate`` (128 KiB of float64, which stays in cache): a stack is one
-# block, and a lone fit with k * k above the budget takes blocks of
+# speed at n = 100 and cost memory. The blocks of ``_evaluate`` reuse it
+# untuned (no other block size was measured): a stack is one block, and a
+# lone fit with k * k above the budget takes blocks of
 # max(1, _ELEMENT_BUDGET // k) whole rows.
 _ELEMENT_BUDGET = 2**14
 
@@ -150,10 +150,11 @@ class JacobianMatrix:
 
 def _block_rows(g: int, k: int) -> int:
     """Rows of each system in one ``_evaluate`` block of a stack of g
-    systems with k classes: all k when the stack fits _ELEMENT_BUDGET,
-    which every stack of ``solve_many`` does, else whole rows of a lone
-    system up to the budget."""
-    return k if g * k * k <= _ELEMENT_BUDGET else max(1, _ELEMENT_BUDGET // k)
+    systems with k classes: all k for a stack (g > 1) or a system that
+    fits _ELEMENT_BUDGET, else whole rows of a lone system up to the
+    budget. Either way a block of a C-contiguous (g, k, k) array is
+    C-contiguous, which ``_diagonal`` needs."""
+    return k if g > 1 or k * k <= _ELEMENT_BUDGET else max(1, _ELEMENT_BUDGET // k)
 
 
 def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray, m: np.ndarray,
@@ -196,8 +197,7 @@ def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray, m: np.ndarray,
             X += beta[:, lo:hi, None]
             P, D = link_values(link, X, out[:, lo:hi])
             for A in (P, D):
-                # entry (a, a) of row a; copy=False: a view, or an error
-                diag = A.reshape(g, (hi - lo) * k, copy=False)[:, lo::k + 1]
+                diag = _diagonal(A, lo)  # entry (a, a) of row a
                 if tied:
                     w = m[:, lo:hi]
                     on_diag = np.zeros(w.shape)
@@ -211,10 +211,14 @@ def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray, m: np.ndarray,
     return np.subtract(u, G, out=G), out, v
 
 
-def _diagonal(A: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonals of a C-contiguous (..., k, k) array."""
-    k = A.shape[-1]
-    return A.reshape(*A.shape[:-2], k * k)[..., ::k + 1]
+def _diagonal(A: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Writable view of the entries (a, lo + a) of a C-contiguous
+    (..., rows, k) array with lo + rows <= k: the diagonal of a square
+    array, or that of rows lo, lo + 1, ... of one taken as a block."""
+    if not A.flags.c_contiguous:  # reshape would copy, and writes be lost
+        raise ValueError("the diagonal of a non-contiguous array is not a view")
+    rows, k = A.shape[-2:]
+    return A.reshape(*A.shape[:-2], rows * k)[..., lo::k + 1]
 
 
 def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray) -> np.ndarray:

@@ -774,6 +774,36 @@ def test_row_blocks_give_the_bits_of_a_whole_matrix_evaluation(link, beta, m, mo
         assert np.isinf(F).any() and np.isinf(v).any()
 
 
+@pytest.mark.parametrize("g,k", [(1, 13), (4, 3), (2, 13)])
+def test_block_diagonals_are_views_of_the_blocks(g, k, monkeypatch):
+    # a lone k = 13 system takes 3-row blocks; a stack is one block even
+    # when it exceeds the budget, so every block is C-contiguous
+    monkeypatch.setattr(estimator, "_ELEMENT_BUDGET", 3 * 13 + 5)
+    blocks = []
+    link_values_ = estimator.link_values
+
+    def keep(*args):
+        blocks.append(link_values_(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(estimator, "link_values", keep)
+    _evaluate(LinkKind.LOGIT, np.zeros((g, k)), np.ones((g, k)), np.ones((g, k)))
+    lo = 0
+    for P, D in blocks:
+        rows = P.shape[1]
+        for A in (P, D):
+            diag = estimator._diagonal(A, lo)
+            assert np.shares_memory(diag, A) and diag.shape == (g, rows)
+            A[...] = 0.0  # the p blocks share the scratch
+            diag[...] = -1.0
+            assert all(A[s, r, lo + r] == -1.0 for s in range(g) for r in range(rows))
+            assert np.count_nonzero(A == -1.0) == g * rows
+        lo += rows
+    assert lo == k
+    with pytest.raises(ValueError, match="non-contiguous"):
+        estimator._diagonal(np.zeros((2, 4, 4))[:, 1:3])
+
+
 def _owner(A: np.ndarray) -> np.ndarray:
     """The array that owns A's memory."""
     while A.base is not None:
