@@ -38,15 +38,22 @@ diag(m) J x = m o G. A stack of several members, and a step that CG
 cannot finish (see ``_cg_step``), factors J with ``np.linalg.solve``
 instead.
 
-A fit holds one (g, k, k) slope array for its lifetime, g the size of
-its stack, and a scratch block of at most max(_ELEMENT_BUDGET, k)
-entries. ``_evaluate`` walks the rows in blocks that fit the scratch: it
-forms a block's pair sums and p in the scratch, writes W o p' into the
-slope array, and reduces the block's rows of G and of v before it forms
-the next block. So p is never held whole and no evaluation allocates a k x k
-array. ``solve_many`` lends each stack the leading part of one slope
-buffer, grown to its largest stack, and one scratch, so a run of fits
-reuses the same pages.
+Newton sees each point through an operator: the row sums v, a product
+x -> J x, the diagonal of J and, for an LU step only, the dense J. A
+stack's operator is ``_Dense``, J in a (g, k, k) slope array that
+``_evaluate`` fills: it walks the rows in blocks that fit a scratch of
+at most max(_ELEMENT_BUDGET, k) entries, forms a block's pair sums and p
+there, writes W o p' into the slope array and reduces the block's rows
+of G and v before the next block, so p is never held whole. A lone fit
+takes ``_Chebyshev`` wherever a grid of T nodes with 3T <= k resolves
+the point: every kernel is a function of the pair sum alone, so on T
+Chebyshev nodes over the range of beta it is a k x T barycentric basis
+times a T x T table times the basis transposed, and G, v and J x cost
+O(kT) and T^2 link evaluations, with no k x k array (Berrut & Trefethen
+2004, SIAM Review 46). Its other points are dense, and an LU step forms
+its J from the grid's factors. ``solve_many`` lends every fit one slope
+buffer and one scratch (``_Work``), allocated only when a point is dense
+and grown to the largest stack, so a run of fits reuses the same pages.
 
 For the log link the moment function is evaluated through the analytic
 extension exp(alpha_i + alpha_j), defined for all real pair sums; see
@@ -56,6 +63,7 @@ extension exp(alpha_i + alpha_j), defined for all real pair sums; see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Iterator, Optional
 
@@ -82,10 +90,11 @@ __all__ = [
 # Element budget of a stack of fits in ``solve_many``: its (g, k, k)
 # slope array holds at most this many entries, or those of one fit when
 # k * k exceeds it, so fits with k > 90 run alone. Larger stacks gained no
-# speed at n = 100 and cost memory. The blocks of ``_evaluate`` reuse it
-# untuned (no other block size was measured): a stack is one block, and a
-# lone fit with k * k above the budget takes blocks of
-# max(1, _ELEMENT_BUDGET // k) whole rows.
+# speed at n = 100 and cost memory. The blocks of ``_evaluate`` reuse it:
+# a stack is one block, and a lone fit with k * k above the budget takes
+# blocks of max(1, _ELEMENT_BUDGET // k) whole rows. A lone fit walks them
+# only at the points its Chebyshev grid cannot resolve (see
+# ``_chebyshev``), so the block size is left untuned.
 _ELEMENT_BUDGET = 2**14
 
 
@@ -112,6 +121,24 @@ _MAX_HALVINGS = 40
 # matrix-vector products before its LU.
 _CG_RTOL = 1e-14
 _CG_MAX_ITER = 50
+
+# The Chebyshev grid of a lone fit's point (see ``_chebyshev``) starts at
+# _CHEB_NODES nodes and doubles until the last _CHEB_TAIL_TERMS Chebyshev
+# coefficients of p and of p' are at most _CHEB_TAIL times their largest.
+# 16 nodes resolved 109 to 126 of 300 random intervals per link at once.
+# The rounding floor of that ratio, read at twice the first T that brought
+# it under 1e-12 on 900 intervals (widths 0.05 to 10, all three links), had
+# a median of 2.4e-15 to 2.8e-15 and a maximum of 7.3e-15: at 2e-15, 25 of
+# 300 cloglog intervals never resolved, at 2e-14 all did, and G and v of
+# 450 random 600-class points were within 2.2e-15 of the dense row sums,
+# relative to their largest. The grid serves only while
+# _CHEB_RATIO * T <= k: an evaluation plus six CG products broke even with
+# the dense ones at k of about 91 for T = 16, 110-150 for T = 32, 150-178
+# for T = 64 and 210-300 for T = 128 (cloglog, one BLAS thread, 2 cores).
+_CHEB_NODES = 16
+_CHEB_TAIL = 2e-14
+_CHEB_TAIL_TERMS = 4
+_CHEB_RATIO = 3
 
 
 @dataclass(frozen=True)
@@ -247,11 +274,17 @@ def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
     exactly, so the diagonal-balance identity holds by construction.
     """
     a = np.asarray(alpha, dtype=float).reshape(-1)
+    if a.size < 2:
+        raise ValueError(f"need at least 2 vertices, got {a.size}")
     _, V, v = _evaluate(link, a[None], np.zeros((1, a.size)), np.ones((1, a.size)))
     V = V[0]
-    off = V[~np.eye(a.size, dtype=bool)]
+    # the off-diagonal range, with the diagonal set where it cannot win
+    np.fill_diagonal(V, np.inf)
+    lo = float(V.min())
+    np.fill_diagonal(V, -np.inf)
+    hi = float(V.max())
     np.fill_diagonal(V, v[0])
-    return JacobianMatrix(V, float(off.min()), float(off.max()))
+    return JacobianMatrix(V, lo, hi)
 
 
 def approx_inverse_s(v: JacobianMatrix | np.ndarray) -> np.ndarray:
@@ -332,17 +365,165 @@ def _classes(d: np.ndarray, x0: Optional[np.ndarray]):
     return first[order], rank[inverse.reshape(-1)], counts[order].astype(float)
 
 
-def _cg_step(V: np.ndarray, F: np.ndarray, m: np.ndarray) -> Optional[np.ndarray]:
-    """Newton step x with V x = F by Jacobi-preconditioned conjugate gradients.
+@lru_cache(maxsize=None)
+def _chebyshev_grid(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The T Chebyshev points of the first kind x_j = cos(theta_j),
+    theta_j = (j + 1/2) pi / T, their barycentric weights (-1)^j sin(theta_j)
+    and the T x T cosine matrix C with C @ f the Chebyshev coefficients of
+    the interpolant of values f at the points. Read-only and cached: a fit
+    with k classes makes at most log2(k / _CHEB_NODES) grids."""
+    theta = (np.arange(T) + 0.5) * (np.pi / T)
+    w = np.sin(theta)
+    w[1::2] *= -1.0
+    C = np.cos(np.outer(np.arange(T), theta)) * (2.0 / T)
+    C[0] *= 0.5
+    x = np.cos(theta)
+    for a in (x, w, C):
+        a.setflags(write=False)
+    return x, w, C
 
-    V is one collapsed system's negated Jacobian (k, k), F its residual
-    and m its class sizes. CG runs on diag(m) V x = m o F, which is
-    symmetric positive definite (see the module docstring). Returns None
-    when a diagonal entry is not positive and finite, on a breakdown, or
-    when the residual has not reached _CG_RTOL * ||m o F||_2 within
-    min(k, _CG_MAX_ITER) iterations; the caller then factors V.
+
+def _resolved(C: np.ndarray, f: np.ndarray) -> bool:
+    """Whether the trailing Chebyshev coefficients of the values f are at
+    rounding level (see _CHEB_TAIL)."""
+    c = np.abs(C @ f)
+    return bool(c[-_CHEB_TAIL_TERMS:].max() <= _CHEB_TAIL * c.max())
+
+
+class _Dense:
+    """Negated Jacobians J (g, k, k) of g systems, formed in the slope
+    array that ``_evaluate`` wrote, with their row sums v (g, k). J may be
+    a slab of the fit's work array (see ``_newton``); the product and the
+    diagonal are those of a lone system (g = 1)."""
+
+    def __init__(self, J: np.ndarray, v: np.ndarray):
+        self.J, self.v = J, v
+
+    def take(self, keep: np.ndarray) -> "_Dense":
+        return _Dense(self.J[keep], self.v[keep])
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.J[0] @ x
+
+    def diagonal(self) -> np.ndarray:
+        return self.J[0].diagonal()
+
+    def jacobian(self) -> np.ndarray:
+        return self.J
+
+
+class _Chebyshev:
+    """Negated Jacobian of one system with k classes through a T-node grid:
+    J x = v o x + B D B^T (m o x) - p'(2 beta) o x, with B the k x T
+    barycentric basis at beta and D the T x T table of p' at the grid's
+    pair sums, so a product costs O(kT) and no k x k array is formed."""
+
+    def __init__(self, B: np.ndarray, D: np.ndarray, m: np.ndarray, v: np.ndarray,
+                 d2: np.ndarray):
+        self.B, self.D, self.m, self.v, self.d2 = B, D, m, v[None], d2
+        self.shift = v - d2  # J = diag(shift) + B D B^T diag(m)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.shift * x + self.B @ (self.D @ (self.m * x @ self.B))
+
+    def diagonal(self) -> np.ndarray:
+        return self.v[0] + (self.m - 1.0) * self.d2
+
+    def jacobian(self) -> np.ndarray:
+        """Dense J (1, k, k) from the factors, O(k^2 T), for an LU step."""
+        J = self.B @ self.D @ self.B.T
+        J *= self.m
+        J = J[None]
+        _diagonal(J)[...] += self.shift
+        return J
+
+
+def _chebyshev(link: LinkKind, beta: np.ndarray, u: np.ndarray,
+               m: np.ndarray) -> Optional[tuple[np.ndarray, _Chebyshev]]:
+    """Residual G (1, k) and a ``_Chebyshev`` operator of one system at
+    beta, or None when no grid small enough for k resolves the point.
+
+    Every kernel of the moment system is a function of the pair sum, so
+    on T Chebyshev nodes s_1..s_T of [min beta, max beta] a kernel f is
+    f(beta_a + beta_b) ~ (B F B^T)_ab with F_rs = f(s_r + s_s): the tensor
+    interpolant of degree T - 1, exact for every polynomial of degree
+    T - 1 in the pair sum. Its values f(2 s_r) are Chebyshev samples of f
+    on [2 min beta, 2 max beta], so T doubles from _CHEB_NODES until the
+    coefficients of p and p' there have a tail at rounding level. Then
+
+        G = u - (B P B^T m - p(2 beta)),  v = B D B^T m - p'(2 beta)
+
+    with P and D the tables of p and p'. Returns None, for ``_evaluate``
+    to take the point, when T would exceed k / _CHEB_RATIO, a sample is
+    not finite (an overflowing log link) or G or v is not.
     """
-    diag = V.diagonal() * m
+    k = beta.size
+    lo, hi = float(beta.min()), float(beta.max())
+    T = _CHEB_NODES
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while True:
+            if _CHEB_RATIO * T > k:
+                return None
+            x, w, C = _chebyshev_grid(T)
+            s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+            P, D = link_values(link, 2.0 * s, np.empty(T))
+            if not (np.isfinite(P).all() and np.isfinite(D).all()):
+                return None
+            if _resolved(C, P) and _resolved(C, D):
+                break
+            T *= 2
+        X = np.add.outer(s, s)
+        P, D = link_values(link, X, np.empty_like(X))
+        # B_ar = (w_r / (beta_a - s_r)) / sum_r w_r / (beta_a - s_r), and
+        # e_r when beta_a is node r (then the sum is not finite)
+        B = np.subtract.outer(beta, s)
+        np.divide(w, B, out=B)
+        den = B.sum(axis=1)
+        B /= den[:, None]
+        on_node = np.flatnonzero(~np.isfinite(den))
+        if on_node.size:
+            B[on_node] = 0.0
+            B[on_node, np.abs(beta[on_node, None] - s).argmin(axis=1)] = 1.0
+        p2, d2 = link_values(link, 2.0 * beta, np.empty(k))
+        Bm = m @ B
+        G = u - (B @ (P @ Bm) - p2)
+        v = B @ (D @ Bm) - d2
+        if not (np.isfinite(G).all() and np.isfinite(v).all()):
+            return None
+    return G[None], _Chebyshev(B, D, m, v, d2)
+
+
+class _Work:
+    """The slope array and the evaluation scratch that ``solve_many`` lends
+    its fits: flat float64 buffers, each allocated again only when a fit
+    needs more, so a run of fits reuses the same pages."""
+
+    def __init__(self) -> None:
+        self._slope = self._scratch = np.empty(0)
+
+    def slope(self, g: int, k: int) -> np.ndarray:
+        """A C-contiguous (g, k, k) array at the start of the slope buffer."""
+        if self._slope.size < g * k * k:
+            self._slope = np.empty(g * k * k)
+        return self._slope[:g * k * k].reshape(g, k, k)
+
+    def scratch(self, size: int) -> np.ndarray:
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        return self._scratch[:size]
+
+
+def _cg_step(matvec, diag: np.ndarray, F: np.ndarray, m: np.ndarray) -> Optional[np.ndarray]:
+    """Newton step x with J x = F by Jacobi-preconditioned conjugate gradients.
+
+    matvec is x -> J x for one collapsed system's negated Jacobian J
+    (k, k), diag the diagonal of diag(m) J, F the system's residual and m
+    its class sizes. CG runs on diag(m) J x = m o F, which is symmetric
+    positive definite (see the module docstring). Returns None when a
+    diagonal entry is not positive and finite, on a breakdown, or when
+    the residual has not reached _CG_RTOL * ||m o F||_2 within
+    min(k, _CG_MAX_ITER) iterations; the caller then factors J.
+    """
     if not np.all((diag > 0) & (diag < np.inf)):
         return None
     with np.errstate(all="ignore"):  # a breakdown shows as pq <= 0 or NaN
@@ -354,7 +535,7 @@ def _cg_step(V: np.ndarray, F: np.ndarray, m: np.ndarray) -> Optional[np.ndarray
         z = r / diag
         p, rz = z, r @ z
         for _ in range(min(r.size, _CG_MAX_ITER)):
-            q = V @ p
+            q = matvec(p)
             q *= m
             pq = p @ q
             if not pq > 0:
@@ -371,8 +552,7 @@ def _cg_step(V: np.ndarray, F: np.ndarray, m: np.ndarray) -> Optional[np.ndarray
 
 
 def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
-            tol: np.ndarray, inverses: list, work: np.ndarray,
-            scratch: np.ndarray) -> list[EstimateResult]:
+            tol: np.ndarray, inverses: list, work: _Work) -> list[EstimateResult]:
     """Damped Newton on a stack of g collapsed systems with k classes each.
 
     u, m and b (g, k) hold each member's distinct degrees, class sizes and
@@ -389,21 +569,21 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
     rows that failed in the iteration before. A row fails on a singular
     Jacobian, a non-finite step or a stalled damping; ``stop`` records its
     fit at once and flags it, and a flagged row takes no part in damping
-    and keeps zero rows of V and v until it leaves. Rows still running
+    and keeps zero rows of J and v until it leaves. Rows still running
     after _MAX_ITER steps stop at the iteration limit.
 
-    A member with k >= 91 runs alone (see ``solve_many``) and takes its
-    steps by ``_cg_step``. The test is on k, not on how many rows are still
-    running, so that a member's steps do not depend on its stack.
-
-    work is the fit's (g, k, k) slope array and scratch its evaluation
-    block (see ``_evaluate``), both held for the whole fit: each link
-    evaluation of n rows writes W o p' into the leading slab work[:n] and
-    returns its row sums v with the residual, so v needs no second pass
-    over the slope. The slope V of an accepted point may be such a slab;
-    it is used up before the next evaluation, and a compaction or a
-    partial acceptance copies it (and v with it), so no result aliases
-    work.
+    Each point gives the residual F and an operator with the row sums v,
+    a product x -> J x, the diagonal of J and, for an LU step, the dense
+    J. A stack's operator is ``_Dense``: ``_evaluate`` writes its slope
+    into the leading slab of the fit's work slope array, where J is formed
+    in place. A member with k >= 91 runs alone (see ``solve_many``),
+    evaluates each point by ``_chebyshev`` where a grid of at most k / 3
+    nodes resolves it, and by ``_evaluate`` elsewhere, and takes its steps
+    by ``_cg_step``. The test is on k, not on how many rows are still
+    running, so that a member's steps do not depend on its stack. The
+    operator of an accepted point is used up by the step (op = None)
+    before the next evaluation writes the work array again; a compaction
+    or a partial acceptance copies it, so no result aliases work.
     """
     g, k = u.shape
     alone = _ELEMENT_BUDGET // (k * k) <= 1  # a stack of one, see solve_many
@@ -417,72 +597,82 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             fits[j] = EstimateResult(None, None, it, r, False, reason)
         failed[gone] = True
 
-    F, V, v = _evaluate(link, b, u, m, work, scratch)
+    def evaluate(b: np.ndarray, u: np.ndarray, m: np.ndarray):
+        if alone:
+            point = _chebyshev(link, b[0], u[0], m[0])
+            if point is not None:
+                return point
+        n = b.shape[0]
+        F, J, v = _evaluate(link, b, u, m, work.slope(n, k),
+                            work.scratch(n * _block_rows(n, k) * k))
+        _diagonal(J)[...] += v
+        return F, _Dense(J, v)
+
+    F, op = evaluate(b, u, m)
     res = np.max(np.abs(F), axis=1)
-    # V holds W o p' at b: a slab of work until a compaction or a partial
-    # acceptance copies it, and used up (del V) before work is written again
     for it in range(_MAX_ITER + 1):
         done = res <= tol  # never a failed row: it keeps the residual it failed at
-        for j, r, bj, vj in zip(rows[done].tolist(), res[done].tolist(), b[done], v[done]):
-            fits[j] = EstimateResult(bj[inverses[j]], vj[inverses[j]], it, r, True)
+        if done.any():
+            for j, r, bj, vj in zip(rows[done].tolist(), res[done].tolist(), b[done],
+                                    op.v[done]):
+                fits[j] = EstimateResult(bj[inverses[j]], vj[inverses[j]], it, r, True)
         keep = ~(done | failed)
         if not keep.all():
-            rows, u, m, b, tol, F, V, res, v, failed = (
-                x[keep] for x in (rows, u, m, b, tol, F, V, res, v, failed))
+            rows, u, m, b, tol, F, res, failed = (
+                x[keep] for x in (rows, u, m, b, tol, F, res, failed))
+            # a lone fit stays whole or leaves; op is None once every row failed
+            op = op.take(keep) if keep.any() else None
         if it == _MAX_ITER or not rows.size:
             break
-        _diagonal(V)[...] += v
-        step = _cg_step(V[0], F[0], m[0]) if alone else None
+        step = _cg_step(op.matvec, op.diagonal() * m[0], F[0], m[0]) if alone else None
         if step is not None:
             step = step[None]
         else:
+            J = op.jacobian()
             try:
-                step = np.linalg.solve(V, F[..., None])[..., 0]
+                step = np.linalg.solve(J, F[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 # find the singular members one by one; the rest keep their steps
                 step = np.empty_like(F)
                 for r in range(rows.size):
                     try:
-                        step[r] = np.linalg.solve(V[r:r + 1], F[r:r + 1, :, None])[0, :, 0]
+                        step[r] = np.linalg.solve(J[r:r + 1], F[r:r + 1, :, None])[0, :, 0]
                     except np.linalg.LinAlgError:
                         failed[r] = True
-        del V
+            del J
+        op = None
         stop(failed, it, "singular Jacobian")
         stop(~failed & ~np.all(np.isfinite(step), axis=1), it, "non-finite Newton step")
 
         # damping: halve until the sup-norm residual strictly decreases;
-        # the rows still trying have all been halved alike and evaluate in
-        # the leading slab of work; V and v are taken whole or, once a row is
-        # accepted apart from others, copied row by row into zeros, which the
-        # rows that stall or failed keep until they leave
+        # the rows still trying have all been halved alike and evaluate
+        # together; the operator is taken whole or, once a row of a stack is
+        # accepted apart from others, copied row by row into zeros, which
+        # the rows that stall or failed keep until they leave
         trying = np.flatnonzero(~failed)
-        V = v = None
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
+            if not trying.size:
+                break
             whole = trying.size == rows.size
             t = slice(None) if whole else trying
             b_try = b[t] + scale * step[t]
-            F_try, V_try, v_try = _evaluate(link, b_try, u[t], m[t],
-                                            work[:trying.size], scratch)
+            F_try, op_try = evaluate(b_try, u[t], m[t])
             res_try = np.max(np.abs(F_try), axis=1)
             ok = np.isfinite(res_try) & (res_try < res[t])
             if whole and ok.all():
-                b, F, res, V, v = b_try, F_try, res_try, V_try, v_try
+                b, F, res, op = b_try, F_try, res_try, op_try
                 trying = trying[:0]
                 break
             acc = trying[ok]
-            if acc.size:
-                if V is None:
-                    V, v = np.zeros((rows.size, k, k)), np.zeros((rows.size, k))
+            if acc.size:  # only a stack: a lone row is accepted whole
+                if op is None:
+                    op = _Dense(np.zeros((rows.size, k, k)), np.zeros((rows.size, k)))
                 b[acc], F[acc], res[acc] = b_try[ok], F_try[ok], res_try[ok]
-                V[acc], v[acc] = V_try[ok], v_try[ok]
-            del F_try, V_try
+                op.J[acc], op.v[acc] = op_try.J[ok], op_try.v[ok]
+            del F_try, op_try
             trying = trying[~ok]
-            if not trying.size:
-                break
             scale *= 0.5
-        if V is None:
-            V, v = np.zeros((rows.size, k, k)), np.zeros((rows.size, k))
         stop(trying, it, "step stalled (no residual decrease)")
     stop(np.arange(rows.size), _MAX_ITER, "iteration limit reached")
     return fits
@@ -515,26 +705,20 @@ def solve_many(link: LinkKind, dtildes, x0s=None) -> Iterator[EstimateResult]:
     holds max(1, _ELEMENT_BUDGET // k^2) fits, the rest at the end. Each
     result is the one ``solve`` gives for its sequence alone, bit for
     bit, and is yielded once it and every result before it are known.
-    Every stack evaluates in the leading part of one flat slope buffer and
-    one flat scratch (see ``_evaluate``), each allocated again only when a
-    stack needs more: the slope buffer holds g * k * k entries and the
-    scratch at most max(_ELEMENT_BUDGET, k).
+    Every fit evaluates its dense points in the leading part of one slope
+    buffer and one scratch (``_Work``), each allocated again only when a
+    fit needs more: g * k * k entries for a stack, k * k for a lone fit
+    once one of its points is dense, and a scratch of at most
+    max(_ELEMENT_BUDGET, k).
     """
     ready: dict[int, EstimateResult] = {}  # results not yet yielded
     waiting: dict[int, list] = {}  # k -> collapsed systems of a stack
     yielded = 0
-    work = scratch = np.empty(0)  # the largest stack's slope array and block
+    work = _Work()
 
     def run(stack: list) -> None:
-        nonlocal work, scratch
         u, m, b, tol = (np.array([s[c] for s in stack]) for c in (1, 2, 3, 4))
-        g, k = u.shape
-        if work.size < g * k * k:
-            work = np.empty(g * k * k)
-        if scratch.size < g * _block_rows(g, k) * k:
-            scratch = np.empty(g * _block_rows(g, k) * k)
-        fits = _newton(link, u, m, b, tol, [s[5] for s in stack],
-                       work[:g * k * k].reshape(g, k, k), scratch)
+        fits = _newton(link, u, m, b, tol, [s[5] for s in stack], work)
         ready.update((s[0], fit) for s, fit in zip(stack, fits))
 
     for f, dtilde in enumerate(dtildes):

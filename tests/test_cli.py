@@ -429,6 +429,18 @@ def test_bounds_path_does_not_load_scipy(tmp_path):
     assert out.read_text().startswith("t,bound,empirical,mc_stderr\n")
 
 
+@pytest.mark.parametrize("module", ["numpy.fft", "scipy"])
+def test_lone_fit_does_not_load_fft_or_scipy(tmp_path, module):
+    # 120 distinct degrees make one lone fit, whose Chebyshev grid takes its
+    # coefficients from a cosine matrix
+    degrees = tmp_path / "d.txt"
+    degrees.write_text("".join(f"{10.0 + 0.37 * i!r}\n" for i in range(120)))
+    out = tmp_path / "out.csv"
+    assert _main_in_fresh_python(["estimate", str(degrees), "--link", "logit",
+                                  "--out", str(out)], module) == "0 False"
+    assert out.read_text().count("\n") == 121
+
+
 @pytest.mark.parametrize("module", ["concurrent.futures.process", "multiprocessing"])
 def test_cli_import_does_not_load_the_process_pool(module):
     # simulate imports ProcessPoolExecutor only when a run starts a pool

@@ -15,8 +15,9 @@ from privdeg.estimator import (NonexistentEstimateError, _evaluate,
                                confidence_interval, initial_point, jacobian,
                                moment_residual, normal_quantile, solve,
                                solve_many, xi_statistic)
-from privdeg.links import (EdgeSampler, LinkKind, degrees, expected_degrees,
-                           link_values, pair_sum_matrix, sample_graph)
+from privdeg.links import (EdgeSampler, LinkKind, degrees, edge_prob,
+                           expected_degrees, link_values, pair_sum_matrix,
+                           sample_graph)
 from privdeg.noise import ContinuousLaplace, TwoSideHermite, sample
 
 LINKS = [LinkKind.LOG, LinkKind.LOGIT, LinkKind.CLOGLOG]
@@ -112,6 +113,24 @@ def test_jacobian_reference():
     assert np.diag(V) == pytest.approx([0.5] * 3, abs=1e-15)
     assert jac.m == pytest.approx(0.25)
     assert jac.M == pytest.approx(0.25)
+
+
+def test_jacobian_peaks_at_one_matrix_with_the_reference_bits():
+    # the off-diagonal range needs no k x k mask or copy of the entries
+    k = 2000
+    a = np.linspace(-1.0, 1.0, k)
+    tracemalloc.start()
+    try:
+        jac = jacobian(LinkKind.LOGIT, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 8 * k * k
+    ref = engine_reference.jacobian(LinkKind.LOGIT, a)
+    assert np.array_equal(jac.matrix, ref.matrix)
+    assert (jac.m, jac.M) == (ref.m, ref.M)
+    with pytest.raises(ValueError, match="at least 2"):
+        jacobian(LinkKind.LOGIT, np.zeros(1))
 
 
 def test_jacobian_diagonal_balance_is_exact():
@@ -699,18 +718,27 @@ def test_lone_cg_fit_has_the_same_bits_inside_a_mixed_input():
         assert_same_estimate(got, solve(LinkKind.LOGIT, d))
 
 
+def assert_close_fit(got, want):
+    """Two fits take the same path and agree to about 1e-12 (ROADMAP aim 2)."""
+    assert (got.exists, got.iterations, got.reason) == \
+        (want.exists, want.iterations, want.reason)
+    if want.exists:
+        assert np.max(np.abs(got.alpha_hat - want.alpha_hat)) <= 1e-12
+        assert np.max(np.abs(got.v_hat / want.v_hat - 1.0)) <= 1e-12
+
+
 @pytest.mark.parametrize("n, noise", [(100, "lap"), (400, "herm2")])
 @pytest.mark.parametrize("link", LINKS)
-def test_cg_step_that_cannot_finish_falls_back_to_lu_bitwise(link, n, noise, monkeypatch):
-    # a lone fit (k >= 91) in its slope array and scratch gives the bits of the
-    # reference, which allocates each evaluation afresh
+def test_cg_step_that_cannot_finish_falls_back_to_lu(link, n, noise, monkeypatch):
+    # a lone fit (k >= 91) factors J, dense or formed from the Chebyshev
+    # factors, when CG cannot finish; the reference factors a fresh dense J
     d = _cell_degrees(link, n, noise, seed=8)
     assert np.unique(d).size >= 91
     monkeypatch.setattr(estimator, "_CG_MAX_ITER", 1)
     outcomes = _spy_cg(monkeypatch)
     got = solve(link, d)
     assert got.exists and outcomes == [False] * got.iterations
-    assert_same_fit(got, engine_reference.solve(link, d))
+    assert_close_fit(got, engine_reference.solve(link, d))
 
 
 @pytest.mark.parametrize("link, start, reason", [
@@ -804,50 +832,24 @@ def test_block_diagonals_are_views_of_the_blocks(g, k, monkeypatch):
         estimator._diagonal(np.zeros((2, 4, 4))[:, 1:3])
 
 
-def _owner(A: np.ndarray) -> np.ndarray:
-    """The array that owns A's memory."""
-    while A.base is not None:
-        A = A.base
-    return A
-
-
-def test_lone_fits_evaluate_every_point_in_one_slope_array_and_one_scratch(monkeypatch):
-    pairs = []  # every (p, p') pair, kept alive so no allocation can be reused
-
-    def keep(*args):
-        pairs.append(link_values(*args))
-        return pairs[-1]
-
-    monkeypatch.setattr(estimator, "link_values", keep)
-    ds = [_cell_degrees(LinkKind.CLOGLOG, 400, "lap", seed=s) for s in (400, 401)]
-    fits = list(solve_many(LinkKind.CLOGLOG, ds))
-    assert all(f.exists for f in fits)
-    k = 400
-    rows = estimator._ELEMENT_BUDGET // k  # 40: each evaluation takes 10 blocks
-    assert len(pairs) % (k // rows) == 0
-    assert len(pairs) // (k // rows) >= sum(f.iterations + 1 for f in fits)
-    # p' goes into one (1, k, k) array and p into one block-sized scratch
-    slope, scratch = _owner(pairs[0][1]), _owner(pairs[0][0])
-    assert slope.nbytes == 8 * k * k
-    assert scratch.size <= max(estimator._ELEMENT_BUDGET, k)
-    for P, D in pairs:
-        assert P.shape == D.shape == (1, rows, k)
-        assert _owner(D) is slope and _owner(P) is scratch
-
-
-def test_lone_fit_peaks_below_one_and_a_half_slope_arrays():
-    # the slope array holds 8 k^2 bytes; two k x k work arrays would hold twice that
-    d = _cell_degrees(LinkKind.CLOGLOG, 400, "lap", seed=400)
-    k = np.unique(d).size
-    assert k == 400
+def test_lone_fit_holds_no_k_by_k_array():
+    # a lone cloglog fit at k = 4000 evaluates every point on its Chebyshev
+    # grid; one slope array would hold 8 k^2 bytes
+    link, k = LinkKind.CLOGLOG, 4000
+    alpha = np.linspace(-1.5, 0.5, k)
+    expected = np.concatenate([
+        edge_prob(link, alpha[lo:lo + 200, None] + alpha).sum(axis=1)
+        - edge_prob(link, 2.0 * alpha[lo:lo + 200]) for lo in range(0, k, 200)])
+    d = expected + np.random.default_rng(4000).laplace(0.0, 1.0, k)
+    assert np.unique(d).size == k
     tracemalloc.start()
     try:
-        fit = solve(LinkKind.CLOGLOG, d)
+        fit = solve(link, d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert fit.exists
-    assert peak < 1.5 * 8 * k * k
+    assert peak < 0.05 * 8 * k * k
 
 
 def test_fit_results_do_not_alias_the_work_arrays_of_later_fits():
@@ -858,6 +860,110 @@ def test_fit_results_do_not_alias_the_work_arrays_of_later_fits():
     assert np.array_equal(first.alpha_hat, alpha) and np.array_equal(first.v_hat, v)
     many = list(solve_many(LinkKind.LOGIT, [d1, d2]))
     assert_same_estimate(many[0], first)
+
+
+# ---------------------------------------------------------------------------
+# the Chebyshev operator of a lone fit against the dense evaluator
+# ---------------------------------------------------------------------------
+
+def _operator_points():
+    """Points of 400 classes, untied and tied: beta narrow, heavy-tailed
+    over [-8, 2] (a grid of 128 nodes), all equal, and at the far starts
+    +-355, where exp overflows or p and p' saturate."""
+    rng = np.random.default_rng(22)
+    k = 400
+    for link in LINKS:
+        for kind in ("narrow", "heavy", "equal", "far+", "far-"):
+            for tied in (False, True):
+                if kind == "narrow":
+                    beta = rng.uniform(-1.0, 0.5, k)
+                elif kind == "heavy":
+                    beta = np.r_[-8.0, 2.0, -8.0 + 10.0 * rng.beta(5.0, 1.2, k - 2)]
+                elif kind == "equal":
+                    beta = np.full(k, -0.7)
+                else:
+                    beta = (355.0 if kind == "far+" else -355.0) + rng.normal(0.0, 1.0, k)
+                m = rng.integers(1, 4, k).astype(float) if tied else np.ones(k)
+                yield link, kind, beta, m
+
+
+@pytest.mark.parametrize("link,kind,beta,m", list(_operator_points()))
+def test_chebyshev_operator_matches_the_dense_evaluator(link, kind, beta, m):
+    k = beta.size
+    u = np.zeros(k)  # G is the negated weighted row sum
+    x = np.random.default_rng(7).normal(0.0, 1.0, k)
+    point = estimator._chebyshev(link, beta, u, m)  # under the suite's RuntimeWarning gate
+    F, J, v = (A[0] for A in _evaluate(link, beta[None], u[None], m[None]))
+    estimator._diagonal(J)[...] += v
+    if (link, kind) == (LinkKind.LOG, "far+"):  # exp overflows: _evaluate takes the point
+        assert point is None
+        return
+    G, op = point
+    assert op.D.shape[0] == {"heavy": 64 if link == LinkKind.LOG else 128,
+                             "equal": 16}.get(kind, op.D.shape[0])
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    assert_close(G[0], F)
+    assert_close(op.v[0], v)
+    assert_close(op.matvec(x), J @ x)
+    assert_close(op.diagonal(), J.diagonal())
+    assert_close(op.jacobian()[0], J)
+
+
+def test_points_no_grid_resolves_take_the_dense_bits(monkeypatch):
+    # k = 100 classes whose pair sums span [-12, 6] need more than k / 3
+    # nodes, so every point of this lone fit goes through _evaluate
+    link = LinkKind.LOGIT
+    alpha = np.linspace(-6.0, 3.0, 100)
+    d = (-moment_residual(link, alpha, np.zeros(100))
+         + np.random.default_rng(1).laplace(0.0, 0.3, 100))
+    grids = []
+    chebyshev = estimator._chebyshev
+    with monkeypatch.context() as mp:
+        mp.setattr(estimator, "_chebyshev", lambda *a: grids.append(chebyshev(*a)))
+        dense = solve(link, d, x0=alpha)
+    got = solve(link, d, x0=alpha)
+    assert got.exists and len(grids) > got.iterations
+    assert grids == [None] * len(grids)
+    assert_same_estimate(got, dense)
+
+
+@st.composite
+def lone_fits(draw):
+    """A degree sequence of k >= 91 classes, untied or with classes of up to
+    three vertices, around the expected degrees of a random parameter."""
+    link = draw(st.sampled_from(LINKS))
+    k = draw(st.integers(91, 180))
+    lo = draw(st.floats(-3.5, -2.0 if link == LinkKind.LOG else 0.0))
+    width = draw(st.floats(0.05, 3.0))
+    tied = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beta = lo + width * rng.random(k)
+    m = rng.integers(1, 4, k) if tied else np.ones(k, dtype=int)
+    expected = -_evaluate(link, beta[None], np.zeros((1, k)), m[None].astype(float))[0][0]
+    u = expected + rng.normal(0.0, draw(st.floats(0.0, 2.0)), k)
+    return link, np.repeat(u, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lone_fits())
+def test_lone_fit_roots_agree_with_an_all_dense_solve(case):
+    link, d = case
+    got = solve(link, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_chebyshev", lambda *a: None)
+        want = solve(link, d)
+    assert (got.exists, got.iterations, got.reason) == \
+        (want.exists, want.iterations, want.reason)
+    if want.exists:
+        # near a facet of the degree polytope cond(V) amplifies rounding,
+        # and the small v of a saturated cloglog class amplifies it further
+        # by p''/p' = 1 - e^x, so v is compared against its largest entry
+        bound = rounding_bound(link, want.alpha_hat)
+        assert np.max(np.abs(got.alpha_hat - want.alpha_hat)) <= bound
+        assert np.max(np.abs(got.v_hat - want.v_hat)) <= bound * np.max(want.v_hat)
 
 
 # ---------------------------------------------------------------------------
