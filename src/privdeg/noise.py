@@ -31,6 +31,14 @@ exact (mean, variance), ``centered_mgf(s)`` on a float array and, outside
 ``CompoundPoisson`` its pmf array ``_pmf_array(n)``. Listing the class in
 ``_MECHANISMS`` lets the grammar parse it.
 
+A law also defines ``draw_sum(rng, terms, size)``: draws of the sum of
+``terms`` iid draws, each one draw of that sum's exact law (Laplace as a
+difference of Gamma(terms, b) draws, the geometric laws through
+NegBin(terms, .)), with ``sum_in_range(terms)`` when numpy cannot draw
+every such law at once. ``CompoundPoisson`` defines both once: its sum law
+is the same class at ``terms`` x every intensity field, all of which must
+be intensities. ``sample(..., terms=n)`` draws through them.
+
 The mechanism grammar used by the CLI:
 
     lap:b=1.0   dlap:p=0.5   geo:q=0.5   herm:a1=1.0,a2=0.5
@@ -45,7 +53,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import ClassVar
 
@@ -54,6 +62,12 @@ import numpy as np
 # points of one Poisson pmf table of a compound-Poisson law; its O(points^2) convolutions
 # put a two-sided Hermite psi1 norm at about 10 s at the cap (2-core Xeon, numpy 2.4)
 _MAX_TABLE = 160_001
+# numpy.random's POISSON_LAM_MAX: its poisson refuses a larger intensity, and its
+# negative_binomial(n, p) a (1 - p) / p (n + 10 sqrt(n)) above it
+_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10
+# values per generator call where a table of draws is drawn in row blocks (a grouped
+# sum here, the bounds subgammamax table): max(1, _BLOCK // row length) rows
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -90,6 +104,10 @@ class NoiseMechanism:
             return 0.0
         return self.mass(int(k))
 
+    def sum_in_range(self, terms: int) -> bool:
+        """Whether numpy can draw the law of a sum of ``terms`` draws at once."""
+        return True
+
     def sub_gamma_witness(self) -> SubGammaParams:
         psi = psi1_norm(self)
         return SubGammaParams((2.0 * psi) * (2.0 * psi), 2.0 * psi)  # inf, not OverflowError
@@ -105,6 +123,17 @@ class CompoundPoisson(NoiseMechanism):
 
     def sub_gamma_witness(self) -> SubGammaParams:
         return SubGammaParams(self.moments()[1], self.jump / 3.0)
+
+    def sum_law(self, terms: int) -> CompoundPoisson:
+        """The law of a sum of ``terms`` iid draws: the same law at ``terms`` x
+        each intensity (every field is one)."""
+        return replace(self, **{f.name: terms * getattr(self, f.name) for f in fields(self)})
+
+    def draw_sum(self, rng, terms, size):
+        return self.sum_law(terms).draw(rng, size)
+
+    def sum_in_range(self, terms: int) -> bool:
+        return terms * max(getattr(self, f.name) for f in fields(self)) <= _LAM_MAX
 
     @cached_property
     def _pmf_table(self) -> tuple[int, np.ndarray]:
@@ -150,6 +179,12 @@ class ContinuousLaplace(NoiseMechanism):
     def draw(self, rng, size):
         return rng.laplace(0.0, self.b, size=size)
 
+    def draw_sum(self, rng, terms, size):
+        # a draw is Exp(b) - Exp(b), so a sum of terms draws is Gamma(terms, b) - Gamma(terms, b)
+        x = rng.gamma(terms, self.b, size=size)
+        x -= rng.gamma(terms, self.b, size=size)
+        return x
+
     def moments(self) -> tuple[float, float]:
         return 0.0, 2.0 * self.b * self.b  # inf past b ~ 9.5e153, not OverflowError
 
@@ -179,6 +214,15 @@ class DiscreteLaplace(NoiseMechanism):
     def draw(self, rng, size):
         # difference of two iid geometric(1-p) failure counts
         return rng.geometric(1.0 - self.p, size=size) - rng.geometric(1.0 - self.p, size=size)
+
+    def draw_sum(self, rng, terms, size):
+        # terms geometric(1-p) failure counts sum to NegBin(terms, 1-p)
+        x = rng.negative_binomial(terms, 1.0 - self.p, size=size)
+        x -= rng.negative_binomial(terms, 1.0 - self.p, size=size)
+        return x
+
+    def sum_in_range(self, terms: int) -> bool:
+        return _negbin_in_range(terms, 1.0 - self.p)
 
     def moments(self) -> tuple[float, float]:
         return 0.0, 2.0 * self.p / (1.0 - self.p) ** 2
@@ -226,6 +270,12 @@ class CenteredGeometric(NoiseMechanism):
     def draw(self, rng, size):
         g = rng.geometric(self.q, size=size) - 1  # failures before success
         return g - self.offset
+
+    def draw_sum(self, rng, terms, size):
+        return rng.negative_binomial(terms, self.q, size=size) - terms * self.offset
+
+    def sum_in_range(self, terms: int) -> bool:
+        return _negbin_in_range(terms, self.q)
 
     def moments(self) -> tuple[float, float]:
         return 0.0, self.offset / self.q  # inf, not ZeroDivisionError, at tiny q
@@ -411,15 +461,54 @@ def _poisson_cutoff(lam: float, tail: float) -> int:
             return k
 
 
+def _negbin_in_range(terms: int, p: float) -> bool:
+    """Whether numpy's negative_binomial accepts (terms, p): its own test, in
+    the same float operations."""
+    return (1.0 - p) / p * (terms + 10.0 * math.sqrt(terms)) <= _LAM_MAX
+
+
 # ---------------------------------------------------------------------------
 # float draws, pmf and the sub-exponential norm of any mechanism
 # ---------------------------------------------------------------------------
 
-def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None):
+def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None, terms: int = 1):
     """Draw from a mechanism; integer-valued laws return integer-valued floats.
-    With size given the result is a fresh float64 array the caller may write."""
-    out = mech.draw(rng, size)
+    With size given the result is a fresh float64 array the caller may write.
+
+    With terms > 1 each value is a draw of the sum of ``terms`` iid draws:
+    one ``draw_sum`` of that sum's own law, or, where numpy cannot draw it
+    at once, the float sum of the fewest groups of terms it can draw."""
+    if terms == 1 or mech.sum_in_range(terms):
+        out = _draw(mech, rng, terms, size)
+    else:
+        out = _grouped_sum(mech, rng, terms, size)
     return np.asarray(out, dtype=float) if size is not None else float(out)
+
+
+def _draw(mech: NoiseMechanism, rng, terms: int, size):
+    """Draws of the law of a sum of ``terms`` draws, in the generator's dtype."""
+    return mech.draw(rng, size) if terms == 1 else mech.draw_sum(rng, terms, size)
+
+
+def _grouped_sum(mech: NoiseMechanism, rng, terms: int, size) -> np.ndarray:
+    """The sum of ``terms`` draws as the float sum of ceil(terms / g) groups
+    of near-equal width, g the widest group numpy can draw at once (found by
+    bisection; a group of one term is ``mech.draw``). The groups are drawn as
+    tables of at most max(1, _BLOCK // values) rows and summed as floats,
+    where an int64 sum could wrap."""
+    lo, hi = 1, terms  # widest drawable group, narrowest group that is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mech.sum_in_range(mid) else (lo, mid)
+    count = -(-terms // lo)
+    width, wider = divmod(terms, count)  # `wider` groups of width + 1 terms, the rest of width
+    total = np.zeros(() if size is None else size)
+    rows = max(1, _BLOCK // total.size)
+    for w, groups in ((width + 1, wider), (width, count - wider)):
+        for start in range(0, groups, rows):
+            block = _draw(mech, rng, w, (min(rows, groups - start), *total.shape))
+            total += np.asarray(block, dtype=float).sum(axis=0)
+    return total
 
 
 def pmf(mech: NoiseMechanism, k: int) -> float:

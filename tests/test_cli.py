@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import math
 import os
 import subprocess
@@ -526,14 +527,13 @@ def test_bounds_subexp_draws_count_reps_alone(tmp_path, capsys):
                  "--grid", "3", "--out", str(out)]) == 0
 
 
-def test_bounds_bernstein_sums_one_draw_per_term_at_large_reps(tmp_path):
-    # for --reps above 2^15 each block is one row: the draws and their sum
-    # are those of --n separate length-reps draws, summed term by term
+def test_bounds_bernstein_draws_each_sum_from_its_n_fold_law(tmp_path):
+    # a sum of n herm2(a1, a2) draws is one herm2(n a1, n a2) draw, so the
+    # CSV is that of reps such draws, built here without draw_sum
     mech = noise.parse_mechanism("herm2:a1=1,a2=1")
     n, reps = 3, 40_000
-    rng = np.random.default_rng(5)
-    sums = sum(noise.sample(mech, rng, size=reps) - mech.moments()[0] for _ in range(n))
-    draws = np.abs(sums)
+    draws = np.abs(noise.sample(noise.TwoSideHermite(n * 1.0, n * 1.0),
+                                np.random.default_rng(5), size=reps))
     spec = bounds_mod.bernstein_from_psi1(bounds_mod.psi1_norm(mech), n)
     ts = np.linspace(0.0, max(float(np.quantile(draws, 0.9999)) + 1e-9, 1.0), 20)
     emp, se = bounds_mod.mc_survival(draws, ts)
@@ -547,21 +547,22 @@ def test_bounds_bernstein_sums_one_draw_per_term_at_large_reps(tmp_path):
     assert out.read_text() == "\n".join(want) + "\n"
 
 
+@pytest.mark.parametrize("n", [1, 200])
 @pytest.mark.parametrize("law", ["lap:b=1", "herm2:a1=1,a2=1"])
-def test_subexp_fold_keeps_no_array_but_its_draw(law):
-    # one row of 2^20 draws: centred and folded in place, so the traced peak
-    # is the draw (with an integer law's int64 array before its conversion)
+def test_subexp_fold_keeps_no_array_but_its_draw(law, n):
+    # 2^20 sums (n = 1 is subexp): centred and folded in place, so the traced
+    # peak is the draw (with an integer law's int64 array before its conversion)
     mech = noise.parse_mechanism(law)
     reps = 2**20
     tracemalloc.start()
     try:
-        got = cli._folded_noise(mech, np.random.default_rng(3), 1, reps, np.add)
+        got = cli._summed_noise(mech, np.random.default_rng(3), n, reps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 8 * reps
-    want = np.abs(noise.sample(mech, np.random.default_rng(3), size=reps) - mech.moments()[0])
-    assert np.array_equal(got, want)
+    draw = noise.sample(mech, np.random.default_rng(3), reps, terms=n)
+    assert np.array_equal(got, np.abs(draw - n * mech.moments()[0]))
 
 
 @pytest.mark.parametrize("law", ["geo:q=0.999999", "dlap:p=1e-9",
@@ -577,24 +578,89 @@ def test_bounds_at_extreme_noise_intensities(tmp_path, law):
 
 
 def test_bounds_draws_in_blocks(tmp_path, monkeypatch):
-    sizes = []
+    # a sum kind makes one noise.sample call of --reps sums of --n terms;
+    # subgammamax draws its (n, reps) table in blocks
+    calls = []
     real = noise.sample
 
-    def counting(mech, rng, size=None):
-        sizes.append(int(np.prod(size)))
-        return real(mech, rng, size=size)
+    def counting(mech, rng, size=None, terms=1):
+        calls.append((int(np.prod(size)), terms))
+        return real(mech, rng, size=size, terms=terms)
     monkeypatch.setattr(noise, "sample", counting)
     out = tmp_path / "b.csv"
-    assert main(["bounds", "--kind", "subgamma", "--n", "1048576", "--reps", "1",
-                 "--grid", "3", "--out", str(out)]) == 0
-    assert sizes == [2**16] * 16
-    for kind, n, reps in (("subgammamax", 300, 1000), ("hermite", 5, 70_000),
-                          ("subexp", 1, 100_000)):
-        sizes.clear()
+    for kind, n, reps in (("subgamma", 1048576, 1), ("bernstein", 200, 50_000),
+                          ("hermite", 5, 70_000), ("subexp", 1, 100_000),
+                          ("subgammamax", 300, 1000), ("subgammamax", 3, 70_000)):
+        calls.clear()
         assert main(["bounds", "--kind", kind, "--n", str(n), "--reps", str(reps),
                      "--grid", "3", "--out", str(out)]) == 0
-        assert sum(sizes) == (reps if kind == "subexp" else n * reps)
-        assert max(sizes) <= max(2**16, reps)
+        if kind == "subgammamax":
+            assert {terms for _, terms in calls} == {1}
+            assert sum(size for size, _ in calls) == n * reps
+            assert max(size for size, _ in calls) <= max(2**16, reps)
+        else:
+            assert calls == [(reps, n)]
+
+
+@pytest.mark.parametrize("law", ["geo:q=1e-12", "dlap:p=0.999999999999",
+                                 "herm2:a1=1e12,a2=1"])
+def test_bounds_sum_past_the_generator_range(tmp_path, law):
+    # the law of the whole sum is past numpy's negative_binomial / poisson
+    # range, so it is drawn as a sum of groups that numpy can draw
+    rows = _bounds_rows(tmp_path, "--kind", "subgamma", "--noise", law,
+                        "--n", "16777216", "--reps", "1", "--grid", "4")
+    assert len(rows) == 4
+    assert all(math.isfinite(v) for row in rows for v in row)
+
+
+def test_bounds_term_past_the_generator_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    for n in ("1", "16777216"):
+        assert main(["bounds", "--kind", "subgamma", "--noise", "herm2:a1=1e19,a2=1",
+                     "--n", n, "--reps", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: lam value too large\n"
+        assert not out.exists()
+
+
+# sha256 of bounds CSVs (--reps 2000 --seed 3) whose draws take the one-term
+# path: written by the code that folded term by term, before draw_sum
+KEPT_BYTES = {
+    ("subexp", "lap:b=1", 7): "c181a75fe555eb178b421965bb403d99bc6591184d15339dab31a32f254fa39a",
+    ("subgammamax", "lap:b=1", 7): "668d46482c0be5b5711539bb4f6dabbb6feddb74562f36e76f779dd17717332e",
+    ("bernstein", "lap:b=1", 1): "adcfda751b74be5a298c034c484b4848f8586900b9f2fe2cbe5f5355013b956d",
+    ("subgamma", "lap:b=1", 1): "e5d285d79b7e16e3f82497d071162ebce930a51cacb2e73d77d1566468ccd233",
+    ("subexp", "dlap:p=0.5", 7): "67cc0c478327bfa7696bc725db9192961153a8395f6dbe942cba0af7f29c5352",
+    ("subgammamax", "dlap:p=0.5", 7): "23776541169953bf361e777d88778a9646bc3c55c4d0c19fb5bfae52735dd75f",
+    ("bernstein", "dlap:p=0.5", 1): "a13a22d3c7a92461c244f6328cb5ee08e5e96f2d553da516c7fec260f4c98a72",
+    ("subgamma", "dlap:p=0.5", 1): "f9ecf13dbbee18dd74ffdbb703bc6b415e3148255a16a474ceced07fa790fcfe",
+    ("subexp", "geo:q=0.3", 7): "ccd35e984772cb88f90cacac4dec6913796eef474aca87f6b541af51f596df7d",
+    ("subgammamax", "geo:q=0.3", 7): "629904cc1596ecf95e96e51af26b3e7cdc14bfc4e621b0311b49eb5e3fb60b67",
+    ("bernstein", "geo:q=0.3", 1): "45609ac595c94e77e8923d09ac17f3002b80e4ee26ebbffd53d6fe7f16e4a4e2",
+    ("subgamma", "geo:q=0.3", 1): "743d73be2d93b96f90c4e41298da18d1073a53f2ad2df50503be5b6bcaa67517",
+    ("subexp", "herm:a1=1,a2=0.5", 7): "5f0c49fa617e5eb934b6f415b9e7153986aa1713f817b0133377927be5450936",
+    ("subgammamax", "herm:a1=1,a2=0.5", 7): "fd3299115ff887c8fda8688daa5835df5dceac6ef2deff92ab609e257c611930",
+    ("bernstein", "herm:a1=1,a2=0.5", 1): "d7e3f08bfa0880240bb068f43451adf8179dba8e62fe61c41c72961b00ffccf2",
+    ("subgamma", "herm:a1=1,a2=0.5", 1): "ae5ad9ea895017f4644caec03581422c378b2fe3ff95aac46a30926be63ff67d",
+    ("hermite", "herm:a1=1,a2=0.5", 1): "f1857c7d5e00b52bdd84f93dde87c114a3003b35c6b091934f4dbd8debb2ae1d",
+    ("subexp", "herm2:a1=1.2,a2=0.3", 7): "9023b2f3604f2ecfceb011c496043a959ba8a27ca5ee00130634d2acb63fdbdb",
+    ("subgammamax", "herm2:a1=1.2,a2=0.3", 7): "2448692461afcbd11883af4f397ac5facde51f79bb6fc9e63a766f7b265a09c0",
+    ("bernstein", "herm2:a1=1.2,a2=0.3", 1): "c3b64e1c6e1669682b9511c83dc32417398b8917e4e41063a0cded55d024bffd",
+    ("subgamma", "herm2:a1=1.2,a2=0.3", 1): "692482833e4326e64913393134a8da05c9c431471088ea94571eab7e54c8af27",
+    ("hermite", "herm2:a1=1.2,a2=0.3", 1): "4054716e82c00642310eb30dacee9033f39cf60858f29d1768532e97ee5c1cc8",
+    ("subexp", "tsp:lambda=2,mu=1", 7): "2b4f8ff8aafc22afc1f5b13b840491dcdd85e22cd116872d159d7dbd725336ee",
+    ("subgammamax", "tsp:lambda=2,mu=1", 7): "72be53c693c05ce7f51247fd87d78d22419f5c4a148cf183955984f349aa27d9",
+    ("bernstein", "tsp:lambda=2,mu=1", 1): "2164301eefee243f148ea1ceb136c0f69c0e6ec0ed06f7aab5a5be410d62b6c6",
+    ("subgamma", "tsp:lambda=2,mu=1", 1): "adf2ac9c5274328b2acf65f20196784b3567f38760d7abf9c38a6d0d11da4665",
+    ("hermite", "tsp:lambda=2,mu=1", 1): "90562bf8169d959e83cbcaa14e8c5e6d1d2ddff84751707ffacbf16d5567608b",
+}
+
+
+def test_bounds_outputs_that_keep_their_bytes(tmp_path):
+    out = tmp_path / "b.csv"
+    for (kind, law, n), digest in KEPT_BYTES.items():
+        assert main(["bounds", "--kind", kind, "--noise", law, "--n", str(n),
+                     "--reps", "2000", "--seed", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (kind, law, n)
 
 
 def test_pair_set_of_huge_n_exits_2(tmp_path, capsys):

@@ -426,3 +426,81 @@ def test_pmf_table_over_the_cap_is_refused_before_the_poisson_walk(text, monkeyp
     monkeypatch.setattr(noise, "_poisson_cutoff", walk)
     with pytest.raises(ValueError, match=rf"its variance .* over the cap of {_MAX_TABLE}"):
         pmf(parse_mechanism(text), 0)
+
+
+# ---------------------------------------------------------------------------
+# sums of n draws, each drawn from the n-fold law
+# ---------------------------------------------------------------------------
+
+# geo at q = 0.25 has an integer offset (3), so its support is integer
+SUM_MECHS = [DiscreteLaplace(0.5), CenteredGeometric(0.25), Hermite(1.2, 0.8),
+             TwoSideHermite(4 * LAM / 5, LAM / 5), TwoSidePoisson(1.5, 1.0)]
+
+
+def _n_fold_pmf(mech, n: int) -> tuple[int, np.ndarray]:
+    """(k0, P) with P[i] = P(X_1 + ... + X_n = k0 + i), by n - 1 convolutions
+    of the law's pmf on [-K, K], K its 1e-15 support cutoff."""
+    K = mech.support_cutoff(1e-15)
+    one = np.array([pmf(mech, k) for k in range(-K, K + 1)])
+    out = one
+    for _ in range(n - 1):
+        out = np.convolve(out, one)
+    return -n * K, out
+
+
+@pytest.mark.parametrize("n", [2, 7, 50])
+@pytest.mark.parametrize("mech", SUM_MECHS, ids=mechanism_label)
+def test_discrete_sum_draw_has_the_n_fold_law(mech, n):
+    k0, p = _n_fold_pmf(mech, n)
+    draws = np.sort(sample(mech, np.random.default_rng([n, 23]), 40_000, terms=n))
+    ks = np.arange(k0, k0 + p.size)
+    assert np.array_equal(draws, np.rint(draws)) and ks[0] <= draws[0] <= draws[-1] <= ks[-1]
+    ecdf = np.searchsorted(draws, ks, side="right") / draws.size
+    # DKW: P(sup |ECDF - F| > eps) <= 2 exp(-2 N eps^2) = 1e-6
+    eps = math.sqrt(math.log(2 / 1e-6) / (2 * draws.size))
+    assert np.max(np.abs(ecdf - np.cumsum(p))) < eps
+    if isinstance(mech, noise.CompoundPoisson):
+        # the n-fold pmf is the table of the same law at n x its intensities
+        t0, table = mech.sum_law(n)._pmf_table
+        lo, hi = min(k0, t0), max(k0 + p.size, t0 + table.size)
+        a, b = np.zeros(hi - lo), np.zeros(hi - lo)
+        a[k0 - lo:k0 - lo + p.size] = p
+        b[t0 - lo:t0 - lo + table.size] = table
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 7, 50])
+def test_laplace_sum_draw_matches_term_by_term_sums(n):
+    mech = ContinuousLaplace(1.3)
+    one = sample(mech, np.random.default_rng([n, 29]), 20_000, terms=n)
+    terms = sample(mech, np.random.default_rng([n, 31]), size=(n, 20_000)).sum(axis=0)
+    assert stats.ks_2samp(one, terms).pvalue > 1e-6
+
+
+@pytest.mark.parametrize("text", ["geo:q=1e-12", "dlap:p=0.999999999999",
+                                  "herm2:a1=1e12,a2=1", "tsp:lambda=1e12,mu=0"])
+def test_sum_range_is_numpys_own(text):
+    # the widest sum law sum_in_range admits is drawn; one term more, numpy refuses
+    mech = parse_mechanism(text)
+    lo, hi = 1, 2**40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mech.sum_in_range(mid) else (lo, mid)
+    rng = np.random.default_rng(0)
+    assert np.all(np.isfinite(mech.draw_sum(rng, lo, 4)))
+    with pytest.raises(ValueError, match="too large"):
+        mech.draw_sum(rng, lo + 1, 4)
+
+
+def test_sum_out_of_range_is_drawn_in_the_fewest_groups(monkeypatch):
+    # ceil(10 / 3) = 4 groups: two of 3 terms, then two of 2, as float sums
+    mech = TwoSidePoisson(1.5, 1.0)
+    monkeypatch.setattr(TwoSidePoisson, "sum_in_range", lambda self, terms: terms <= 3)
+    got = sample(mech, np.random.default_rng(4), 1000, terms=10)
+    rng = np.random.default_rng(4)
+    want = sum(mech.sum_law(w).draw(rng, (2, 1000)).astype(float).sum(axis=0) for w in (3, 2))
+    assert np.array_equal(got, want)
+    # no group numpy can draw: one-term groups through draw, here one scalar
+    monkeypatch.setattr(TwoSidePoisson, "sum_in_range", lambda self, terms: False)
+    want = float(mech.draw(np.random.default_rng(4), (5,)).sum())
+    assert sample(mech, np.random.default_rng(4), terms=5) == want
