@@ -35,9 +35,10 @@ A law also defines ``draw_sum(rng, terms, size)``: draws of the sum of
 ``terms`` iid draws, each one draw of that sum's exact law (Laplace as a
 difference of Gamma(terms, b) draws, the geometric laws through
 NegBin(terms, .)), with ``sum_in_range(terms)`` when numpy cannot draw
-every such law at once. ``CompoundPoisson`` defines both once: its sum law
-is the same class at ``terms`` x every intensity field, all of which must
-be intensities. ``sample(..., terms=n)`` draws through them.
+every such law at once or its value could leave int64. ``CompoundPoisson``
+defines both once: its sum law is the same class at ``terms`` x every
+intensity field, all of which must be intensities. ``sample(..., terms=n)``
+draws through them and refuses a sum out of range.
 
 The mechanism grammar used by the CLI:
 
@@ -62,12 +63,10 @@ import numpy as np
 # points of one Poisson pmf table of a compound-Poisson law; its O(points^2) convolutions
 # put a two-sided Hermite psi1 norm at about 10 s at the cap (2-core Xeon, numpy 2.4)
 _MAX_TABLE = 160_001
+_INT64_MAX = float(np.iinfo(np.int64).max)
 # numpy.random's POISSON_LAM_MAX: its poisson refuses a larger intensity, and its
 # negative_binomial(n, p) a (1 - p) / p (n + 10 sqrt(n)) above it
-_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10
-# values per generator call where a table of draws is drawn in row blocks (a grouped
-# sum here, the bounds subgammamax table): max(1, _BLOCK // row length) rows
-_BLOCK = 2**16
+_LAM_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,8 @@ class NoiseMechanism:
         return self.mass(int(k))
 
     def sum_in_range(self, terms: int) -> bool:
-        """Whether numpy can draw the law of a sum of ``terms`` draws at once."""
+        """Whether numpy can draw the law of a sum of ``terms`` draws at once,
+        every value within int64."""
         return True
 
     def sub_gamma_witness(self) -> SubGammaParams:
@@ -332,6 +332,12 @@ class _HermiteLaw(CompoundPoisson):
         y += (2 * sign) * rng.poisson(self.a2, size=size)
         return y
 
+    def sum_in_range(self, terms: int) -> bool:
+        # a draw of the sum's law forms N1 + 2 N2 in int64: its mean plus 10 sd
+        # (numpy's own Poisson margin) must fit, which keeps each intensity in range
+        mean, var = terms * (self.a1 + 2.0 * self.a2), terms * (self.a1 + 4.0 * self.a2)
+        return mean + 10.0 * math.sqrt(var) <= _INT64_MAX
+
     def _one_cgf(self, s: np.ndarray) -> np.ndarray:
         """log E exp(s (Y - E Y)) of one Hermite draw."""
         return (self.a1 * (np.exp(s) - 1.0 - s) +
@@ -475,40 +481,17 @@ def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None, terms: int
     """Draw from a mechanism; integer-valued laws return integer-valued floats.
     With size given the result is a fresh float64 array the caller may write.
 
-    With terms > 1 each value is a draw of the sum of ``terms`` iid draws:
-    one ``draw_sum`` of that sum's own law, or, where numpy cannot draw it
-    at once, the float sum of the fewest groups of terms it can draw."""
-    if terms == 1 or mech.sum_in_range(terms):
-        out = _draw(mech, rng, terms, size)
+    With terms > 1 each value is a draw of the sum of ``terms`` iid draws,
+    one ``draw_sum`` of that sum's own law; ValueError where
+    ``mech.sum_in_range(terms)`` is false."""
+    if terms == 1:
+        out = mech.draw(rng, size)
+    elif mech.sum_in_range(terms):
+        out = mech.draw_sum(rng, terms, size)
     else:
-        out = _grouped_sum(mech, rng, terms, size)
+        raise ValueError(f"{mechanism_label(mech)}: the law of a sum of {terms} "
+                         "draws is past numpy's range")
     return np.asarray(out, dtype=float) if size is not None else float(out)
-
-
-def _draw(mech: NoiseMechanism, rng, terms: int, size):
-    """Draws of the law of a sum of ``terms`` draws, in the generator's dtype."""
-    return mech.draw(rng, size) if terms == 1 else mech.draw_sum(rng, terms, size)
-
-
-def _grouped_sum(mech: NoiseMechanism, rng, terms: int, size) -> np.ndarray:
-    """The sum of ``terms`` draws as the float sum of ceil(terms / g) groups
-    of near-equal width, g the widest group numpy can draw at once (found by
-    bisection; a group of one term is ``mech.draw``). The groups are drawn as
-    tables of at most max(1, _BLOCK // values) rows and summed as floats,
-    where an int64 sum could wrap."""
-    lo, hi = 1, terms  # widest drawable group, narrowest group that is not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if mech.sum_in_range(mid) else (lo, mid)
-    count = -(-terms // lo)
-    width, wider = divmod(terms, count)  # `wider` groups of width + 1 terms, the rest of width
-    total = np.zeros(() if size is None else size)
-    rows = max(1, _BLOCK // total.size)
-    for w, groups in ((width + 1, wider), (width, count - wider)):
-        for start in range(0, groups, rows):
-            block = _draw(mech, rng, w, (min(rows, groups - start), *total.shape))
-            total += np.asarray(block, dtype=float).sum(axis=0)
-    return total
 
 
 def pmf(mech: NoiseMechanism, k: int) -> float:

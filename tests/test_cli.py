@@ -588,6 +588,10 @@ def test_bounds_draws_in_blocks(tmp_path, monkeypatch):
         return real(mech, rng, size=size, terms=terms)
     monkeypatch.setattr(noise, "sample", counting)
     out = tmp_path / "b.csv"
+    # a sum whose law is past numpy's range is drawn term by term, in blocks
+    assert main(["bounds", "--kind", "subgamma", "--noise", "herm:a1=1,a2=1e13",
+                 "--n", "1048576", "--reps", "1", "--grid", "3", "--out", str(out)]) == 0
+    assert calls == [(2**16, 1)] * 16
     for kind, n, reps in (("subgamma", 1048576, 1), ("bernstein", 200, 50_000),
                           ("hermite", 5, 70_000), ("subexp", 1, 100_000),
                           ("subgammamax", 300, 1000), ("subgammamax", 3, 70_000)):
@@ -603,14 +607,19 @@ def test_bounds_draws_in_blocks(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("law", ["geo:q=1e-12", "dlap:p=0.999999999999",
-                                 "herm2:a1=1e12,a2=1"])
+                                 "herm2:a1=1e12,a2=1", "herm:a1=1,a2=5e11",
+                                 "herm2:a1=1,a2=1e12"])
 def test_bounds_sum_past_the_generator_range(tmp_path, law):
     # the law of the whole sum is past numpy's negative_binomial / poisson
-    # range, so it is drawn as a sum of groups that numpy can draw
+    # range, or its Hermite draw could wrap in int64, so the sum is drawn
+    # term by term; its one |S - E S| is the grid's top, within 10 sd of 0
+    n = 16777216
     rows = _bounds_rows(tmp_path, "--kind", "subgamma", "--noise", law,
-                        "--n", "16777216", "--reps", "1", "--grid", "4")
+                        "--n", str(n), "--reps", "1", "--grid", "4")
     assert len(rows) == 4
     assert all(math.isfinite(v) for row in rows for v in row)
+    sd = math.sqrt(n * noise.parse_mechanism(law).moments()[1])
+    assert rows[-1][0] <= max(10 * sd, 1.0)
 
 
 def test_bounds_term_past_the_generator_range_exits_2(tmp_path, capsys):

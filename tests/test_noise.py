@@ -478,29 +478,40 @@ def test_laplace_sum_draw_matches_term_by_term_sums(n):
 
 
 @pytest.mark.parametrize("text", ["geo:q=1e-12", "dlap:p=0.999999999999",
-                                  "herm2:a1=1e12,a2=1", "tsp:lambda=1e12,mu=0"])
+                                  "tsp:lambda=1e12,mu=0"])
 def test_sum_range_is_numpys_own(text):
     # the widest sum law sum_in_range admits is drawn; one term more, numpy refuses
     mech = parse_mechanism(text)
-    lo, hi = 1, 2**40
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if mech.sum_in_range(mid) else (lo, mid)
+    lo = _widest_sum(mech)
     rng = np.random.default_rng(0)
     assert np.all(np.isfinite(mech.draw_sum(rng, lo, 4)))
     with pytest.raises(ValueError, match="too large"):
         mech.draw_sum(rng, lo + 1, 4)
 
 
-def test_sum_out_of_range_is_drawn_in_the_fewest_groups(monkeypatch):
-    # ceil(10 / 3) = 4 groups: two of 3 terms, then two of 2, as float sums
-    mech = TwoSidePoisson(1.5, 1.0)
-    monkeypatch.setattr(TwoSidePoisson, "sum_in_range", lambda self, terms: terms <= 3)
-    got = sample(mech, np.random.default_rng(4), 1000, terms=10)
-    rng = np.random.default_rng(4)
-    want = sum(mech.sum_law(w).draw(rng, (2, 1000)).astype(float).sum(axis=0) for w in (3, 2))
-    assert np.array_equal(got, want)
-    # no group numpy can draw: one-term groups through draw, here one scalar
-    monkeypatch.setattr(TwoSidePoisson, "sum_in_range", lambda self, terms: False)
-    want = float(mech.draw(np.random.default_rng(4), (5,)).sum())
-    assert sample(mech, np.random.default_rng(4), terms=5) == want
+def _widest_sum(mech) -> int:
+    lo, hi = 1, 2**40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mech.sum_in_range(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("text", ["herm:a1=1,a2=5e11", "herm2:a1=1,a2=1e12",
+                                  "herm2:a1=1e12,a2=1"])
+def test_hermite_sum_range_keeps_the_draw_in_int64(text):
+    # N1 + 2 N2 of the widest admitted sum law stays near its mean, not wrapped
+    # past 2^63; 2^24 terms would put it past, so that sum is out of range
+    mech = parse_mechanism(text)
+    lo = _widest_sum(mech)
+    assert not mech.sum_in_range(2**24)
+    mean, var = mech.sum_law(lo).moments()
+    y = sample(mech, np.random.default_rng(0), 1000, terms=lo)
+    assert np.all(np.abs(y - mean) <= 10 * math.sqrt(var))
+
+
+def test_sample_refuses_a_sum_out_of_range():
+    mech = parse_mechanism("herm:a1=1,a2=5e11")
+    with pytest.raises(ValueError, match=r"herm:a1=1\.0,a2=500000000000\.0: the law of a sum of "
+                                         r"16777216 draws is past numpy's range"):
+        sample(mech, np.random.default_rng(0), 4, terms=2**24)
