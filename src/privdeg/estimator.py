@@ -41,19 +41,20 @@ instead.
 Newton sees each point through an operator: the row sums v, a product
 x -> J x, the diagonal of J and, for an LU step only, the dense J. A
 stack's operator is ``_Dense``, J in a (g, k, k) slope array that
-``_evaluate`` fills: it walks the rows in blocks that fit a scratch of
-at most max(_ELEMENT_BUDGET, k) entries, forms a block's pair sums and p
-there, writes W o p' into the slope array and reduces the block's rows
-of G and v before the next block, so p is never held whole. A lone fit
+``_evaluate`` allocates and fills: it walks the rows in blocks that fit
+a scratch of at most max(_ELEMENT_BUDGET, k) entries, forms a block's
+pair sums and p there, writes W o p' into the slope array and reduces
+the block's rows of G and v before the next block, so p is never held
+whole. A lone fit
 takes ``_Chebyshev`` wherever a grid of T nodes with 3T <= k resolves
 the point: every kernel is a function of the pair sum alone, so on T
 Chebyshev nodes over the range of beta it is a k x T barycentric basis
 times a T x T table times the basis transposed, and G, v and J x cost
 O(kT) and T^2 link evaluations, with no k x k array (Berrut & Trefethen
 2004, SIAM Review 46). Its other points are dense, and an LU step forms
-its J from the grid's factors. ``solve_many`` lends every fit one slope
-buffer and one scratch (``_Work``), allocated only when a point is dense
-and grown to the largest stack, so a run of fits reuses the same pages.
+its J from the grid's factors. Every evaluation allocates its own
+arrays: a stack's slope array holds at most _ELEMENT_BUDGET entries, and
+a lone fit forms a k x k one only at a point that no grid resolves.
 
 For the log link the moment function is evaluated through the analytic
 extension exp(alpha_i + alpha_j), defined for all real pair sums; see
@@ -184,9 +185,8 @@ def _block_rows(g: int, k: int) -> int:
     return k if g > 1 or k * k <= _ELEMENT_BUDGET else max(1, _ELEMENT_BUDGET // k)
 
 
-def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray, m: np.ndarray,
-              out: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None,
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray,
+              m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapsed residual G, slope W o p' and its row sums v at beta.
 
     beta, u and m are a stack of g systems (g, k), W = m[None, :] - I.
@@ -194,13 +194,13 @@ def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray, m: np.ndarray,
     v = sum_b W_ab p'(beta_a + beta_b), both (g, k), and out, a
     C-contiguous (g, k, k) float64 array holding W o p'. The rows are
     taken in blocks of ``_block_rows(g, k)``: a block's pair sums are
-    formed in scratch, a flat float64 array of at least g * rows * k
-    entries, where ``links.link_values`` turns them into p while it
-    writes p' into the block's rows of out; both are weighted and summed
-    into the block's rows of G and v before the next block, so p is never
-    held whole. out and scratch are allocated when not given. Every entry
-    and every row sum has the bits of a whole-matrix evaluation, as a
-    block holds whole rows and each row is summed alone. Without ties
+    formed in a scratch of g * rows * k entries, where
+    ``links.link_values`` turns them into p while it writes p' into the
+    block's rows of out; both are weighted and summed into the block's
+    rows of G and v before the next block, so p is never held whole.
+    Every entry and every row sum has the bits of a whole-matrix
+    evaluation, as a block holds whole rows and each row is summed
+    alone. Without ties
     W o A is A with a zero diagonal, so the weighting only zeroes it.
     Diagonal entries with W_aa = 0 are set to zero rather than multiplied
     by it, so an overflowing value there cannot turn a row sum into NaN.
@@ -210,10 +210,7 @@ def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray, m: np.ndarray,
     """
     g, k = beta.shape
     rows = _block_rows(g, k)
-    if out is None:
-        out = np.empty((g, k, k))
-    if scratch is None:
-        scratch = np.empty(g * rows * k)
+    out, scratch = np.empty((g, k, k)), np.empty(g * rows * k)
     G, v = np.empty((g, k)), np.empty((g, k))
     tied = bool((m > 1).any())
     with np.errstate(over="ignore"):
@@ -392,9 +389,8 @@ def _resolved(C: np.ndarray, f: np.ndarray) -> bool:
 
 class _Dense:
     """Negated Jacobians J (g, k, k) of g systems, formed in the slope
-    array that ``_evaluate`` wrote, with their row sums v (g, k). J may be
-    a slab of the fit's work array (see ``_newton``); the product and the
-    diagonal are those of a lone system (g = 1)."""
+    array that ``_evaluate`` returned, with their row sums v (g, k); the
+    product and the diagonal are those of a lone system (g = 1)."""
 
     def __init__(self, J: np.ndarray, v: np.ndarray):
         self.J, self.v = J, v
@@ -493,26 +489,6 @@ def _chebyshev(link: LinkKind, beta: np.ndarray, u: np.ndarray,
     return G[None], _Chebyshev(B, D, m, v, d2)
 
 
-class _Work:
-    """The slope array and the evaluation scratch that ``solve_many`` lends
-    its fits: flat float64 buffers, each allocated again only when a fit
-    needs more, so a run of fits reuses the same pages."""
-
-    def __init__(self) -> None:
-        self._slope = self._scratch = np.empty(0)
-
-    def slope(self, g: int, k: int) -> np.ndarray:
-        """A C-contiguous (g, k, k) array at the start of the slope buffer."""
-        if self._slope.size < g * k * k:
-            self._slope = np.empty(g * k * k)
-        return self._slope[:g * k * k].reshape(g, k, k)
-
-    def scratch(self, size: int) -> np.ndarray:
-        if self._scratch.size < size:
-            self._scratch = np.empty(size)
-        return self._scratch[:size]
-
-
 def _cg_step(matvec, diag: np.ndarray, F: np.ndarray, m: np.ndarray) -> Optional[np.ndarray]:
     """Newton step x with J x = F by Jacobi-preconditioned conjugate gradients.
 
@@ -552,7 +528,7 @@ def _cg_step(matvec, diag: np.ndarray, F: np.ndarray, m: np.ndarray) -> Optional
 
 
 def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
-            tol: np.ndarray, inverses: list, work: _Work) -> list[EstimateResult]:
+            tol: np.ndarray, inverses: list) -> list[EstimateResult]:
     """Damped Newton on a stack of g collapsed systems with k classes each.
 
     u, m and b (g, k) hold each member's distinct degrees, class sizes and
@@ -574,16 +550,16 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
 
     Each point gives the residual F and an operator with the row sums v,
     a product x -> J x, the diagonal of J and, for an LU step, the dense
-    J. A stack's operator is ``_Dense``: ``_evaluate`` writes its slope
-    into the leading slab of the fit's work slope array, where J is formed
-    in place. A member with k >= 91 runs alone (see ``solve_many``),
-    evaluates each point by ``_chebyshev`` where a grid of at most k / 3
-    nodes resolves it, and by ``_evaluate`` elsewhere, and takes its steps
-    by ``_cg_step``. The test is on k, not on how many rows are still
-    running, so that a member's steps do not depend on its stack. The
-    operator of an accepted point is used up by the step (op = None)
-    before the next evaluation writes the work array again; a compaction
-    or a partial acceptance copies it, so no result aliases work.
+    J. A stack's operator is ``_Dense``, J formed in place in the slope
+    array of ``_evaluate``. A member with k >= 91 runs alone (see
+    ``solve_many``), evaluates each point by ``_chebyshev`` where a grid
+    of at most k / 3 nodes resolves it, and by ``_evaluate`` elsewhere,
+    and takes its steps by ``_cg_step``. The test is on k, not on how
+    many rows are still running, so that a member's steps do not depend
+    on its stack. The operator of an accepted point is dropped once the
+    step is taken, so a damping trial holds only its own slope array and
+    scratch (and, after a partial acceptance, the array that gathers the
+    accepted rows).
     """
     g, k = u.shape
     alone = _ELEMENT_BUDGET // (k * k) <= 1  # a stack of one, see solve_many
@@ -602,9 +578,7 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             point = _chebyshev(link, b[0], u[0], m[0])
             if point is not None:
                 return point
-        n = b.shape[0]
-        F, J, v = _evaluate(link, b, u, m, work.slope(n, k),
-                            work.scratch(n * _block_rows(n, k) * k))
+        F, J, v = _evaluate(link, b, u, m)
         _diagonal(J)[...] += v
         return F, _Dense(J, v)
 
@@ -662,15 +636,13 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             ok = np.isfinite(res_try) & (res_try < res[t])
             if whole and ok.all():
                 b, F, res, op = b_try, F_try, res_try, op_try
-                trying = trying[:0]
-                break
-            acc = trying[ok]
-            if acc.size:  # only a stack: a lone row is accepted whole
+            elif ok.any():  # only a stack: a lone row is accepted whole
+                acc = trying[ok]
                 if op is None:
                     op = _Dense(np.zeros((rows.size, k, k)), np.zeros((rows.size, k)))
                 b[acc], F[acc], res[acc] = b_try[ok], F_try[ok], res_try[ok]
                 op.J[acc], op.v[acc] = op_try.J[ok], op_try.v[ok]
-            del F_try, op_try
+            del F_try, op_try  # so that op = None frees an accepted J after its step
             trying = trying[~ok]
             scale *= 0.5
         stop(trying, it, "step stalled (no residual decrease)")
@@ -705,20 +677,14 @@ def solve_many(link: LinkKind, dtildes, x0s=None) -> Iterator[EstimateResult]:
     holds max(1, _ELEMENT_BUDGET // k^2) fits, the rest at the end. Each
     result is the one ``solve`` gives for its sequence alone, bit for
     bit, and is yielded once it and every result before it are known.
-    Every fit evaluates its dense points in the leading part of one slope
-    buffer and one scratch (``_Work``), each allocated again only when a
-    fit needs more: g * k * k entries for a stack, k * k for a lone fit
-    once one of its points is dense, and a scratch of at most
-    max(_ELEMENT_BUDGET, k).
     """
     ready: dict[int, EstimateResult] = {}  # results not yet yielded
     waiting: dict[int, list] = {}  # k -> collapsed systems of a stack
     yielded = 0
-    work = _Work()
 
     def run(stack: list) -> None:
         u, m, b, tol = (np.array([s[c] for s in stack]) for c in (1, 2, 3, 4))
-        fits = _newton(link, u, m, b, tol, [s[5] for s in stack], work)
+        fits = _newton(link, u, m, b, tol, [s[5] for s in stack])
         ready.update((s[0], fit) for s, fit in zip(stack, fits))
 
     for f, dtilde in enumerate(dtildes):

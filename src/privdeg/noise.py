@@ -38,7 +38,10 @@ NegBin(terms, .)), with ``sum_in_range(terms)`` when numpy cannot draw
 every such law at once or its value could leave int64. ``CompoundPoisson``
 defines both once: its sum law is the same class at ``terms`` x every
 intensity field, all of which must be intensities. ``sample(..., terms=n)``
-draws through them and refuses a sum out of range.
+draws through them. It refuses, with a ValueError naming the law, every
+draw out of range, single draws (terms = 1) included: there numpy would
+refuse the intensity (``herm2:a1=1e19,a2=1``) or return values wrapped
+(``herm:a1=1,a2=5e18``) or capped (``geo:q=1e-19``) at the int64 range.
 
 The mechanism grammar used by the CLI:
 
@@ -482,15 +485,13 @@ def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None, terms: int
     With size given the result is a fresh float64 array the caller may write.
 
     With terms > 1 each value is a draw of the sum of ``terms`` iid draws,
-    one ``draw_sum`` of that sum's own law; ValueError where
-    ``mech.sum_in_range(terms)`` is false."""
-    if terms == 1:
-        out = mech.draw(rng, size)
-    elif mech.sum_in_range(terms):
-        out = mech.draw_sum(rng, terms, size)
-    else:
-        raise ValueError(f"{mechanism_label(mech)}: the law of a sum of {terms} "
-                         "draws is past numpy's range")
+    one ``draw_sum`` of that sum's own law. ValueError, for any terms,
+    where ``mech.sum_in_range(terms)`` is false: numpy would refuse the
+    draw or return values wrapped or capped at the int64 range."""
+    if not mech.sum_in_range(terms):
+        what = "a draw" if terms == 1 else f"the law of a sum of {terms} draws"
+        raise ValueError(f"{mechanism_label(mech)}: {what} is past numpy's range")
+    out = mech.draw(rng, size) if terms == 1 else mech.draw_sum(rng, terms, size)
     return np.asarray(out, dtype=float) if size is not None else float(out)
 
 

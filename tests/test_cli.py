@@ -627,7 +627,30 @@ def test_bounds_term_past_the_generator_range_exits_2(tmp_path, capsys):
     for n in ("1", "16777216"):
         assert main(["bounds", "--kind", "subgamma", "--noise", "herm2:a1=1e19,a2=1",
                      "--n", n, "--reps", "1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: lam value too large\n"
+        assert capsys.readouterr().err == \
+            "error: herm2:a1=1e+19,a2=1.0: a draw is past numpy's range\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("law", ["herm:a1=1,a2=5e18", "geo:q=1e-19", "herm2:a1=1e19,a2=1",
+                                 "tsp:lambda=1e19,mu=1"])
+def test_a_single_draw_past_the_generator_range_exits_2(tmp_path, capsys, law):
+    graph = tmp_path / "g.edges"
+    graph.write_text("1 2\n2 3\n3 1\n3 4\n")
+    scenario = tmp_path / "cell.scenario"
+    # two blocks of replicates at n = 1000, so that --workers 2 runs a pool
+    scenario.write_text(f"link = logit\nn = 1000\nL = 0.2\nnoise = {law}\n"
+                        "replicates = 17\nseed = 1\npairs = 1,2\n")
+    out = tmp_path / "out"
+    want = f"error: {noise.mechanism_label(noise.parse_mechanism(law))}: " \
+        "a draw is past numpy's range\n"
+    for argv in (["bounds", "--kind", "subgamma", "--noise", law, "--n", "3"],
+                 ["bounds", "--kind", "subgammamax", "--noise", law, "--n", "3"],
+                 ["privatize", str(graph), "--noise", law],
+                 ["simulate", str(scenario), "--workers", "1"],
+                 ["simulate", str(scenario), "--workers", "2"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == want
         assert not out.exists()
 
 

@@ -852,6 +852,29 @@ def test_lone_fit_holds_no_k_by_k_array():
     assert peak < 0.05 * 8 * k * k
 
 
+def test_stack_peaks_below_one_more_slope_array():
+    # 200 untied n = 40 fits run in stacks of g = 10. A damping trial holds
+    # its slope array and a scratch of g k^2 entries each, and a partial
+    # acceptance or a compaction one array more: the peak reads 2.97 slope
+    # arrays, and 3.99 when an accepted trial's operator outlives its step
+    link, n = LinkKind.LOGIT, 40
+    g = estimator._ELEMENT_BUDGET // (n * n)
+    alpha = np.linspace(-1.0, 0.5, n)
+    expected = -moment_residual(link, alpha, np.zeros(n))
+    rng = np.random.default_rng(40)
+    ds = [expected + rng.laplace(0.0, 1.0, n) for _ in range(200)]
+    assert g == 10 and all(np.unique(d).size == n for d in ds)
+    list(solve_many(link, ds[:g]))
+    tracemalloc.start()
+    try:
+        exists = [fit.exists for fit in solve_many(link, ds)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(exists)
+    assert peak < 3.25 * 8 * g * n * n
+
+
 def test_fit_results_do_not_alias_the_work_arrays_of_later_fits():
     d1, d2 = (_cell_degrees(LinkKind.LOGIT, 120, "lap", seed=s) for s in (1, 3))
     first = solve(LinkKind.LOGIT, d1)

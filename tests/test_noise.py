@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -508,6 +509,31 @@ def test_hermite_sum_range_keeps_the_draw_in_int64(text):
     mean, var = mech.sum_law(lo).moments()
     y = sample(mech, np.random.default_rng(0), 1000, terms=lo)
     assert np.all(np.abs(y - mean) <= 10 * math.sqrt(var))
+
+
+# laws one of whose single draws numpy cannot make within int64: it would wrap
+# (herm), saturate at 2^63 - 1 (geo) or refuse the intensity (herm2, tsp)
+PAST_THE_RANGE = ["herm:a1=1,a2=5e18", "geo:q=1e-19", "herm2:a1=1e19,a2=1",
+                  "tsp:lambda=1e19,mu=1"]
+
+
+@pytest.mark.parametrize("text", PAST_THE_RANGE)
+def test_sample_refuses_a_single_draw_out_of_range(text):
+    mech = parse_mechanism(text)
+    assert not mech.sum_in_range(1)
+    label = re.escape(mechanism_label(mech))
+    for size in (None, 4, (2, 3)):
+        with pytest.raises(ValueError, match=rf"^{label}: a draw is past numpy's range$"):
+            sample(mech, np.random.default_rng(0), size)
+
+
+def test_a_geometric_draw_in_range_is_drawn():
+    # mean 5e17 failures; a draw reaches the int64 cap with probability e^-18.4
+    mech = parse_mechanism("geo:q=2e-18")
+    assert mech.sum_in_range(1)
+    y = sample(mech, np.random.default_rng(0), 1000)
+    assert np.all(np.isfinite(y)) and y.max() < 8e18 - mech.offset
+    assert abs(y.mean()) <= 10 * math.sqrt(mech.moments()[1] / y.size)
 
 
 def test_sample_refuses_a_sum_out_of_range():
