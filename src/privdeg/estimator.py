@@ -39,22 +39,22 @@ cannot finish (see ``_cg_step``), factors J with ``np.linalg.solve``
 instead.
 
 Newton sees each point through an operator: the row sums v, a product
-x -> J x, the diagonal of J and, for an LU step only, the dense J. A
-stack's operator is ``_Dense``, J in a (g, k, k) slope array that
-``_evaluate`` allocates and fills: it walks the rows in blocks that fit
-a scratch of at most max(_ELEMENT_BUDGET, k) entries, forms a block's
-pair sums and p there, writes W o p' into the slope array and reduces
-the block's rows of G and v before the next block, so p is never held
-whole. A lone fit
-takes ``_Chebyshev`` wherever a grid of T nodes with 3T <= k resolves
-the point: every kernel is a function of the pair sum alone, so on T
+x -> J x and the diagonal of J. A stack's operator is ``_Dense``, J in a
+(g, k, k) slope array that ``_evaluate`` allocates and fills: it walks
+the rows in blocks of min(k, max(1, _ELEMENT_BUDGET // k)) rows, forms a
+block's pair sums and p in a scratch of g x rows x k entries, writes
+W o p' into the slope array and reduces the block's rows of G and v
+before the next block, so p is never held whole. A lone fit takes
+``_Chebyshev`` wherever a grid of T nodes with 3T <= k resolves the
+point: every kernel is a function of the pair sum alone, so on T
 Chebyshev nodes over the range of beta it is a k x T barycentric basis
 times a T x T table times the basis transposed, and G, v and J x cost
 O(kT) and T^2 link evaluations, with no k x k array (Berrut & Trefethen
-2004, SIAM Review 46). Its other points are dense, and an LU step forms
-its J from the grid's factors. Every evaluation allocates its own
-arrays: a stack's slope array holds at most _ELEMENT_BUDGET entries, and
-a lone fit forms a k x k one only at a point that no grid resolves.
+2004, SIAM Review 46). Its other points are dense. Every LU step
+factors the dense J of ``_evaluate`` at its point, a grid point
+included. Every evaluation allocates its own arrays: a stack's slope
+array holds at most _ELEMENT_BUDGET entries, and a lone fit forms a
+k x k one only at a point that no grid resolves or for an LU step.
 
 For the log link the moment function is evaluated through the analytic
 extension exp(alpha_i + alpha_j), defined for all real pair sums; see
@@ -91,11 +91,11 @@ __all__ = [
 # Element budget of a stack of fits in ``solve_many``: its (g, k, k)
 # slope array holds at most this many entries, or those of one fit when
 # k * k exceeds it, so fits with k > 90 run alone. Larger stacks gained no
-# speed at n = 100 and cost memory. The blocks of ``_evaluate`` reuse it:
-# a stack is one block, and a lone fit with k * k above the budget takes
-# blocks of max(1, _ELEMENT_BUDGET // k) whole rows. A lone fit walks them
-# only at the points its Chebyshev grid cannot resolve (see
-# ``_chebyshev``), so the block size is left untuned.
+# speed at n = 100 and cost memory. ``_evaluate`` takes blocks of
+# min(k, max(1, _ELEMENT_BUDGET // k)) rows, so a stack is one block. A
+# lone fit walks row blocks only at the points its Chebyshev grid cannot
+# resolve (see ``_chebyshev``) and for an LU step, so the block size is
+# left untuned.
 _ELEMENT_BUDGET = 2**14
 
 
@@ -176,15 +176,6 @@ class JacobianMatrix:
     M: float
 
 
-def _block_rows(g: int, k: int) -> int:
-    """Rows of each system in one ``_evaluate`` block of a stack of g
-    systems with k classes: all k for a stack (g > 1) or a system that
-    fits _ELEMENT_BUDGET, else whole rows of a lone system up to the
-    budget. Either way a block of a C-contiguous (g, k, k) array is
-    C-contiguous, which ``_diagonal`` needs."""
-    return k if g > 1 or k * k <= _ELEMENT_BUDGET else max(1, _ELEMENT_BUDGET // k)
-
-
 def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray,
               m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapsed residual G, slope W o p' and its row sums v at beta.
@@ -192,8 +183,8 @@ def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray,
     beta, u and m are a stack of g systems (g, k), W = m[None, :] - I.
     Returns (G, out, v): G = u - sum_b W_ab p(beta_a + beta_b) and
     v = sum_b W_ab p'(beta_a + beta_b), both (g, k), and out, a
-    C-contiguous (g, k, k) float64 array holding W o p'. The rows are
-    taken in blocks of ``_block_rows(g, k)``: a block's pair sums are
+    (g, k, k) float64 array holding W o p'. The rows are taken in blocks
+    of min(k, max(1, _ELEMENT_BUDGET // k)): a block's pair sums are
     formed in a scratch of g * rows * k entries, where
     ``links.link_values`` turns them into p while it writes p' into the
     block's rows of out; both are weighted and summed into the block's
@@ -209,7 +200,7 @@ def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray,
     damping rejects.
     """
     g, k = beta.shape
-    rows = _block_rows(g, k)
+    rows = min(k, max(1, _ELEMENT_BUDGET // k))
     out, scratch = np.empty((g, k, k)), np.empty(g * rows * k)
     G, v = np.empty((g, k)), np.empty((g, k))
     tied = bool((m > 1).any())
@@ -221,7 +212,7 @@ def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray,
             X += beta[:, lo:hi, None]
             P, D = link_values(link, X, out[:, lo:hi])
             for A in (P, D):
-                diag = _diagonal(A, lo)  # entry (a, a) of row a
+                diag = np.einsum("...ii->...i", A[..., lo:hi])  # entry (a, a) of row a
                 if tied:
                     w = m[:, lo:hi]
                     on_diag = np.zeros(w.shape)
@@ -233,16 +224,6 @@ def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray,
             P.sum(axis=-1, out=G[:, lo:hi])
             D.sum(axis=-1, out=v[:, lo:hi])
     return np.subtract(u, G, out=G), out, v
-
-
-def _diagonal(A: np.ndarray, lo: int = 0) -> np.ndarray:
-    """Writable view of the entries (a, lo + a) of a C-contiguous
-    (..., rows, k) array with lo + rows <= k: the diagonal of a square
-    array, or that of rows lo, lo + 1, ... of one taken as a block."""
-    if not A.flags.c_contiguous:  # reshape would copy, and writes be lost
-        raise ValueError("the diagonal of a non-contiguous array is not a view")
-    rows, k = A.shape[-2:]
-    return A.reshape(*A.shape[:-2], rows * k)[..., lo::k + 1]
 
 
 def moment_residual(link: LinkKind, alpha: np.ndarray, dtilde: np.ndarray) -> np.ndarray:
@@ -404,9 +385,6 @@ class _Dense:
     def diagonal(self) -> np.ndarray:
         return self.J[0].diagonal()
 
-    def jacobian(self) -> np.ndarray:
-        return self.J
-
 
 class _Chebyshev:
     """Negated Jacobian of one system with k classes through a T-node grid:
@@ -424,14 +402,6 @@ class _Chebyshev:
 
     def diagonal(self) -> np.ndarray:
         return self.v[0] + (self.m - 1.0) * self.d2
-
-    def jacobian(self) -> np.ndarray:
-        """Dense J (1, k, k) from the factors, O(k^2 T), for an LU step."""
-        J = self.B @ self.D @ self.B.T
-        J *= self.m
-        J = J[None]
-        _diagonal(J)[...] += self.shift
-        return J
 
 
 def _chebyshev(link: LinkKind, beta: np.ndarray, u: np.ndarray,
@@ -549,17 +519,18 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
     after _MAX_ITER steps stop at the iteration limit.
 
     Each point gives the residual F and an operator with the row sums v,
-    a product x -> J x, the diagonal of J and, for an LU step, the dense
-    J. A stack's operator is ``_Dense``, J formed in place in the slope
-    array of ``_evaluate``. A member with k >= 91 runs alone (see
-    ``solve_many``), evaluates each point by ``_chebyshev`` where a grid
-    of at most k / 3 nodes resolves it, and by ``_evaluate`` elsewhere,
-    and takes its steps by ``_cg_step``. The test is on k, not on how
-    many rows are still running, so that a member's steps do not depend
-    on its stack. The operator of an accepted point is dropped once the
-    step is taken, so a damping trial holds only its own slope array and
-    scratch (and, after a partial acceptance, the array that gathers the
-    accepted rows).
+    a product x -> J x and the diagonal of J. A stack's operator is
+    ``_Dense``, J formed in place in the slope array of ``_evaluate``
+    (``dense``). A member with k >= 91 runs alone (see ``solve_many``),
+    evaluates each point by ``_chebyshev`` where a grid of at most k / 3
+    nodes resolves it, and densely elsewhere, and takes its steps by
+    ``_cg_step``. The test is on k, not on how many rows are still
+    running, so that a member's steps do not depend on its stack. An LU
+    step factors the dense J, which a grid point evaluates densely for
+    it. The operator of an accepted point is dropped once the step is
+    taken, so a damping trial holds only its own slope array and scratch
+    (and, after a partial acceptance, the array that gathers the accepted
+    rows).
     """
     g, k = u.shape
     alone = _ELEMENT_BUDGET // (k * k) <= 1  # a stack of one, see solve_many
@@ -573,14 +544,14 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             fits[j] = EstimateResult(None, None, it, r, False, reason)
         failed[gone] = True
 
-    def evaluate(b: np.ndarray, u: np.ndarray, m: np.ndarray):
-        if alone:
-            point = _chebyshev(link, b[0], u[0], m[0])
-            if point is not None:
-                return point
+    def dense(b: np.ndarray, u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, _Dense]:
         F, J, v = _evaluate(link, b, u, m)
-        _diagonal(J)[...] += v
+        np.einsum("...ii->...i", J)[...] += v
         return F, _Dense(J, v)
+
+    def evaluate(b: np.ndarray, u: np.ndarray, m: np.ndarray):
+        point = _chebyshev(link, b[0], u[0], m[0]) if alone else None
+        return dense(b, u, m) if point is None else point
 
     F, op = evaluate(b, u, m)
     res = np.max(np.abs(F), axis=1)
@@ -602,7 +573,7 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
         if step is not None:
             step = step[None]
         else:
-            J = op.jacobian()
+            J = op.J if isinstance(op, _Dense) else dense(b, u, m)[1].J
             try:
                 step = np.linalg.solve(J, F[..., None])[..., 0]
             except np.linalg.LinAlgError:

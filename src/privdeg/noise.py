@@ -35,13 +35,15 @@ A law also defines ``draw_sum(rng, terms, size)``: draws of the sum of
 ``terms`` iid draws, each one draw of that sum's exact law (Laplace as a
 difference of Gamma(terms, b) draws, the geometric laws through
 NegBin(terms, .)), with ``sum_in_range(terms)`` when numpy cannot draw
-every such law at once or its value could leave int64. ``CompoundPoisson``
-defines both once: its sum law is the same class at ``terms`` x every
-intensity field, all of which must be intensities. ``sample(..., terms=n)``
-draws through them. It refuses, with a ValueError naming the law, every
-draw out of range, single draws (terms = 1) included: there numpy would
-refuse the intensity (``herm2:a1=1e19,a2=1``) or return values wrapped
-(``herm:a1=1,a2=5e18``) or capped (``geo:q=1e-19``) at the int64 range.
+every such law at once or its value could leave int64 or the float range.
+``CompoundPoisson`` defines both once: its sum law is the same class at
+``terms`` x every intensity field, all of which must be intensities.
+``sample(..., terms=n)`` draws through them. It refuses, with a
+ValueError naming the law, every draw out of range, single draws
+(terms = 1) included: there numpy would refuse the intensity
+(``herm2:a1=1e19,a2=1``) or return values wrapped (``herm:a1=1,a2=5e18``)
+or capped (``geo:q=1e-19``) at the int64 range, or infinite
+(``lap:b=inf``).
 
 The mechanism grammar used by the CLI:
 
@@ -188,6 +190,13 @@ class ContinuousLaplace(NoiseMechanism):
         x -= rng.gamma(terms, self.b, size=size)
         return x
 
+    def sum_in_range(self, terms: int) -> bool:
+        # a numpy laplace draw stays within 36.05 b, and a gamma(terms, b)
+        # draw within 60 terms b: at terms = 2 Marsaglia-Tsang returns
+        # 59.9 b per term when its uniform is 0 and its normal draw is at
+        # its largest, 12.23
+        return terms * self.b * 60.0 <= sys.float_info.max
+
     def moments(self) -> tuple[float, float]:
         return 0.0, 2.0 * self.b * self.b  # inf past b ~ 9.5e153, not OverflowError
 
@@ -278,6 +287,10 @@ class CenteredGeometric(NoiseMechanism):
         return rng.negative_binomial(terms, self.q, size=size) - terms * self.offset
 
     def sum_in_range(self, terms: int) -> bool:
+        # numpy's geometric saturates at 2^63 - 1: below 40 means, a single
+        # draw reaches it with probability about e^-40
+        if terms == 1 and 40.0 * self.offset > _INT64_MAX:
+            return False
         return _negbin_in_range(terms, self.q)
 
     def moments(self) -> tuple[float, float]:
@@ -487,7 +500,8 @@ def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None, terms: int
     With terms > 1 each value is a draw of the sum of ``terms`` iid draws,
     one ``draw_sum`` of that sum's own law. ValueError, for any terms,
     where ``mech.sum_in_range(terms)`` is false: numpy would refuse the
-    draw or return values wrapped or capped at the int64 range."""
+    draw or return values wrapped or capped at the int64 range, or
+    infinite."""
     if not mech.sum_in_range(terms):
         what = "a draw" if terms == 1 else f"the law of a sum of {terms} draws"
         raise ValueError(f"{mechanism_label(mech)}: {what} is past numpy's range")

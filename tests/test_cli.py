@@ -654,6 +654,28 @@ def test_a_single_draw_past_the_generator_range_exits_2(tmp_path, capsys, law):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("law", ["lap:b=inf", "lap:b=1e308"])
+def test_a_laplace_draw_past_the_float_range_exits_2(tmp_path, capsys, law):
+    # a draw could overflow to +-inf; lap:b=1e300 still draws
+    graph = tmp_path / "g.edges"
+    graph.write_text("1 2\n2 3\n3 1\n3 4\n")
+    scenario = tmp_path / "cell.scenario"
+    scenario.write_text(f"link = logit\nn = 1000\nL = 0.2\nnoise = {law}\n"
+                        "replicates = 17\nseed = 1\npairs = 1,2\n")
+    out = tmp_path / "out"
+    want = f"error: {noise.mechanism_label(noise.parse_mechanism(law))}: " \
+        "a draw is past numpy's range\n"
+    for argv in (["privatize", str(graph), "--noise", law],
+                 ["simulate", str(scenario), "--workers", "1"],
+                 ["simulate", str(scenario), "--workers", "2"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+    assert main(["privatize", str(graph), "--noise", "lap:b=1e300", "--out", str(out)]) == 0
+    degrees = [float(line.split()[1]) for line in out.read_text().splitlines()]
+    assert len(degrees) == 4 and all(math.isfinite(d) for d in degrees)
+
+
 # sha256 of bounds CSVs (--reps 2000 --seed 3) whose draws take the one-term
 # path: written by the code that folded term by term, before draw_sum
 KEPT_BYTES = {

@@ -730,14 +730,32 @@ def assert_close_fit(got, want):
 @pytest.mark.parametrize("n, noise", [(100, "lap"), (400, "herm2")])
 @pytest.mark.parametrize("link", LINKS)
 def test_cg_step_that_cannot_finish_falls_back_to_lu(link, n, noise, monkeypatch):
-    # a lone fit (k >= 91) factors J, dense or formed from the Chebyshev
-    # factors, when CG cannot finish; the reference factors a fresh dense J
+    # a lone fit (k >= 91) factors the dense J of _evaluate when CG cannot
+    # finish, at a grid point too; the reference factors its own dense J
     d = _cell_degrees(link, n, noise, seed=8)
     assert np.unique(d).size >= 91
     monkeypatch.setattr(estimator, "_CG_MAX_ITER", 1)
     outcomes = _spy_cg(monkeypatch)
     got = solve(link, d)
     assert got.exists and outcomes == [False] * got.iterations
+    assert_close_fit(got, engine_reference.solve(link, d))
+
+
+@pytest.mark.parametrize("link", LINKS)
+def test_lu_step_at_a_grid_point_factors_one_dense_evaluation(link, monkeypatch):
+    # with CG off, every point of this lone fit resolves on its grid and
+    # each LU step evaluates its point densely once, for the J it factors
+    d = _cell_degrees(link, 400, "lap", seed=8)
+    assert np.unique(d).size == 400
+    grids, dense = [], []
+    chebyshev, evaluate = estimator._chebyshev, estimator._evaluate
+    monkeypatch.setattr(estimator, "_CG_MAX_ITER", 0)
+    monkeypatch.setattr(estimator, "_chebyshev",
+                        lambda *a: grids.append(chebyshev(*a)) or grids[-1])
+    monkeypatch.setattr(estimator, "_evaluate", lambda *a: dense.append(1) or evaluate(*a))
+    got = solve(link, d)
+    assert got.exists and None not in grids
+    assert len(dense) == got.iterations
     assert_close_fit(got, engine_reference.solve(link, d))
 
 
@@ -764,12 +782,13 @@ def test_cg_system_without_a_step_keeps_its_reason(link, start, reason, monkeypa
 
 def _block_cases():
     """Systems that a budget of 3k + 5 entries at k = 13 evaluates in five
-    row blocks, the last of one row (a lone system), or in one block (a
-    stack of four with k = 3), tied and untied, with starts near 0 and at
-    +-355, where the log link's pair sums overflow exp."""
+    row blocks, the last of one row (a lone system, and a stack of two over
+    the budget), or in one block (a stack of four with k = 3), tied and
+    untied, with starts near 0 and at +-355, where the log link's pair sums
+    overflow exp."""
     rng = np.random.default_rng(17)
     for link in LINKS:
-        for g, k in ((1, 13), (4, 3)):
+        for g, k in ((1, 13), (2, 13), (4, 3)):
             for tied in (False, True):
                 for centre in (0.0, 355.0, -355.0):
                     beta = centre + rng.normal(0.0, 1.0, (g, k))
@@ -789,7 +808,7 @@ def test_row_blocks_give_the_bits_of_a_whole_matrix_evaluation(link, beta, m, mo
                         lambda *a: blocks.append(a[1].shape) or link_values_(*a))
     u = np.linspace(1.0, 9.0, g * k).reshape(g, k)
     F, D, v = _evaluate(link, beta, u, m)  # under the suite's RuntimeWarning gate
-    assert blocks == ([(1, 3, 13)] * 4 + [(1, 1, 13)] if k == 13 else [(4, 3, 3)])
+    assert blocks == ([(g, 3, 13)] * 4 + [(g, 1, 13)] if k == 13 else [(4, 3, 3)])
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(g):
             assert np.array_equal(D[r], engine_reference.weighted_slope(link, beta[r], m[r]),
@@ -804,8 +823,10 @@ def test_row_blocks_give_the_bits_of_a_whole_matrix_evaluation(link, beta, m, mo
 
 @pytest.mark.parametrize("g,k", [(1, 13), (4, 3), (2, 13)])
 def test_block_diagonals_are_views_of_the_blocks(g, k, monkeypatch):
-    # a lone k = 13 system takes 3-row blocks; a stack is one block even
-    # when it exceeds the budget, so every block is C-contiguous
+    # k = 13 takes 3-row blocks, also in a stack of two over the budget,
+    # whose p' blocks are not contiguous; a stack of four with k = 3 is one
+    # block. The diagonal of rows lo.. of a block is a view that writes
+    # through, contiguous or not
     monkeypatch.setattr(estimator, "_ELEMENT_BUDGET", 3 * 13 + 5)
     blocks = []
     link_values_ = estimator.link_values
@@ -819,8 +840,9 @@ def test_block_diagonals_are_views_of_the_blocks(g, k, monkeypatch):
     lo = 0
     for P, D in blocks:
         rows = P.shape[1]
+        assert D.flags.c_contiguous == (g == 1 or rows == k)
         for A in (P, D):
-            diag = estimator._diagonal(A, lo)
+            diag = np.einsum("...ii->...i", A[..., lo:lo + rows])
             assert np.shares_memory(diag, A) and diag.shape == (g, rows)
             A[...] = 0.0  # the p blocks share the scratch
             diag[...] = -1.0
@@ -828,8 +850,6 @@ def test_block_diagonals_are_views_of_the_blocks(g, k, monkeypatch):
             assert np.count_nonzero(A == -1.0) == g * rows
         lo += rows
     assert lo == k
-    with pytest.raises(ValueError, match="non-contiguous"):
-        estimator._diagonal(np.zeros((2, 4, 4))[:, 1:3])
 
 
 def test_lone_fit_holds_no_k_by_k_array():
@@ -850,6 +870,25 @@ def test_lone_fit_holds_no_k_by_k_array():
         tracemalloc.stop()
     assert fit.exists
     assert peak < 0.05 * 8 * k * k
+
+
+def test_dense_lone_evaluations_peak_at_one_matrix(monkeypatch):
+    # a lone fit at k = 1500 with no grid, and moment_residual, hold one
+    # k x k slope array and blocks of rows; 8 k^2 bytes is one such array
+    link, k = LinkKind.LOGIT, 1500
+    alpha = np.linspace(-1.0, 1.0, k)
+    d = -moment_residual(link, alpha, np.zeros(k)) + \
+        np.random.default_rng(k).laplace(0.0, 1.0, k)
+    assert np.unique(d).size == k
+    monkeypatch.setattr(estimator, "_chebyshev", lambda *a: None)
+    for run in (lambda: solve(link, d).exists, lambda: moment_residual(link, alpha, d).size):
+        tracemalloc.start()
+        try:
+            assert run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 8 * k * k
 
 
 def test_stack_peaks_below_one_more_slope_array():
@@ -917,7 +956,7 @@ def test_chebyshev_operator_matches_the_dense_evaluator(link, kind, beta, m):
     x = np.random.default_rng(7).normal(0.0, 1.0, k)
     point = estimator._chebyshev(link, beta, u, m)  # under the suite's RuntimeWarning gate
     F, J, v = (A[0] for A in _evaluate(link, beta[None], u[None], m[None]))
-    estimator._diagonal(J)[...] += v
+    J[np.diag_indices(k)] += v
     if (link, kind) == (LinkKind.LOG, "far+"):  # exp overflows: _evaluate takes the point
         assert point is None
         return
@@ -932,7 +971,6 @@ def test_chebyshev_operator_matches_the_dense_evaluator(link, kind, beta, m):
     assert_close(op.v[0], v)
     assert_close(op.matvec(x), J @ x)
     assert_close(op.diagonal(), J.diagonal())
-    assert_close(op.jacobian()[0], J)
 
 
 def test_points_no_grid_resolves_take_the_dense_bits(monkeypatch):

@@ -511,10 +511,12 @@ def test_hermite_sum_range_keeps_the_draw_in_int64(text):
     assert np.all(np.abs(y - mean) <= 10 * math.sqrt(var))
 
 
-# laws one of whose single draws numpy cannot make within int64: it would wrap
-# (herm), saturate at 2^63 - 1 (geo) or refuse the intensity (herm2, tsp)
-PAST_THE_RANGE = ["herm:a1=1,a2=5e18", "geo:q=1e-19", "herm2:a1=1e19,a2=1",
-                  "tsp:lambda=1e19,mu=1"]
+# laws one of whose single draws numpy cannot make within int64 or a float: it
+# would wrap (herm), saturate at 2^63 - 1 (geo; 4.3e-18 is just past 40 means
+# within it), refuse the intensity (herm2, tsp) or overflow (lap)
+PAST_THE_RANGE = ["herm:a1=1,a2=5e18", "geo:q=1e-19", "geo:q=4.3e-18",
+                  "herm2:a1=1e19,a2=1", "tsp:lambda=1e19,mu=1", "lap:b=inf",
+                  "lap:b=1e308"]
 
 
 @pytest.mark.parametrize("text", PAST_THE_RANGE)
@@ -528,12 +530,20 @@ def test_sample_refuses_a_single_draw_out_of_range(text):
 
 
 def test_a_geometric_draw_in_range_is_drawn():
-    # mean 5e17 failures; a draw reaches the int64 cap with probability e^-18.4
-    mech = parse_mechanism("geo:q=2e-18")
+    # mean 2.3e17 failures; a draw reaches the int64 cap with probability e^-40.5
+    mech = parse_mechanism("geo:q=4.4e-18")
     assert mech.sum_in_range(1)
     y = sample(mech, np.random.default_rng(0), 1000)
     assert np.all(np.isfinite(y)) and y.max() < 8e18 - mech.offset
     assert abs(y.mean()) <= 10 * math.sqrt(mech.moments()[1] / y.size)
+
+
+def test_a_laplace_draw_in_range_is_drawn():
+    # the largest draw of numpy's laplace is 36.05 b, within a float here
+    mech = parse_mechanism("lap:b=1e300")
+    assert mech.sum_in_range(1) and not mech.sum_in_range(2**24)
+    y = sample(mech, np.random.default_rng(0), 1000)
+    assert np.all(np.isfinite(y)) and np.abs(y).max() > 1e300
 
 
 def test_sample_refuses_a_sum_out_of_range():
