@@ -4,6 +4,12 @@ Subcommands: sample, privatize, estimate, analyze, simulate, bounds, qq.
 Exit codes: 0 success, 2 input/parse error, 3 estimator nonexistence on
 a single-estimate command (estimate, analyze) or in every replicate of a
 qq cell.
+
+Each command imports the privdeg modules it runs when it starts, so a run
+compiles only those: ``bounds`` loads ``noise`` and ``bounds``, ``analyze``
+neither ``simulate`` nor ``bounds``, and ``simulate`` and ``qq`` neither
+``bounds`` nor ``analysis``. Importing this module loads numpy and no other
+privdeg submodule.
 """
 
 from __future__ import annotations
@@ -12,18 +18,16 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import noise as noise_mod
-from .analysis import ResultTable, noisy_degrees, table_from_degrees
-from .links import DomainError, LinkKind, sample_graph
-from .netio import (EdgeList, ParseError, kept_labels, parse_edges,
-                    prune_zero_degree, read_degree_file, serialize_edges,
-                    sniff_format)
-from .simulate import (parse_pairs, parse_scenario_file, qq_csv, report_csv,
-                       run_scenario, truth_vector)
+if TYPE_CHECKING:
+    from .analysis import ResultTable
+    from .links import LinkKind
+    from .netio import EdgeList
+    from .noise import NoiseMechanism
+    from .simulate import CoverageReport, Scenario
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -38,6 +42,36 @@ _MAX_DRAWS = 2**24
 _BLOCK = 2**16
 
 
+# The benchmark's tracer (perfbench/tracing.py) times these five calls by
+# replacing them on this module, so each stays a module attribute that a
+# command calls, and imports its module at call time.
+def parse_edges(text: str, fmt: str) -> EdgeList:
+    from . import netio
+    return netio.parse_edges(text, fmt)
+
+
+def prune_zero_degree(e: EdgeList) -> tuple[EdgeList, list[int]]:
+    from . import netio
+    return netio.prune_zero_degree(e)
+
+
+def table_from_degrees(dtilde: np.ndarray, link: LinkKind,
+                       labels: list[int] | None = None,
+                       level: float = 0.95) -> ResultTable:
+    from . import analysis
+    return analysis.table_from_degrees(dtilde, link, labels=labels, level=level)
+
+
+def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
+    from . import simulate
+    return simulate.run_scenario(scenario, workers=workers)
+
+
+def report_csv(reports: list[CoverageReport]) -> str:
+    from . import simulate
+    return simulate.report_csv(reports)
+
+
 def _write(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -46,6 +80,7 @@ def _write(out: str | None, text: str) -> None:
 
 
 def _load_edges(path: str) -> EdgeList:
+    from .netio import sniff_format
     text = Path(path).read_text()
     return parse_edges(text, sniff_format(text))
 
@@ -77,15 +112,17 @@ def _add_common(p: argparse.ArgumentParser, *, link=True, noise=True) -> None:
                             "or none (release raw degrees)")
 
 
-def _mechanism(args) -> noise_mod.NoiseMechanism | None:
+def _mechanism(args) -> NoiseMechanism | None:
+    from .noise import parse_release
     # not argparse's required=True: its SystemExit would bypass main's exit codes
     if args.noise is None:
-        raise ParseError("specify a mechanism with --noise, or --noise none")
-    return noise_mod.parse_release(args.noise)
+        raise ValueError("specify a mechanism with --noise, or --noise none")
+    return parse_release(args.noise)
 
 
 def _report_fit(link: LinkKind, table: ResultTable) -> int:
     """Exit code of a single fit; nonexistence and suspect fits go to stderr."""
+    from .links import LinkKind
     if not table.result.exists:
         print(f"estimate does not exist: {table.result.reason}", file=sys.stderr)
         return EXIT_NONEXISTENT
@@ -98,6 +135,9 @@ def _report_fit(link: LinkKind, table: ResultTable) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .links import LinkKind, sample_graph
+    from .netio import read_degree_file, serialize_edges
+    from .simulate import truth_vector
     link = LinkKind.parse(args.link)
     alpha = (read_degree_file(Path(args.alpha_file).read_text())
              if args.alpha_file else truth_vector(args.n, args.L))
@@ -107,6 +147,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_privatize(args) -> int:
+    from .analysis import noisy_degrees
     e = _load_edges(args.input)
     d = noisy_degrees(e, _mechanism(args), args.seed)
     lines = [f"{i + 1} {v:.17g}" for i, v in enumerate(d)]
@@ -115,6 +156,8 @@ def cmd_privatize(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .links import LinkKind
+    from .netio import read_degree_file
     link = LinkKind.parse(args.link)
     d = read_degree_file(Path(args.input).read_text())
     table = table_from_degrees(d, link, level=args.level)
@@ -123,6 +166,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import noisy_degrees
+    from .links import LinkKind
+    from .netio import kept_labels
     link = LinkKind.parse(args.link)
     e = _load_edges(args.input)
     removed: list[int] = []
@@ -138,6 +184,7 @@ def cmd_analyze(args) -> int:
 
 def _scenario_cells(args) -> list:
     """Cells of the scenario file; --seed overrides the file's seed."""
+    from .simulate import parse_scenario_file
     cells = parse_scenario_file(Path(args.scenario).read_text())
     if args.seed is not None:
         cells = [replace(cell, seed=args.seed) for cell in cells]
@@ -151,17 +198,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_qq(args) -> int:
+    from .simulate import parse_pairs, qq_csv
     cells = _scenario_cells(args)
     if len(cells) != 1:
-        raise ParseError("qq needs a single-cell scenario (one L, one noise)")
+        raise ValueError("qq needs a single-cell scenario (one L, one noise)")
     cell = cells[0]
     if args.pair is not None:  # checked by Scenario before any replicate runs
         pairs = parse_pairs(args.pair)
         if not pairs:
-            raise ParseError(f"--pair {args.pair!r} names no pair")
+            raise ValueError(f"--pair {args.pair!r} names no pair")
         cell = replace(cell, pairs=pairs)
     if len(cell.pairs) > 1 and args.out in (None, "-"):
-        raise ParseError(f"qq of {len(cell.pairs)} pairs needs --out FILE, one file per pair")
+        raise ValueError(f"qq of {len(cell.pairs)} pairs needs --out FILE, one file per pair")
     report = run_scenario(cell, workers=args.workers)
     if not report.xi[cell.pairs[0]].size:
         print("no fit exists in any of the cell's replicates", file=sys.stderr)
@@ -179,6 +227,7 @@ def cmd_qq(args) -> int:
 def _summed_noise(mech, rng, n: int, reps: int) -> np.ndarray:
     """|S - E S| for ``reps`` sums S of n iid draws, each sum one draw of its
     own law (``noise.sample`` with terms=n), centred and folded in place."""
+    from . import noise as noise_mod
     draws = noise_mod.sample(mech, rng, reps, terms=n)
     draws -= n * mech.moments()[0]
     return np.abs(draws, out=draws)
@@ -190,6 +239,7 @@ def _folded_noise(mech, rng, n: int, reps: int, fold: np.ufunc) -> np.ndarray:
     blocks of max(1, _BLOCK // reps) rows. Each block is centred in place and
     folded in place into the first block's fold; a one-row block is its own
     fold, so a one-row table (subexp) keeps no array but its draw."""
+    from . import noise as noise_mod
     mean = mech.moments()[0]
     rows = max(1, _BLOCK // reps)
     acc = None
@@ -204,11 +254,13 @@ def _folded_noise(mech, rng, n: int, reps: int, fold: np.ufunc) -> np.ndarray:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+    from . import noise as noise_mod
     mech = noise_mod.parse_mechanism(args.noise) if args.noise else \
         noise_mod.TwoSideHermite(1.0, 1.0)
     for flag, value in (("--n", args.n), ("--reps", args.reps), ("--grid", args.grid)):
         if value < 1:
-            raise ParseError(f"{flag} must be at least 1, got {value}")
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     kind = args.kind.lower()
     reps = args.reps
     n = 1 if kind == "subexp" else args.n  # rows of the draw table
@@ -225,11 +277,11 @@ def cmd_bounds(args) -> int:
                 else bounds_mod.SubGammaTail(wit.upsilon, wit.c, n))
     elif kind == "hermite":
         if not isinstance(mech, noise_mod.CompoundPoisson):
-            raise ParseError(f"--kind hermite needs a compound-Poisson law "
+            raise ValueError(f"--kind hermite needs a compound-Poisson law "
                              f"(herm, herm2, tsp), got {noise_mod.mechanism_label(mech)}")
         spec = bounds_mod.HermiteSumRadius(n * mech.moments()[1], mech.jump, 1.0 / n)
     else:
-        raise ParseError(f"unknown bound kind {args.kind!r}; expected "
+        raise ValueError(f"unknown bound kind {args.kind!r}; expected "
                          "subexp | bernstein | subgamma | subgammamax | hermite")
     rng = np.random.default_rng(args.seed)
     if kind != "subgammamax" and mech.sum_in_range(n):
@@ -325,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, DomainError, ValueError, LookupError, OSError) as exc:
+    except (ValueError, LookupError, OSError) as exc:  # ParseError and DomainError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

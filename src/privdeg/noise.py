@@ -521,25 +521,26 @@ def psi1_norm(mech: NoiseMechanism) -> float:
     The expectation is exact per mechanism (closed form or a summation
     truncated far below the working precision); 60 bisection steps give
     relative precision well beyond 1e-9. The bracket starts at the
-    standard deviation, or at the least positive float when the variance
-    underflows to 0 (Laplace with b below about 1e-162). Its doublings are
-    bounded by the float range, whatever the law's scale: only an overflow
-    means divergence. An overflowing variance, a diverging norm or one
-    below the least normal float raises ValueError.
+    standard deviation; at sqrt of the largest float when the variance
+    overflows (Laplace with b above about 9.5e153, geometric with q below
+    about 1e-154), and at the least positive float when it underflows to 0
+    (Laplace with b below about 1e-162). Its doublings are bounded by the
+    float range, whatever the law's scale: only an overflow means
+    divergence. A diverging norm or one below the least normal float
+    raises ValueError naming the law.
     """
     _, var = mech.moments()
-    if var == math.inf:
-        raise ValueError(f"psi1 norm of {mech!r}: its variance overflows a float")
-    hi = math.sqrt(var) or math.ulp(0.0)
+    hi = math.sqrt(min(var, sys.float_info.max)) or math.ulp(0.0)
     while mech.abs_exp_moment(hi) > 2.0:
         hi *= 2.0
         if hi == math.inf:
-            raise ValueError(f"psi1 norm diverges for {mech!r}")
+            raise ValueError(f"psi1 norm diverges for {mechanism_label(mech)}")
     lo = hi / 2.0
     while lo >= sys.float_info.min and mech.abs_exp_moment(lo) <= 2.0:
         lo /= 2.0
     if lo < sys.float_info.min:
-        raise ValueError(f"psi1 norm of {mech!r} is below the least normal float")
+        raise ValueError(f"psi1 norm of {mechanism_label(mech)} is below the least "
+                         "normal float")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mech.abs_exp_moment(mid) <= 2.0:

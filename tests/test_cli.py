@@ -297,10 +297,12 @@ def test_bounds_bernstein_computes_one_psi1_norm(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind", ["subexp", "bernstein", "subgamma", "subgammamax",
                                   "hermite"])
 def test_bounds_at_laplace_scales_near_the_float_range(tmp_path, capsys, kind):
-    # at b = 1e300 the variance 2 b^2 overflows; at b = 9e153 it does not,
-    # but (2 psi1)^2 does. Each ends in one error line or a finite table,
-    # never in a traceback, an infinite norm or a NaN.
-    for law, codes in (("lap:b=1e300", (2,)), ("lap:b=9e153", (0, 2))):
+    # at b = 1e300 the variance 2 b^2 overflows, but psi1 = 2 b does not, so
+    # only subexp draws; at b = 9e153 the variance is finite, but (2 psi1)^2
+    # overflows. Each ends in one error line or a finite table, never in a
+    # traceback, an infinite norm or a NaN.
+    for law, codes in (("lap:b=1e300", (0,) if kind == "subexp" else (2,)),
+                       ("lap:b=9e153", (0, 2))):
         out = tmp_path / "b.csv"
         code = main(["bounds", "--kind", kind, "--noise", law, "--n", "3",
                      "--reps", "100", "--grid", "5", "--out", str(out)])
@@ -397,10 +399,9 @@ def _main_in_fresh_python(argv: list[str] | None, module: str = "scipy") -> str:
     return done.stdout.strip()
 
 
-@pytest.mark.parametrize("command", ["import", "simulate", "qq", "estimate", "analyze"])
-def test_cli_run_does_not_load_scipy(tmp_path, command):
-    # the normal quantile is computed without scipy, and no privdeg module
-    # imports it
+def _small_run(tmp_path: Path, command: str) -> list[str] | None:
+    """argv of a quick run of a command on small inputs, writing
+    tmp_path/out.csv; None for "import" (import the CLI only)."""
     cell = tmp_path / "cell.scenario"
     cell.write_text("link = logit\nn = 10\nL = 0.2\nnoise = herm2:a1=0.1,a2=0.05\n"
                     "replicates = 5\nseed = 3\n")
@@ -408,16 +409,25 @@ def test_cli_run_does_not_load_scipy(tmp_path, command):
     degrees.write_text("3\n3\n2\n2\n4\n2\n")
     shop = str(Path(__file__).parent / "data" / "tailorshop_synthetic.dl")
     out = str(tmp_path / "out.csv")
-    argv = {
+    return {
         "import": None,
         "simulate": ["simulate", str(cell), "--out", out],
         "qq": ["qq", str(cell), "--pair", "1,2", "--out", out],
         "estimate": ["estimate", str(degrees), "--link", "logit", "--out", out],
         "analyze": ["analyze", shop, "--link", "logit", "--noise", "none", "--out", out],
+        "bounds": ["bounds", "--kind", "bernstein", "--noise", "herm2:a1=1.47,a2=0.37",
+                   "--n", "5", "--reps", "1000", "--out", out],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["import", "simulate", "qq", "estimate", "analyze"])
+def test_cli_run_does_not_load_scipy(tmp_path, command):
+    # the normal quantile is computed without scipy, and no privdeg module
+    # imports it
+    argv = _small_run(tmp_path, command)
     assert _main_in_fresh_python(argv) == "0 False"
     if argv:  # a header and at least three rows
-        assert Path(out).read_text().count("\n") >= 4
+        assert (tmp_path / "out.csv").read_text().count("\n") >= 4
 
 
 def test_bounds_path_does_not_load_scipy(tmp_path):
@@ -440,6 +450,17 @@ def test_lone_fit_does_not_load_fft_or_scipy(tmp_path, module):
     assert _main_in_fresh_python(["estimate", str(degrees), "--link", "logit",
                                   "--out", str(out)], module) == "0 False"
     assert out.read_text().count("\n") == 121
+
+
+@pytest.mark.parametrize("command, module", [
+    *(("bounds", f"privdeg.{m}") for m in ("estimator", "simulate", "netio", "links",
+                                           "analysis")),
+    *(("analyze", f"privdeg.{m}") for m in ("simulate", "bounds")),
+    *(("simulate", f"privdeg.{m}") for m in ("bounds", "analysis")),
+])
+def test_command_loads_only_the_modules_it_runs(tmp_path, command, module):
+    # each command imports its own modules; no package import pulls in the rest
+    assert _main_in_fresh_python(_small_run(tmp_path, command), module) == "0 False"
 
 
 @pytest.mark.parametrize("module", ["concurrent.futures.process", "multiprocessing"])

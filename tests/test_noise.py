@@ -240,7 +240,8 @@ def test_psi1_of_tiny_laws_is_the_closed_form_or_an_error():
     # at b = 1e-300 the variance 2 b^2 underflows to 0; the norm is still 2 b
     for text, b in (("lap:b=1e-300", 1e-300), ("lap:b=1e-10", 1e-10)):
         assert psi1_norm(parse_mechanism(text)) == pytest.approx(2 * b, rel=1e-9)
-    with pytest.raises(ValueError, match="least normal float"):
+    with pytest.raises(ValueError, match=r"^psi1 norm of lap:b=1e-310 is below the least "
+                                         r"normal float$"):  # the law by its label
         psi1_norm(ContinuousLaplace(1e-310))
 
 
@@ -400,12 +401,15 @@ def test_psi1_guard_is_free_of_scale():
     assert math.isfinite(psi) and psi > 1e12
 
 
-def test_psi1_of_an_overflowing_variance_is_an_error():
-    for text in ("lap:b=1e300", "geo:q=1e-170"):
+def test_psi1_of_an_overflowing_variance_is_finite():
+    # the bracket starts at sqrt of the largest float: lap keeps its closed
+    # form 2 b, and geo the q psi1 of a law whose variance is finite
+    geo = 1e-150 * psi1_norm(parse_mechanism("geo:q=1e-150"))
+    for text, want in (("lap:b=1e154", 2e154), ("lap:b=1e300", 2e300),
+                       ("geo:q=1e-170", geo / 1e-170), ("geo:q=1e-300", geo / 1e-300)):
         mech = parse_mechanism(text)
         assert mech.moments()[1] == math.inf
-        with pytest.raises(ValueError, match="variance overflows"):
-            psi1_norm(mech)
+        assert psi1_norm(mech) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("text", ["herm:a1=1e6,a2=1e6", "herm2:a1=1e300,a2=1",
