@@ -135,9 +135,8 @@ def _report_fit(link: LinkKind, table: ResultTable) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .links import LinkKind, sample_graph
+    from .links import LinkKind, sample_graph, truth_vector
     from .netio import read_degree_file, serialize_edges
-    from .simulate import truth_vector
     link = LinkKind.parse(args.link)
     alpha = (read_degree_file(Path(args.alpha_file).read_text())
              if args.alpha_file else truth_vector(args.n, args.L))

@@ -17,7 +17,12 @@ where W_ab counts the partners of class b that one vertex of class a
 has. Its negated Jacobian is diag(sum_b W_ab D_ab) + W o D with
 D_ab = p'(beta_a + beta_b). The result is expanded back to the n
 vertices. Without ties W = 1 - I and this is the full n x n system,
-operation for operation.
+operation for operation. ``solve_many`` screens, collapses and starts a
+whole block of sequences (B, n) in one pass (``_prepare``): one stable
+sort of each row gives the facet screen its sorted row and the classes,
+in order of first occurrence, with their sizes, and the start is
+computed from the distinct degrees alone. ``solve`` is a block of one
+row.
 
 On the full system the negated Jacobian V = -F'(alpha) is symmetric,
 has positive off-diagonal entries V_ij = p'(alpha_i + alpha_j), and is
@@ -281,14 +286,20 @@ def initial_point(link: LinkKind, dtilde: np.ndarray) -> np.ndarray:
     delta = 1 / (2(n-1)); exact when all entries of dtilde are equal.
     """
     d = np.asarray(dtilde, dtype=float).reshape(-1)
-    n = d.size
+    return _start(link, d, d.size)
+
+
+def _start(link: LinkKind, d: np.ndarray, n: int) -> np.ndarray:
+    """``initial_point`` of degrees d of n-vertex sequences, entry by entry,
+    so that it may run on the distinct degrees alone."""
     delta = 1.0 / (2.0 * (n - 1))
     r = np.clip(d / (n - 1), delta, 1.0 - delta)
     return 0.5 * np.asarray(link_inverse(link, r))
 
 
-def _nonexistence_reason(link: LinkKind, d: np.ndarray) -> Optional[str]:
-    """Why no root exists for d, or None when none of the checks fails.
+def _screen(link: LinkKind, S: np.ndarray) -> list[Optional[str]]:
+    """Why no root exists for each row of S (B, n), rows sorted ascending,
+    or None for a row when none of the checks fails.
 
     A logit or cloglog root needs d strictly inside the polytope of
     degree sequences (Rinaldo, Petrovic & Fienberg 2013), whose facets
@@ -297,8 +308,8 @@ def _nonexistence_reason(link: LinkKind, d: np.ndarray) -> Optional[str]:
         sum_S d_i - sum_T d_i <= |S| (n - 1 - |T|).
 
     For |S| = s the tightest one takes S as the s largest entries and
-    T = {i not in S : d_i < s}, so sorting and prefix sums check them all
-    in O(n log n). Its excess over the bound is at most
+    T = {i not in S : d_i < s}, so prefix sums of the sorted row check
+    them all in O(n log n). Its excess over the bound is at most
     (n - s)(s - d_min) - s(n - 1 - d_max), whose maximum over s is
     (d_min + d_max + 1)^2 / 4 - n d_min; when that is negative, as for
     most released sequences, no facet can fail and the prefix sums are
@@ -307,40 +318,94 @@ def _nonexistence_reason(link: LinkKind, d: np.ndarray) -> Optional[str]:
     exceed 1, so the polytope does not bound it: it keeps only the check
     d_i > 0.
     """
-    n = d.size
-    a = np.sort(d)
-    d_min, d_max = float(a[0]), float(a[-1])
-    if d_min <= 0:
-        return "noisy degree at or below 0"
+    B, n = S.shape
+    d_min, d_max = S[:, 0], S[:, -1]
+    reasons: list[Optional[str]] = [None] * B
+    for r in np.flatnonzero(d_min <= 0).tolist():
+        reasons[r] = "noisy degree at or below 0"
     if link == LinkKind.LOG:
-        return None
-    if d_max >= n - 1:
-        return "noisy degree at or above n-1"
-    if n > 2 and (d_min + d_max + 1) ** 2 >= 4 * n * d_min:
+        return reasons
+    inside = d_min > 0
+    for r in np.flatnonzero(inside & (d_max >= n - 1)).tolist():
+        reasons[r] = "noisy degree at or above n-1"
+    if n == 2:
+        return reasons
+    s = np.arange(1, n + 1)
+    rest = n - s
+    near = inside & (d_max < n - 1) & ((d_min + d_max + 1) ** 2 >= 4 * n * d_min)
+    for r in np.flatnonzero(near).tolist():
+        a = S[r]
         low = np.concatenate(([0.0], a.cumsum()))  # low[c]: sum of the c smallest
-        s = np.arange(1, n + 1)
-        rest = n - s
         c = np.minimum(a.searchsorted(s), rest)  # |T| for each s
         if (low[n] - low[rest] - low[c] >= s * (n - 1 - c)).any():
-            return "noisy degrees on a degree-polytope facet or outside it"
-    return None
+            reasons[r] = "noisy degrees on a degree-polytope facet or outside it"
+    return reasons
 
 
-def _classes(d: np.ndarray, x0: Optional[np.ndarray]):
-    """Group vertices by released degree (and start, when x0 is given).
+def _prepare(link: LinkKind, D: np.ndarray, X0: Optional[np.ndarray]):
+    """Screen, collapse and start a block of B sequences D (B, n), with
+    their starts X0 (B, n) or None, in one pass over the block.
 
-    Returns (first, inverse, counts): the first vertex of each class, the
-    class of each vertex and the class sizes, with classes in order of
-    first occurrence, so untied input keeps its vertex order.
+    One stable sort of each row, by d or by the pair (d, x0), groups the
+    vertices into classes of equal keys. The sorted rows give the
+    ``_screen`` reasons and each row's tolerance; a class's first vertex
+    is the one at the head of its run, and classes are numbered in order
+    of first occurrence, so untied input keeps its vertex order. Returns
+    (reasons, systems): reasons[r] is row r's nonexistence reason or
+    None, and systems holds, per class count k, (rows, u, m, b, tol,
+    inverse) of the rows whose reason is None: their row indices (g,),
+    distinct degrees, class sizes and starts (g, k), tolerances (g,) and
+    the class of each vertex (g, n).
     """
-    key = d if x0 is None else np.column_stack((d, x0))
-    _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True,
-                                          return_counts=True,
-                                          axis=None if x0 is None else 0)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse.reshape(-1)], counts[order].astype(float)
+    B, n = D.shape
+    order = np.argsort(D, axis=1, kind="stable") if X0 is None else np.lexsort((X0, D))
+    S = np.take_along_axis(D, order, axis=1)
+    reasons = _screen(link, S)
+    ok = np.array([r is None for r in reasons], dtype=bool)
+    rows = np.flatnonzero(ok)
+    if not ok.all():
+        D, S, order = D[rows], S[rows], order[rows]
+        X0 = None if X0 is None else X0[rows]
+    g = rows.size
+    # a class starts where the sorted key changes
+    step = S[:, 1:] != S[:, :-1]
+    if X0 is not None:
+        Xs = np.take_along_axis(X0, order, axis=1)
+        step |= Xs[:, 1:] != Xs[:, :-1]
+        del Xs
+    tol = _TOL * np.maximum(1.0, S[:, -1])  # d_min > 0, so max |d| = d_max
+    del S
+    # per sorted position, the head of its run, then its vertex (the
+    # class's first: the sort is stable); scattered back, per vertex
+    offset = (np.arange(g) * n)[:, None]
+    head = np.zeros((g, n), dtype=np.intp)
+    np.multiply(step, np.arange(1, n), out=head[:, 1:])
+    np.maximum.accumulate(head, axis=1, out=head)
+    head += offset
+    np.take(order, head, out=head)
+    first = np.empty_like(head)
+    np.put_along_axis(first, order, head, axis=1)
+    del order, head
+    rep = first == np.arange(n)  # the first vertex of each class
+    k = rep.sum(axis=1)
+    # class number of each representative, then of each vertex
+    number = np.cumsum(rep, axis=1)
+    number += offset - 1
+    first += offset
+    inverse = np.take(number, first, out=first)
+    del number
+    m = np.bincount(inverse.ravel(), minlength=g * n).reshape(g, n)  # class sizes
+    inverse -= offset
+    u = D[rep]  # the distinct degrees, row after row
+    b = _start(link, u, n) if X0 is None else X0[rep]
+    lead = np.concatenate(([0], np.cumsum(k)))  # where each row's classes start in u
+    systems = {}
+    for kk in np.flatnonzero(np.bincount(k)).tolist():  # np.unique would load numpy.ma
+        sel = np.flatnonzero(k == kk)
+        at = lead[sel][:, None] + np.arange(kk)
+        systems[kk] = (rows[sel], u[at], m[sel, :kk].astype(float), b[at], tol[sel],
+                       inverse[sel])
+    return reasons, systems
 
 
 @lru_cache(maxsize=None)
@@ -642,50 +707,75 @@ def solve(link: LinkKind, dtilde: np.ndarray,
 def solve_many(link: LinkKind, dtildes, x0s=None) -> Iterator[EstimateResult]:
     """Yield ``solve`` of each noisy degree sequence (and start), in order.
 
-    dtildes may be any iterable, x0s a sequence of starts or None. Fits
-    whose collapsed systems have the same number of classes k run stacked
-    in one Newton loop (see ``_newton``): a stack runs as soon as it
-    holds max(1, _ELEMENT_BUDGET // k^2) fits, the rest at the end. Each
-    result is the one ``solve`` gives for its sequence alone, bit for
-    bit, and is yielded once it and every result before it are known.
+    dtildes is a 2-d array (B, n) whose rows are the sequences, or any
+    iterable of sequences; x0s is None or a sequence of starts, one per
+    sequence, each an array or None. A 2-d array is one block, and each
+    sequence of an iterable a block of one row: ``_prepare`` screens,
+    collapses and starts a block in one pass. Fits whose collapsed
+    systems have the same number of classes k run stacked in one Newton
+    loop (see ``_newton``): a stack runs as soon as it holds
+    max(1, _ELEMENT_BUDGET // k^2) fits, the rest at the end. Each result
+    is the one ``solve`` gives for its sequence alone, bit for bit, and
+    is yielded once it and every result before it are known.
     """
     ready: dict[int, EstimateResult] = {}  # results not yet yielded
-    waiting: dict[int, list] = {}  # k -> collapsed systems of a stack
+    waiting: dict[int, tuple] = {}  # k -> the systems of a stack not yet full
     yielded = 0
 
-    def run(stack: list) -> None:
-        u, m, b, tol = (np.array([s[c] for s in stack]) for c in (1, 2, 3, 4))
-        fits = _newton(link, u, m, b, tol, [s[5] for s in stack])
-        ready.update((s[0], fit) for s, fit in zip(stack, fits))
+    def run(f, u, m, b, tol, inverses) -> None:
+        ready.update(zip(f.tolist(), _newton(link, u, m, b, tol, inverses)))
 
-    for f, dtilde in enumerate(dtildes):
-        d = np.asarray(dtilde, dtype=float).reshape(-1)
-        if d.size < 2:
-            raise ValueError(f"need at least 2 vertices, got {d.size}")
-        if not np.all(np.isfinite(d)):
+    if isinstance(dtildes, np.ndarray) and dtildes.ndim == 2:
+        blocks = [(dtildes, x0s)]
+    else:
+        blocks = (([d], None if x0s is None else [x0s[f]]) for f, d in enumerate(dtildes))
+    base = 0  # the index of a block's first sequence
+    for ds, starts in blocks:
+        D = np.asarray(ds, dtype=float)
+        D = D if D.ndim == 2 else D.reshape(len(ds), -1)
+        B, n = D.shape
+        if n < 2:
+            raise ValueError(f"need at least 2 vertices, got {n}")
+        if not np.all(np.isfinite(D)):
             raise ValueError("noisy degrees must be finite")
-        reason = _nonexistence_reason(link, d)
-        if reason is not None:
-            ready[f] = EstimateResult(None, None, 0, float("inf"), False, reason)
-        else:
-            x0 = None if x0s is None else x0s[f]
-            if x0 is not None:
-                x0 = np.asarray(x0, dtype=float).reshape(-1)
-                if x0.size != d.size:
+        X0 = None
+        if starts is not None and any(x0 is not None for x0 in starts):
+            # a row without a start gets initial_point: its classes and start
+            # are then those it has without one
+            if len(starts) != B:
+                raise ValueError("x0s must hold one start per sequence")
+            X0 = np.empty((B, n))
+            for r, x0 in enumerate(starts):
+                x0 = _start(link, D[r], n) if x0 is None else np.asarray(x0, dtype=float)
+                if x0.size != n:
                     raise ValueError("x0 length must match dtilde")
-            first, inverse, m = _classes(d, x0)
-            b = (x0 if x0 is not None else initial_point(link, d))[first]
-            tol = _TOL * max(1.0, float(np.max(np.abs(d))))
-            k = first.size
-            stack = waiting.setdefault(k, [])
-            stack.append((f, d[first], m, b, tol, inverse))
-            if len(stack) >= max(1, _ELEMENT_BUDGET // (k * k)):
-                run(waiting.pop(k))
+                X0[r] = x0.reshape(-1)
+        reasons, systems = _prepare(link, D, X0)
+        for r, reason in enumerate(reasons):
+            if reason is not None:
+                ready[base + r] = EstimateResult(None, None, 0, float("inf"), False, reason)
+        for k, (rows, u, m, b, tol, inverse) in systems.items():
+            parts = [waiting.pop(k)] if k in waiting else []  # earlier fits first
+            parts.append((base + rows, u, m, b, tol, list(inverse)))
+            f, u, m, b, tol = (np.concatenate(c) for c in list(zip(*parts))[:5])
+            inverses = [x for part in parts for x in part[5]]
+            size = max(1, _ELEMENT_BUDGET // (k * k))
+            full = f.size - f.size % size
+            if full < f.size:
+                waiting[k] = (f[full:], u[full:], m[full:], b[full:], tol[full:],
+                              inverses[full:])
+            for lo in range(0, full, size):
+                at = slice(lo, lo + size)
+                run(f[at], u[at], m[at], b[at], tol[at], inverses[at])
+                while yielded in ready:
+                    yield ready.pop(yielded)
+                    yielded += 1
+        base += B
         while yielded in ready:
             yield ready.pop(yielded)
             yielded += 1
-    for stack in waiting.values():
-        run(stack)
+    for system in waiting.values():
+        run(*system)
     for f in sorted(ready):
         yield ready[f]
 

@@ -11,7 +11,8 @@ Edges are independent Bernoulli(p_ij) with p_ij = p(alpha_i + alpha_j),
 no self-loops. The vertex parameter alpha_i measures the propensity of
 vertex i to form edges; the degree d_i = sum_j a_ij is the statistic
 released (possibly with noise) downstream. ``sample_graph`` returns a
-drawn graph as an ``EdgeList``, the package's one graph type.
+drawn graph as an ``EdgeList``, the package's one graph type, and
+``truth_vector`` gives the truth alpha*_i = i L / n of the scenario grid.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def link_values(link: LinkKind, X: np.ndarray,
         pos = X >= 0
         e = np.exp(np.negative(np.abs(X, out=X), out=X), out=X)  # exp(-|x|)
         D = np.add(e, 1.0, out=out)
-        P = np.divide(e, D, out=e)               # e^x / (1 + e^x) for x < 0
-        np.divide(1.0, D, out=P, where=pos)      # 1 / (1 + e^-x) for x >= 0
+        np.putmask(e, pos, 1.0)                  # numerator 1 where x >= 0
+        P = np.divide(e, D, out=e)               # e^x / (1 + e^x), 1 / (1 + e^-x)
         np.multiply(P, np.subtract(1.0, P, out=D), out=D)   # p (1 - p)
     elif link == LinkKind.CLOGLOG:
         Xc = np.minimum(X, _EXP_CLIP, out=out)
@@ -150,6 +151,18 @@ def validate_params(link: LinkKind, alpha: np.ndarray) -> np.ndarray:
     return a
 
 
+def truth_vector(n: int, L: float) -> np.ndarray:
+    """Truth used throughout the scenario grid: alpha*_i = i L / n, i = 1..n."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    try:
+        i = np.arange(1, n + 1, dtype=float)
+    except (MemoryError, OverflowError, ValueError):
+        raise ValueError(f"vertex count n={n} is too large "
+                         "to hold a parameter vector") from None
+    return i * L / n
+
+
 def pair_sum_matrix(alpha: np.ndarray) -> np.ndarray:
     """Symmetric matrix X with X[i, j] = alpha_i + alpha_j; a stack of
     vectors (..., n) gives a stack of matrices (..., n, n)."""
@@ -175,6 +188,14 @@ def expected_degrees(link: LinkKind, alpha: np.ndarray) -> np.ndarray:
     return edge_prob_matrix(link, alpha).sum(axis=1)
 
 
+# Uniforms per chunk of ``EdgeSampler.block_degrees``: a chunk holds
+# max(1, _DRAW_BUDGET // P) rows of P = n(n-1)/2 pair uniforms, their edge
+# mask and as many n x n uint8 matrices, as ``estimator._ELEMENT_BUDGET``
+# bounds a stack's arrays. 2^14 drew as fast as 2^16 at n = 30, 100 and
+# 400 (2 cores), and its chunk of uniforms is a quarter of the size.
+_DRAW_BUDGET = 2**14
+
+
 class EdgeSampler:
     """Independent Bernoulli(p_ij) edges for one (link, alpha), set up once.
 
@@ -182,10 +203,10 @@ class EdgeSampler:
     ``rng.random(n(n-1)/2)`` call, one uniform per pair i < j in row
     order (that of ``np.triu_indices``), and pair k is an edge when its
     uniform is below p_k. ``sample_graph`` lists the pairs of the upper
-    triangle that ``draw`` fills and ``degrees`` sums it, so both consume
-    the same generator state and agree on every degree. The pairs are kept
-    as an n x n boolean mask, an eighth of the size of two int64 index
-    arrays.
+    triangle that ``draw`` fills and ``block_degrees`` sums it, so both
+    consume the same generator state and agree on every degree. The pairs
+    are kept as an n x n boolean mask, an eighth of the size of two int64
+    index arrays.
     """
 
     def __init__(self, link: LinkKind, alpha: np.ndarray):
@@ -207,10 +228,38 @@ class EdgeSampler:
         A[self.upper] = rng.random(self.p.size) < self.p
         return A
 
+    def block_degrees(self, rngs) -> np.ndarray:
+        """Degree sequences (B, n) float64 of one graph drawn from each of B
+        generators, row r from rngs[r].
+
+        Each generator consumes exactly the uniforms of ``draw``, through
+        ``random(out=row)``, so what it draws next is unchanged. The rows
+        go in chunks of max(1, _DRAW_BUDGET // P) generators: a chunk's
+        uniforms are compared with p at once, each row's edges fill the
+        upper triangle of its own uint8 matrix (a per-row mask assignment:
+        one over the chunk's 3-d array is many times slower), and row plus
+        column sums, in the smallest integer type that holds n, give the
+        degrees exactly.
+        """
+        n, P, B = self.n, self.p.size, len(rngs)
+        rows = max(1, min(B, _DRAW_BUDGET // P))
+        U = np.empty((rows, P))
+        A = np.zeros((rows, n, n), dtype=np.uint8)
+        t = np.min_scalar_type(n)
+        out = np.empty((B, n))
+        for lo in range(0, B, rows):
+            c = min(rows, B - lo)
+            for r in range(c):
+                rngs[lo + r].random(out=U[r])
+            E = U[:c] < self.p
+            for r in range(c):
+                A[r][self.upper] = E[r]
+            out[lo:lo + c] = np.add(A[:c].sum(axis=2, dtype=t), A[:c].sum(axis=1, dtype=t))
+        return out
+
     def degrees(self, rng: np.random.Generator) -> np.ndarray:
-        """Degree sequence (float64) of one drawn graph."""
-        A = self.draw(rng)
-        return A.sum(axis=1, dtype=float) + A.sum(axis=0, dtype=float)
+        """Degree sequence (float64) of one drawn graph: a block of one row."""
+        return self.block_degrees([rng])[0]
 
 
 def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) -> EdgeList:

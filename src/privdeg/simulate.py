@@ -28,20 +28,9 @@ from . import noise as noise_mod
 from .estimator import _ELEMENT_BUDGET, normal_quantile, solve_many
 # Not called here; perfbench/tracing.py wraps these four names in this module.
 from .estimator import solve, xi_statistic  # noqa: F401
-from .links import EdgeSampler, LinkKind
+from .links import EdgeSampler, LinkKind, truth_vector
 from .links import degrees, sample_graph  # noqa: F401
 from .netio import ParseError
-
-def truth_vector(n: int, L: float) -> np.ndarray:
-    """Truth used throughout the scenario grid: alpha*_i = i L / n, i = 1..n."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    try:
-        i = np.arange(1, n + 1, dtype=float)
-    except (MemoryError, OverflowError, ValueError):
-        raise ValueError(f"vertex count n={n} is too large "
-                         "to hold a parameter vector") from None
-    return i * L / n
 
 
 def default_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -135,27 +124,29 @@ def _block(scenario: Scenario, z: float,
            children: list[np.random.SeedSequence]) -> tuple[np.ndarray, ...]:
     """Fit a contiguous block of replicates, one seed child each.
 
-    Each replicate draws its degrees and noise from its own child; the
-    block's fits run together in ``solve_many``. Returns (hit, half, xi):
-    per reported pair, the interval hit, the interval half-length and the
-    pair statistic, one row per replicate whose fit exists, in order.
+    Each replicate draws its degrees and then its noise from its own
+    child's generator: the degrees of the whole block come from one
+    ``EdgeSampler.block_degrees`` call and the noise is added row by row,
+    and the block's (B, n) array goes to ``solve_many`` whole, which
+    screens, collapses and starts it in one pass and runs its fits
+    stacked. Returns (hit, half, xi): per reported pair, the interval
+    hit, the interval half-length and the pair statistic, one row per
+    replicate whose fit exists, in order.
     """
     link = scenario.link
     truth, sampler = _cell_model(link, scenario.n, scenario.L)
-
-    def draws():
-        for child in children:
-            rng = np.random.default_rng(child)
-            dt = sampler.degrees(rng)
-            if scenario.noise is not None:
-                dt = dt + noise_mod.sample(scenario.noise, rng, size=scenario.n)
-            yield dt
+    rngs = [np.random.default_rng(child) for child in children]
+    D = sampler.block_degrees(rngs)
+    if scenario.noise is not None:
+        for row, rng in zip(D, rngs):
+            row += noise_mod.sample(scenario.noise, rng, size=scenario.n)
+    del rngs  # done drawing: B generators need not outlive the fits
 
     i, j = (np.array(col) - 1 for col in zip(*scenario.pairs))
     ij = np.concatenate((i, j))
     exists = np.zeros(len(children), dtype=bool)
     a, v = np.zeros((len(children), ij.size)), np.zeros((len(children), ij.size))
-    for r, fit in enumerate(solve_many(link, draws())):
+    for r, fit in enumerate(solve_many(link, D)):
         if fit.exists:
             exists[r], a[r], v[r] = True, fit.alpha_hat[ij], fit.v_hat[ij]
     (ai, aj), (vi, vj) = np.hsplit(a[exists], 2), np.hsplit(v[exists], 2)

@@ -3,16 +3,17 @@ the stacked replicate engine.
 
 These are the replicate-engine functions as they were before the sampler
 stopped building a graph, ``solve`` stopped evaluating the link twice
-per Newton point and replicates started to run in blocks of stacked
-fits, kept unchanged as the reference the parity tests compare against
-bit for bit: the dense ``sample_graph``, the separate p and p'
-evaluators with ``moment_residual``, ``jacobian`` and a one-fit
-``solve`` built on them, and ``replicate_records``, the one-replicate-
-at-a-time loop of ``run_scenario``. Everything else comes from the
-package. ``solve`` returns a ``ReferenceResult``, which also carries the
-pair-sum maximum from the k x k pass that ``solve`` once made, for
-comparison with ``EstimateResult.max_abs_pair_sum``.
-"""
+per Newton point, replicates started to run in blocks of stacked fits
+and a block's sequences were screened and collapsed in one pass, kept
+unchanged as the reference the parity tests compare against bit for
+bit: the dense ``sample_graph``, the separate p and p' evaluators with
+``moment_residual``, ``jacobian``, the facet screen and the ``np.unique``
+classes of one sequence (``_nonexistence_reason`` and ``_classes``), a
+one-fit ``solve`` built on them, and ``replicate_records``, the
+one-replicate-at-a-time loop of ``run_scenario``. Everything else comes
+from the package. ``solve`` returns a ``ReferenceResult``, which also
+carries the pair-sum maximum from the k x k pass that ``solve`` once
+made, for comparison with ``EstimateResult.max_abs_pair_sum``."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from privdeg import estimator
 from privdeg.estimator import (_MAX_HALVINGS, EstimateResult, JacobianMatrix,
-                               _classes, _nonexistence_reason, initial_point)
+                               initial_point)
 from privdeg import noise as noise_mod
 from privdeg.links import (EdgeSampler, LinkKind, edge_prob_matrix,
                            pair_sum_matrix, validate_params)
@@ -96,6 +97,45 @@ def jacobian(link: LinkKind, alpha: np.ndarray) -> JacobianMatrix:
     off_max = float(V[~np.eye(a.size, dtype=bool)].max())
     np.fill_diagonal(V, V.sum(axis=1))
     return JacobianMatrix(V, off_min, off_max)
+
+
+def _nonexistence_reason(link: LinkKind, d: np.ndarray) -> Optional[str]:
+    """Why no root exists for the one sequence d, or None: the facet screen
+    of ``estimator._screen`` on a single sequence, which it sorts itself."""
+    n = d.size
+    a = np.sort(d)
+    d_min, d_max = float(a[0]), float(a[-1])
+    if d_min <= 0:
+        return "noisy degree at or below 0"
+    if link == LinkKind.LOG:
+        return None
+    if d_max >= n - 1:
+        return "noisy degree at or above n-1"
+    if n > 2 and (d_min + d_max + 1) ** 2 >= 4 * n * d_min:
+        low = np.concatenate(([0.0], a.cumsum()))  # low[c]: sum of the c smallest
+        s = np.arange(1, n + 1)
+        rest = n - s
+        c = np.minimum(a.searchsorted(s), rest)  # |T| for each s
+        if (low[n] - low[rest] - low[c] >= s * (n - 1 - c)).any():
+            return "noisy degrees on a degree-polytope facet or outside it"
+    return None
+
+
+def _classes(d: np.ndarray, x0: Optional[np.ndarray]):
+    """Group vertices by released degree (and start, when x0 is given).
+
+    Returns (first, inverse, counts): the first vertex of each class, the
+    class of each vertex and the class sizes, with classes in order of
+    first occurrence, so untied input keeps its vertex order.
+    """
+    key = d if x0 is None else np.column_stack((d, x0))
+    _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True,
+                                          return_counts=True,
+                                          axis=None if x0 is None else 0)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(-1)], counts[order].astype(float)
 
 
 @dataclass(frozen=True)

@@ -411,6 +411,8 @@ def _small_run(tmp_path: Path, command: str) -> list[str] | None:
     out = str(tmp_path / "out.csv")
     return {
         "import": None,
+        "sample": ["sample", "--link", "logit", "--n", "10", "--L", "0.2", "--seed", "3",
+                   "--out", out],
         "simulate": ["simulate", str(cell), "--out", out],
         "qq": ["qq", str(cell), "--pair", "1,2", "--out", out],
         "estimate": ["estimate", str(degrees), "--link", "logit", "--out", out],
@@ -457,6 +459,8 @@ def test_lone_fit_does_not_load_fft_or_scipy(tmp_path, module):
                                            "analysis")),
     *(("analyze", f"privdeg.{m}") for m in ("simulate", "bounds")),
     *(("simulate", f"privdeg.{m}") for m in ("bounds", "analysis")),
+    *(("sample", f"privdeg.{m}") for m in ("estimator", "simulate", "noise", "bounds",
+                                           "analysis")),
 ])
 def test_command_loads_only_the_modules_it_runs(tmp_path, command, module):
     # each command imports its own modules; no package import pulls in the rest

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import engine_reference
 from privdeg import estimator
-from privdeg.estimator import (NonexistentEstimateError, _evaluate,
-                               _nonexistence_reason, approx_inverse_s,
+from privdeg.estimator import (NonexistentEstimateError, _evaluate, _screen,
+                               approx_inverse_s,
                                confidence_interval, initial_point, jacobian,
                                moment_residual, normal_quantile, solve,
                                solve_many, xi_statistic)
@@ -327,7 +327,9 @@ def half_integer_degrees(draw):
 def test_degrees_off_the_open_polytope_do_not_exist(link, d):
     # half-integer degrees in (0, n - 1) keep every slack exact
     slack = min_facet_slack(d)
-    assert (_nonexistence_reason(link, d) is not None) == (slack <= 0)
+    reason = _screen(link, np.sort(d)[None])[0]
+    assert (reason is not None) == (slack <= 0)
+    assert reason == engine_reference._nonexistence_reason(link, d)
     if slack <= 0:
         assert not solve(link, d).exists
 
@@ -359,7 +361,7 @@ def test_log_fit_reports_pair_sum_diagnostic():
 def dense_newton(link, d):
     """Reference: damped Newton on the full n x n system, no grouping,
     after the same existence checks as ``solve``."""
-    if _nonexistence_reason(link, d) is not None:
+    if engine_reference._nonexistence_reason(link, d) is not None:
         return None
     tol = estimator._TOL * max(1.0, np.max(np.abs(d)))
     a = initial_point(link, d)
@@ -622,7 +624,8 @@ def test_stacked_members_leaving_by_every_exit_match_lone_reference_fits(link, b
     assert {None, "singular Jacobian", "non-finite Newton step",
             "step stalled (no residual decrease)"} <= {w.reason for w in want}
     # a member with a non-finite step shares a stack of three with other exits
-    newton = [w.reason for d, w in zip(ds, want) if _nonexistence_reason(link, d) is None]
+    newton = [w.reason for d, w in zip(ds, want)
+              if engine_reference._nonexistence_reason(link, d) is None]
     assert any("non-finite Newton step" in newton[i:i + 3] and len(set(newton[i:i + 3])) > 1
                for i in range(0, len(newton), 3))
 
@@ -647,6 +650,68 @@ def test_solve_many_validates_each_sequence():
     with pytest.raises(ValueError, match="x0 length"):
         list(solve_many(LinkKind.LOGIT, [np.array([1.0, 1.5, 1.2])], x0s=[np.zeros(2)]))
     assert list(solve_many(LinkKind.LOGIT, [])) == []
+    block = np.array([[1.0, 1.5, 1.2], [1.1, 1.4, 1.2]])
+    with pytest.raises(ValueError, match="one start per sequence"):
+        list(solve_many(LinkKind.LOGIT, block, x0s=[np.zeros(3)]))
+    with pytest.raises(ValueError, match="x0 length"):
+        list(solve_many(LinkKind.LOGIT, block, x0s=[None, np.zeros(2)]))
+    assert list(solve_many(LinkKind.LOGIT, block[:0])) == []
+
+
+@st.composite
+def blocks(draw):
+    """A block (B, n) of released degrees with ties, degrees 0 and n - 1 and
+    sequences on a facet (half-integers), some rows with starts."""
+    n = draw(st.integers(2, 8))
+    B = draw(st.integers(1, 6))
+    half = st.integers(0, 2 * (n - 1)).map(lambda h: h / 2.0)
+    entry = st.one_of(half, st.floats(0.3 * (n - 1), 0.7 * (n - 1)))
+    if draw(st.booleans()):  # a few values per block: rows tie within and across
+        entry = st.sampled_from(draw(st.lists(entry, min_size=1, max_size=n)))
+    D = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=B, max_size=B)))
+    start = st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.4, 1.0]), min_size=n, max_size=n)
+    x0s = draw(st.one_of(st.none(), st.lists(st.one_of(st.none(), start.map(np.array)),
+                                             min_size=B, max_size=B)))
+    return D, x0s
+
+
+def assert_same_result(got, want):
+    """Two ``EstimateResult``s are equal bit for bit, reasons included."""
+    assert (got.exists, got.iterations, got.reason) == \
+        (want.exists, want.iterations, want.reason)
+    assert got.residual_inf == want.residual_inf or \
+        (np.isnan(got.residual_inf) and np.isnan(want.residual_inf))
+    for a, b in ((got.alpha_hat, want.alpha_hat), (got.v_hat, want.v_hat)):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(LINKS), blocks())
+def test_block_front_end_gives_each_row_its_lone_result(link, block):
+    # one pass screens, collapses and starts the whole block; every row gets
+    # what ``solve`` gives it alone, and what the np.unique classes of the
+    # reference give it
+    D, x0s = block
+    starts = x0s or [None] * len(D)
+    with np.errstate(all="ignore"):
+        got = list(solve_many(link, D, x0s))
+        assert len(got) == len(D)
+        for fit, d, x0 in zip(got, D, starts):
+            assert_same_result(fit, solve(link, d, x0=x0))
+            assert_same_fit(fit, engine_reference.solve(link, d, x0=x0))
+
+
+def test_block_of_lone_and_stacked_fits_matches_lone_solves():
+    # the two Laplace rows (k >= 91) run alone, by Chebyshev points and CG
+    # steps; the herm2 row has ties and runs in a stack
+    D = np.array([_cell_degrees(LinkKind.CLOGLOG, 120, noise, seed)
+                  for seed, noise in enumerate(["lap", "herm2", "lap"])])
+    got = list(solve_many(LinkKind.CLOGLOG, D))
+    assert [np.unique(d).size >= 91 for d in D] == [True, False, True]
+    for fit, d in zip(got, D):
+        assert fit.exists
+        assert_same_result(fit, solve(LinkKind.CLOGLOG, d))
 
 
 # ---------------------------------------------------------------------------

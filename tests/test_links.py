@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import engine_reference
+from privdeg import links
 from privdeg.links import (DomainError, EdgeSampler, LinkKind, degrees,
                            edge_prob, edge_prob_deriv, edge_prob_matrix,
                            expected_degrees, link_inverse, link_values,
@@ -167,6 +168,31 @@ def test_degree_sampler_matches_sample_graph(link, n):
         # the noise draw that follows sees the same generator state
         nxt = [s.random() for s in streams]
         assert nxt[0] == nxt[1] == nxt[2]
+
+
+@pytest.mark.parametrize("budget", [links._DRAW_BUDGET, 4])
+@pytest.mark.parametrize("n", [2, 3, 100, 400])
+def test_block_draw_rows_are_lone_draws(n, budget, monkeypatch):
+    # P = n(n-1)/2 pairs lie below the chunk size at n <= 100 and above it at
+    # n = 400; B = 10 generators end in a part-filled chunk wherever a chunk
+    # holds several rows but fewer than B (n = 100, and n = 2 at budget 4)
+    monkeypatch.setattr(links, "_DRAW_BUDGET", budget)
+    B, link = 10, LinkKind.LOGIT
+    alpha = np.random.default_rng(n).uniform(-1.5, 1.5, n)
+    sampler = EdgeSampler(link, alpha)
+    rows = max(1, budget // sampler.p.size)
+    assert rows == 1 or B % rows
+    block = [np.random.default_rng(seed) for seed in range(B)]
+    D = sampler.block_degrees(block)
+    assert D.shape == (B, n) and D.dtype == float
+    for seed, (row, after) in enumerate(zip(D, block)):
+        lone = np.random.default_rng(seed)
+        assert np.array_equal(row, sampler.degrees(lone))
+        dense = engine_reference.sample_graph(link, alpha, np.random.default_rng(seed))
+        assert np.array_equal(row, dense.sum(axis=1))
+        # each generator stands where the one-row draw leaves it
+        assert after.bit_generator.state == lone.bit_generator.state
+    assert sampler.block_degrees([]).shape == (0, n)
 
 
 def test_degrees_edge_cases():
