@@ -17,12 +17,12 @@ where W_ab counts the partners of class b that one vertex of class a
 has. Its negated Jacobian is diag(sum_b W_ab D_ab) + W o D with
 D_ab = p'(beta_a + beta_b). The result is expanded back to the n
 vertices. Without ties W = 1 - I and this is the full n x n system,
-operation for operation. ``solve_many`` screens, collapses and starts a
-whole block of sequences (B, n) in one pass (``_prepare``): one stable
-sort of each row gives the facet screen its sorted row and the classes,
-in order of first occurrence, with their sizes, and the start is
-computed from the distinct degrees alone. ``solve`` is a block of one
-row.
+operation for operation. ``solve_many`` fits a block of sequences, one
+(B, n) array, and returns a list of B results. It screens, collapses and
+starts the block in one pass (``_prepare``): one stable sort of each row
+gives the facet screen its sorted row and the classes, in order of first
+occurrence, with their sizes, and the start is computed from the
+distinct degrees alone. ``solve`` is a block of one row.
 
 On the full system the negated Jacobian V = -F'(alpha) is symmetric,
 has positive off-diagonal entries V_ij = p'(alpha_i + alpha_j), and is
@@ -71,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -286,6 +286,8 @@ def initial_point(link: LinkKind, dtilde: np.ndarray) -> np.ndarray:
     delta = 1 / (2(n-1)); exact when all entries of dtilde are equal.
     """
     d = np.asarray(dtilde, dtype=float).reshape(-1)
+    if d.size < 2:
+        raise ValueError(f"need at least 2 vertices, got {d.size}")
     return _start(link, d, d.size)
 
 
@@ -563,11 +565,11 @@ def _cg_step(matvec, diag: np.ndarray, F: np.ndarray, m: np.ndarray) -> Optional
 
 
 def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
-            tol: np.ndarray, inverses: list) -> list[EstimateResult]:
+            tol: np.ndarray, inverse: np.ndarray) -> list[EstimateResult]:
     """Damped Newton on a stack of g collapsed systems with k classes each.
 
     u, m and b (g, k) hold each member's distinct degrees, class sizes and
-    start, tol (g,) its absolute tolerance and inverses[j] the class of
+    start, tol (g,) its absolute tolerance and inverse (g, n) the class of
     each of its vertices. The members run side by side but apart: each
     has its own residual, step, damping and exit, and the loop does for
     each exactly what it does for a stack of that member alone, so a
@@ -625,7 +627,7 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
         if done.any():
             for j, r, bj, vj in zip(rows[done].tolist(), res[done].tolist(), b[done],
                                     op.v[done]):
-                fits[j] = EstimateResult(bj[inverses[j]], vj[inverses[j]], it, r, True)
+                fits[j] = EstimateResult(bj[inverse[j]], vj[inverse[j]], it, r, True)
         keep = ~(done | failed)
         if not keep.all():
             rows, u, m, b, tol, F, res, failed = (
@@ -694,90 +696,54 @@ def solve(link: LinkKind, dtilde: np.ndarray,
     failure to converge within the iteration budget) is reported through
     ``exists=False`` on the result, never raised: frequencies of this
     event are themselves a quantity of interest. Structural problems
-    (wrong lengths, n < 2, non-finite input) do raise. x0 overrides the
-    default starting point.
+    (wrong lengths, n < 2, non-finite degrees or start) do raise. x0
+    overrides the default starting point.
 
     Newton runs on the collapsed system over distinct released degrees
     (see the module docstring); iterations, residuals and diagnostics are
-    those of the full system, whose residual has the same entries.
+    those of the full system, whose residual has the same entries. This
+    is ``solve_many`` of a block of one row.
     """
-    return next(solve_many(link, [dtilde], None if x0 is None else [x0]))
+    D = np.asarray(dtilde, dtype=float).reshape(1, -1)
+    return solve_many(link, D, None if x0 is None else np.reshape(x0, (1, -1)))[0]
 
 
-def solve_many(link: LinkKind, dtildes, x0s=None) -> Iterator[EstimateResult]:
-    """Yield ``solve`` of each noisy degree sequence (and start), in order.
+def solve_many(link: LinkKind, D: np.ndarray,
+               X0: Optional[np.ndarray] = None) -> list[EstimateResult]:
+    """``solve`` of each row of a block D (B, n) of noisy degree sequences,
+    from the starts X0 (B, n), or ``initial_point`` of each row when X0 is
+    None; returns the B results in row order.
 
-    dtildes is a 2-d array (B, n) whose rows are the sequences, or any
-    iterable of sequences; x0s is None or a sequence of starts, one per
-    sequence, each an array or None. A 2-d array is one block, and each
-    sequence of an iterable a block of one row: ``_prepare`` screens,
-    collapses and starts a block in one pass. Fits whose collapsed
-    systems have the same number of classes k run stacked in one Newton
-    loop (see ``_newton``): a stack runs as soon as it holds
-    max(1, _ELEMENT_BUDGET // k^2) fits, the rest at the end. Each result
-    is the one ``solve`` gives for its sequence alone, bit for bit, and
-    is yielded once it and every result before it are known.
+    ``_prepare`` screens, collapses and starts the block in one pass. Fits
+    whose collapsed systems have the same number of classes k run stacked
+    in one Newton loop (see ``_newton``), max(1, _ELEMENT_BUDGET // k^2)
+    fits to a stack, in row order. Each result is the one ``solve`` gives
+    for its row alone, bit for bit.
     """
-    ready: dict[int, EstimateResult] = {}  # results not yet yielded
-    waiting: dict[int, tuple] = {}  # k -> the systems of a stack not yet full
-    yielded = 0
-
-    def run(f, u, m, b, tol, inverses) -> None:
-        ready.update(zip(f.tolist(), _newton(link, u, m, b, tol, inverses)))
-
-    if isinstance(dtildes, np.ndarray) and dtildes.ndim == 2:
-        blocks = [(dtildes, x0s)]
-    else:
-        blocks = (([d], None if x0s is None else [x0s[f]]) for f, d in enumerate(dtildes))
-    base = 0  # the index of a block's first sequence
-    for ds, starts in blocks:
-        D = np.asarray(ds, dtype=float)
-        D = D if D.ndim == 2 else D.reshape(len(ds), -1)
-        B, n = D.shape
-        if n < 2:
-            raise ValueError(f"need at least 2 vertices, got {n}")
-        if not np.all(np.isfinite(D)):
-            raise ValueError("noisy degrees must be finite")
-        X0 = None
-        if starts is not None and any(x0 is not None for x0 in starts):
-            # a row without a start gets initial_point: its classes and start
-            # are then those it has without one
-            if len(starts) != B:
-                raise ValueError("x0s must hold one start per sequence")
-            X0 = np.empty((B, n))
-            for r, x0 in enumerate(starts):
-                x0 = _start(link, D[r], n) if x0 is None else np.asarray(x0, dtype=float)
-                if x0.size != n:
-                    raise ValueError("x0 length must match dtilde")
-                X0[r] = x0.reshape(-1)
-        reasons, systems = _prepare(link, D, X0)
-        for r, reason in enumerate(reasons):
-            if reason is not None:
-                ready[base + r] = EstimateResult(None, None, 0, float("inf"), False, reason)
-        for k, (rows, u, m, b, tol, inverse) in systems.items():
-            parts = [waiting.pop(k)] if k in waiting else []  # earlier fits first
-            parts.append((base + rows, u, m, b, tol, list(inverse)))
-            f, u, m, b, tol = (np.concatenate(c) for c in list(zip(*parts))[:5])
-            inverses = [x for part in parts for x in part[5]]
-            size = max(1, _ELEMENT_BUDGET // (k * k))
-            full = f.size - f.size % size
-            if full < f.size:
-                waiting[k] = (f[full:], u[full:], m[full:], b[full:], tol[full:],
-                              inverses[full:])
-            for lo in range(0, full, size):
-                at = slice(lo, lo + size)
-                run(f[at], u[at], m[at], b[at], tol[at], inverses[at])
-                while yielded in ready:
-                    yield ready.pop(yielded)
-                    yielded += 1
-        base += B
-        while yielded in ready:
-            yield ready.pop(yielded)
-            yielded += 1
-    for system in waiting.values():
-        run(*system)
-    for f in sorted(ready):
-        yield ready[f]
+    D = np.asarray(D, dtype=float)
+    if D.ndim != 2:
+        raise ValueError(f"noisy degrees must be a 2-d array (B, n), got {D.ndim}-d")
+    if D.shape[1] < 2:
+        raise ValueError(f"need at least 2 vertices, got {D.shape[1]}")
+    if not np.all(np.isfinite(D)):
+        raise ValueError("noisy degrees must be finite")
+    if X0 is not None:
+        X0 = np.asarray(X0, dtype=float)
+        if X0.shape != D.shape:
+            raise ValueError(f"starts of shape {X0.shape} for degrees of shape {D.shape}")
+        if not np.all(np.isfinite(X0)):
+            raise ValueError("starts must be finite")
+    reasons, systems = _prepare(link, D, X0)
+    fits = [None if reason is None else
+            EstimateResult(None, None, 0, float("inf"), False, reason) for reason in reasons]
+    for k, (rows, u, m, b, tol, inverse) in systems.items():
+        size = max(1, _ELEMENT_BUDGET // (k * k))
+        for lo in range(0, rows.size, size):
+            at = slice(lo, lo + size)
+            fits_at = _newton(link, u[at], m[at], b[at], tol[at], inverse[at])
+            for r, fit in zip(rows[at].tolist(), fits_at):
+                fits[r] = fit
+    return fits
 
 
 def _require(result: EstimateResult) -> None:
@@ -842,5 +808,7 @@ def xi_statistic(result: EstimateResult, truth: np.ndarray, i: int, j: int) -> f
         raise ValueError("pair statistic needs two distinct coordinates")
     t = np.asarray(truth, dtype=float).reshape(-1)
     a, v = result.alpha_hat, result.v_hat
+    if t.size != a.size:
+        raise ValueError(f"truth has {t.size} entries, the fit {a.size}")
     num = (a[i] + a[j]) - (t[i] + t[j])
     return float(num / np.sqrt(1.0 / v[i] + 1.0 / v[j]))

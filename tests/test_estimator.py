@@ -348,6 +348,21 @@ def test_solve_structural_errors_do_raise():
         solve(LinkKind.LOGIT, np.array([1.0]))
     with pytest.raises(ValueError):
         solve(LinkKind.LOGIT, np.array([1.0, np.inf, 1.0]))
+    d = np.array([1.0, 1.5, 1.2, 2.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="starts must be finite"):
+            solve(LinkKind.LOGIT, d, x0=[bad] * 4)
+        X0 = np.zeros((2, 4))
+        X0[1, 2] = bad
+        with pytest.raises(ValueError, match="starts must be finite"):
+            solve_many(LinkKind.LOGIT, np.array([d, d]), X0)
+
+
+def test_initial_point_needs_two_vertices():
+    with pytest.raises(ValueError, match="need at least 2 vertices, got 1"):
+        initial_point(LinkKind.LOGIT, [1.0])
+    with pytest.raises(ValueError, match="need at least 2 vertices, got 0"):
+        initial_point(LinkKind.LOG, [])
 
 
 def test_log_fit_reports_pair_sum_diagnostic():
@@ -537,6 +552,14 @@ def _two_class_fits(n_random: int = 48):
     return ds, x0s + [None, None, np.full(5, 40.0)]
 
 
+def _starts(link, ds, x0s) -> np.ndarray:
+    """The starts of a block: each row's x0, or its ``initial_point`` when
+    x0 is None, which gives the row the classes and start bits it has
+    without one."""
+    return np.array([initial_point(link, d) if x0 is None else x0
+                     for d, x0 in zip(ds, x0s)])
+
+
 def _rejected_trials(monkeypatch, link, d, x0) -> int:
     """Damping trials that a lone converged fit rejected (0 if it failed)."""
     calls = []
@@ -561,7 +584,7 @@ def test_stacked_fits_match_lone_reference_fits_bitwise(link, max_iter, budget,
         # at budget 12 the fits split into five classes by their starts run
         # alone, and so would take CG steps; the reference takes LU steps
         mp.setattr(estimator, "_CG_MAX_ITER", 0)
-        got = list(solve_many(link, ds, x0s))
+        got = solve_many(link, np.array(ds), _starts(link, ds, x0s))
     want = [engine_reference.solve(link, d, x0=x0) for d, x0 in zip(ds, x0s)]
     for g, w in zip(got, want):
         assert_same_fit(g, w)
@@ -587,14 +610,14 @@ def test_stacked_sampled_fits_match_lone_reference_fits_bitwise(link):
     # many same-k members from sampled graphs with tied and untied noise
     rng = np.random.default_rng(31)
     L = {LinkKind.LOG: -1.5, LinkKind.LOGIT: 0.8, LinkKind.CLOGLOG: 0.4}[link]
-    ds = []
     for n in (12, 30):
         sampler = EdgeSampler(link, np.arange(1, n + 1) * L / n)
+        D = np.empty((60, n))
         for t in range(60):
             noise = rng.integers(-2, 3, n) if t % 2 else rng.normal(0.0, 1.0, n)
-            ds.append(sampler.degrees(rng) + noise)
-    for got, d in zip(solve_many(link, ds), ds):
-        assert_same_fit(got, engine_reference.solve(link, d))
+            D[t] = sampler.degrees(rng) + noise
+        for got, d in zip(solve_many(link, D), D):
+            assert_same_fit(got, engine_reference.solve(link, d))
 
 
 def _mixed_exit_fits():
@@ -616,7 +639,7 @@ def test_stacked_members_leaving_by_every_exit_match_lone_reference_fits(link, b
     # at budget 12 each stack holds three members; at 2^14 all share one
     ds, x0s = _mixed_exit_fits()
     monkeypatch.setattr(estimator, "_ELEMENT_BUDGET", budget)
-    got = list(solve_many(link, ds, x0s))
+    got = solve_many(link, np.array(ds), np.array(x0s))
     with np.errstate(over="ignore"):  # the reference's exp overflows at the far starts
         want = [engine_reference.solve(link, d, x0=x0) for d, x0 in zip(ds, x0s)]
     for g, w in zip(got, want):
@@ -630,32 +653,24 @@ def test_stacked_members_leaving_by_every_exit_match_lone_reference_fits(link, b
                for i in range(0, len(newton), 3))
 
 
-def test_solve_many_yields_a_lone_fit_before_reading_the_next_sequence():
-    # k = 100 fills a stack by itself, so nothing waits in memory
-    read = []
-
-    def sequences():
-        for t in range(3):
-            read.append(t)
-            yield np.linspace(10.0, 80.0, 100) + t
-
-    fits = solve_many(LinkKind.LOGIT, sequences())
-    assert next(fits).exists and read == [0]
-    assert len(list(fits)) == 2 and read == [0, 1, 2]
-
-
 def test_solve_many_validates_each_sequence():
-    with pytest.raises(ValueError, match="finite"):
-        list(solve_many(LinkKind.LOGIT, [np.array([1.0, 2.0, 1.0]), np.array([1.0, np.nan])]))
-    with pytest.raises(ValueError, match="x0 length"):
-        list(solve_many(LinkKind.LOGIT, [np.array([1.0, 1.5, 1.2])], x0s=[np.zeros(2)]))
-    assert list(solve_many(LinkKind.LOGIT, [])) == []
+    # one (B, n) block in, a list of B results out
     block = np.array([[1.0, 1.5, 1.2], [1.1, 1.4, 1.2]])
-    with pytest.raises(ValueError, match="one start per sequence"):
-        list(solve_many(LinkKind.LOGIT, block, x0s=[np.zeros(3)]))
-    with pytest.raises(ValueError, match="x0 length"):
-        list(solve_many(LinkKind.LOGIT, block, x0s=[None, np.zeros(2)]))
-    assert list(solve_many(LinkKind.LOGIT, block[:0])) == []
+    with pytest.raises(ValueError, match="2-d array"):
+        solve_many(LinkKind.LOGIT, block[0])
+    with pytest.raises(ValueError):  # a ragged list is no block
+        solve_many(LinkKind.LOGIT, [np.array([1.0, 2.0, 1.0]), np.array([1.0, 1.5])])
+    with pytest.raises(ValueError, match="finite"):
+        solve_many(LinkKind.LOGIT, [[1.0, 2.0, 1.0], [1.0, np.nan, 1.0]])
+    with pytest.raises(ValueError, match="need at least 2 vertices"):
+        solve_many(LinkKind.LOGIT, np.ones((2, 1)))
+    for X0 in (np.zeros(3), np.zeros((2, 2)), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match="shape"):
+            solve_many(LinkKind.LOGIT, block, X0)
+    fits = solve_many(LinkKind.LOGIT, block)
+    assert isinstance(fits, list) and len(fits) == 2
+    assert solve_many(LinkKind.LOGIT, block[:0]) == []
+    assert solve_many(LinkKind.LOGIT, np.empty((0, 5)), np.empty((0, 5))) == []
 
 
 @st.composite
@@ -695,7 +710,7 @@ def test_block_front_end_gives_each_row_its_lone_result(link, block):
     D, x0s = block
     starts = x0s or [None] * len(D)
     with np.errstate(all="ignore"):
-        got = list(solve_many(link, D, x0s))
+        got = solve_many(link, D, None if x0s is None else _starts(link, D, x0s))
         assert len(got) == len(D)
         for fit, d, x0 in zip(got, D, starts):
             assert_same_result(fit, solve(link, d, x0=x0))
@@ -707,7 +722,7 @@ def test_block_of_lone_and_stacked_fits_matches_lone_solves():
     # steps; the herm2 row has ties and runs in a stack
     D = np.array([_cell_degrees(LinkKind.CLOGLOG, 120, noise, seed)
                   for seed, noise in enumerate(["lap", "herm2", "lap"])])
-    got = list(solve_many(LinkKind.CLOGLOG, D))
+    got = solve_many(LinkKind.CLOGLOG, D)
     assert [np.unique(d).size >= 91 for d in D] == [True, False, True]
     for fit, d in zip(got, D):
         assert fit.exists
@@ -772,15 +787,14 @@ def test_cg_step_roots_match_lu_step_roots(link, n, noise, monkeypatch):
 
 
 def test_lone_cg_fit_has_the_same_bits_inside_a_mixed_input():
-    ds = [_cell_degrees(LinkKind.LOGIT, 120, "lap", seed=1),
-          _cell_degrees(LinkKind.LOGIT, 30, "herm2", seed=2),
-          _cell_degrees(LinkKind.LOGIT, 120, "lap", seed=3),
-          _cell_degrees(LinkKind.LOGIT, 30, "herm2", seed=4),
-          _cell_degrees(LinkKind.LOGIT, 400, "herm2", seed=5)]
-    assert [np.unique(d).size >= 91 for d in ds] == [True, False, True, False, True]
-    for got, d in zip(solve_many(LinkKind.LOGIT, ds), ds):
-        assert got.exists
-        assert_same_estimate(got, solve(LinkKind.LOGIT, d))
+    # lone CG fits (k >= 91) at n = 120 and 400, stacked ones at n = 30
+    for n, noise, seeds, alone in ((120, "lap", (1, 3), True), (30, "herm2", (2, 4), False),
+                                   (400, "herm2", (5,), True)):
+        D = np.array([_cell_degrees(LinkKind.LOGIT, n, noise, seed) for seed in seeds])
+        assert all((np.unique(d).size >= 91) == alone for d in D)
+        for got, d in zip(solve_many(LinkKind.LOGIT, D), D):
+            assert got.exists
+            assert_same_estimate(got, solve(LinkKind.LOGIT, d))
 
 
 def assert_close_fit(got, want):
@@ -957,21 +971,24 @@ def test_dense_lone_evaluations_peak_at_one_matrix(monkeypatch):
 
 
 def test_stack_peaks_below_one_more_slope_array():
-    # 200 untied n = 40 fits run in stacks of g = 10. A damping trial holds
-    # its slope array and a scratch of g k^2 entries each, and a partial
-    # acceptance or a compaction one array more: the peak reads 2.97 slope
-    # arrays, and 3.99 when an accepted trial's operator outlives its step
+    # 200 untied n = 40 fits run as 20 blocks of one stack of g = 10 each,
+    # so the peak is a stack's, not that of a block's ``_prepare`` arrays.
+    # A damping trial holds its slope array and a scratch of g k^2 entries
+    # each, and a partial acceptance or a compaction one array more: the
+    # peak reads 2.88 slope arrays, and 3.99 when an accepted trial's
+    # operator outlives its step
     link, n = LinkKind.LOGIT, 40
     g = estimator._ELEMENT_BUDGET // (n * n)
     alpha = np.linspace(-1.0, 0.5, n)
     expected = -moment_residual(link, alpha, np.zeros(n))
     rng = np.random.default_rng(40)
-    ds = [expected + rng.laplace(0.0, 1.0, n) for _ in range(200)]
-    assert g == 10 and all(np.unique(d).size == n for d in ds)
-    list(solve_many(link, ds[:g]))
+    D = np.array([expected + rng.laplace(0.0, 1.0, n) for _ in range(200)])
+    assert g == 10 and all(np.unique(d).size == n for d in D)
+    solve_many(link, D[:g])
     tracemalloc.start()
     try:
-        exists = [fit.exists for fit in solve_many(link, ds)]
+        exists = [fit.exists for lo in range(0, len(D), g)
+                  for fit in solve_many(link, D[lo:lo + g])]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -985,7 +1002,7 @@ def test_fit_results_do_not_alias_the_work_arrays_of_later_fits():
     alpha, v = first.alpha_hat.copy(), first.v_hat.copy()
     assert solve(LinkKind.LOGIT, d2).exists and first.exists
     assert np.array_equal(first.alpha_hat, alpha) and np.array_equal(first.v_hat, v)
-    many = list(solve_many(LinkKind.LOGIT, [d1, d2]))
+    many = solve_many(LinkKind.LOGIT, np.array([d1, d2]))
     assert_same_estimate(many[0], first)
 
 
@@ -1148,6 +1165,14 @@ def test_xi_statistic_values():
     # numerator 1, both precisions 0.5: 1 / sqrt(4) = 0.5
     shifted = truth - 0.5
     assert xi_statistic(res, shifted, 0, 1) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_xi_statistic_checks_the_length_of_the_truth():
+    res = solve(LinkKind.LOGIT, np.array([1.0, 1.5, 1.2, 2.0]))
+    assert res.exists
+    for truth in (np.zeros(3), np.zeros(5)):
+        with pytest.raises(ValueError, match="truth has"):
+            xi_statistic(res, truth, 0, 1)
 
 
 def test_xi_statistic_unit_precision_case():
