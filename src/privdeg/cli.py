@@ -34,12 +34,9 @@ EXIT_PARSE = 2
 EXIT_NONEXISTENT = 3
 
 # noise terms one bounds run may draw: --reps x --n, or --reps for subexp. A sum
-# kind in numpy's range draws --reps values of the n-term sum's own law, so there
-# the cap bounds no time; it stays, so that every refusal stays as it was
+# kind draws --reps values of the n-term sum's own law, in in-range parts where
+# that law is past numpy's range; parts can be single draws, so the cap bounds time
 _MAX_DRAWS = 2**24
-# values per bounds noise.sample call of a table drawn term by term, or --reps if
-# larger (one row above 2^15)
-_BLOCK = 2**16
 
 
 # The benchmark's tracer (perfbench/tracing.py) times these five calls by
@@ -232,24 +229,23 @@ def _summed_noise(mech, rng, n: int, reps: int) -> np.ndarray:
     return np.abs(draws, out=draws)
 
 
-def _folded_noise(mech, rng, n: int, reps: int, fold: np.ufunc) -> np.ndarray:
-    """|Column sums| (fold np.add) or column maxima of |X - E X| (np.maximum)
-    of an (n, reps) table of centred draws, drawn through ``noise.sample`` in
-    blocks of max(1, _BLOCK // reps) rows. Each block is centred in place and
-    folded in place into the first block's fold; a one-row block is its own
-    fold, so a one-row table (subexp) keeps no array but its draw."""
+def _folded_noise(mech, rng, n: int, reps: int) -> np.ndarray:
+    """Column maxima of |X - E X| of an (n, reps) table of draws, drawn
+    through ``noise.sample`` in blocks of max(1, noise._BLOCK // reps) rows
+    (one row above 2^15, so --reps values where that is larger). Each
+    block is centred and folded in place into the first block's maxima; a
+    one-row block is its own maxima."""
     from . import noise as noise_mod
     mean = mech.moments()[0]
-    rows = max(1, _BLOCK // reps)
+    rows = max(1, noise_mod._BLOCK // reps)
     acc = None
     for start in range(0, n, rows):
         block = noise_mod.sample(mech, rng, size=(min(rows, n - start), reps))
         block -= mean
-        if fold is np.maximum:
-            np.abs(block, out=block)
-        folded = block[0] if len(block) == 1 else fold.reduce(block, axis=0)
-        acc = folded if acc is None else fold(acc, folded, out=acc)
-    return np.abs(acc, out=acc)
+        np.abs(block, out=block)
+        folded = block[0] if len(block) == 1 else block.max(axis=0)
+        acc = folded if acc is None else np.maximum(acc, folded, out=acc)
+    return acc
 
 
 def cmd_bounds(args) -> int:
@@ -283,11 +279,8 @@ def cmd_bounds(args) -> int:
         raise ValueError(f"unknown bound kind {args.kind!r}; expected "
                          "subexp | bernstein | subgamma | subgammamax | hermite")
     rng = np.random.default_rng(args.seed)
-    if kind != "subgammamax" and mech.sum_in_range(n):
-        draws = _summed_noise(mech, rng, n, reps)
-    else:  # the maxima, or sums whose law is past numpy's range: term by term
-        draws = _folded_noise(mech, rng, n, reps,
-                              np.maximum if kind == "subgammamax" else np.add)
+    draws = (_folded_noise(mech, rng, n, reps) if kind == "subgammamax"
+             else _summed_noise(mech, rng, n, reps))
     if kind == "hermite":
         # radius form per grid exponent x: t = radius(x), bound = min(1, 2 e^-x)
         draws /= n

@@ -197,7 +197,7 @@ def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray,
     Every entry and every row sum has the bits of a whole-matrix
     evaluation, as a block holds whole rows and each row is summed
     alone. Without ties
-    W o A is A with a zero diagonal, so the weighting only zeroes it.
+    W o A is A with a zero diagonal: the weighting multiplies by 1.0.
     Diagonal entries with W_aa = 0 are set to zero rather than multiplied
     by it, so an overflowing value there cannot turn a row sum into NaN.
     Pair sums and weighted values may overflow to inf without a warning:
@@ -208,7 +208,6 @@ def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray,
     rows = min(k, max(1, _ELEMENT_BUDGET // k))
     out, scratch = np.empty((g, k, k)), np.empty(g * rows * k)
     G, v = np.empty((g, k)), np.empty((g, k))
-    tied = bool((m > 1).any())
     with np.errstate(over="ignore"):
         for lo in range(0, k, rows):
             hi = min(lo + rows, k)
@@ -216,16 +215,13 @@ def _evaluate(link: LinkKind, beta: np.ndarray, u: np.ndarray,
             X[...] = beta[:, None, :]
             X += beta[:, lo:hi, None]
             P, D = link_values(link, X, out[:, lo:hi])
+            w = m[:, lo:hi]
             for A in (P, D):
                 diag = np.einsum("...ii->...i", A[..., lo:hi])  # entry (a, a) of row a
-                if tied:
-                    w = m[:, lo:hi]
-                    on_diag = np.zeros(w.shape)
-                    np.multiply(diag, w - 1.0, out=on_diag, where=w > 1)
-                    A *= m[:, None, :]
-                    diag[...] = on_diag
-                else:
-                    diag[...] = 0.0
+                on_diag = np.zeros(w.shape)
+                np.multiply(diag, w - 1.0, out=on_diag, where=w > 1)
+                A *= m[:, None, :]
+                diag[...] = on_diag
             P.sum(axis=-1, out=G[:, lo:hi])
             D.sum(axis=-1, out=v[:, lo:hi])
     return np.subtract(u, G, out=G), out, v
@@ -746,9 +742,13 @@ def solve_many(link: LinkKind, D: np.ndarray,
     return fits
 
 
-def _require(result: EstimateResult) -> None:
+def _require(result: EstimateResult, idx) -> None:
+    """An existing fit, and every coordinate index in idx within 0..n-1."""
     if not result.exists or result.alpha_hat is None:
         raise NonexistentEstimateError(result.reason or "estimate does not exist")
+    k, n = np.asarray(idx), result.alpha_hat.size
+    if k.size and not (0 <= k.min() and k.max() < n):
+        raise ValueError(f"coordinate index {idx!r} is outside 0..{n - 1}")
 
 
 def normal_quantile(level: float) -> float:
@@ -780,7 +780,7 @@ def confidence_interval(result: EstimateResult, i: int | np.ndarray,
     ahat_i +/- z / sqrt(v_ii); i may then be an index array, which gives
     arrays of bounds from one quantile evaluation.
     """
-    _require(result)
+    _require(result, i if j is None else [i, j])
     z = normal_quantile(level)
     a, v = result.alpha_hat, result.v_hat
     if j is None:
@@ -803,7 +803,7 @@ def xi_statistic(result: EstimateResult, truth: np.ndarray, i: int, j: int) -> f
     denominator combines the two coordinate precisions; i and j are
     0-based and distinct.
     """
-    _require(result)
+    _require(result, [i, j])
     if i == j:
         raise ValueError("pair statistic needs two distinct coordinates")
     t = np.asarray(truth, dtype=float).reshape(-1)

@@ -34,16 +34,18 @@ exact (mean, variance), ``centered_mgf(s)`` on a float array and, outside
 A law also defines ``draw_sum(rng, terms, size)``: draws of the sum of
 ``terms`` iid draws, each one draw of that sum's exact law (Laplace as a
 difference of Gamma(terms, b) draws, the geometric laws through
-NegBin(terms, .)), with ``sum_in_range(terms)`` when numpy cannot draw
+NegBin(terms, .)), with ``sum_in_range(terms)`` false when numpy cannot draw
 every such law at once or its value could leave int64 or the float range.
 ``CompoundPoisson`` defines both once: its sum law is the same class at
 ``terms`` x every intensity field, all of which must be intensities.
-``sample(..., terms=n)`` draws through them. It refuses, with a
-ValueError naming the law, every draw out of range, single draws
-(terms = 1) included: there numpy would refuse the intensity
-(``herm2:a1=1e19,a2=1``) or return values wrapped (``herm:a1=1,a2=5e18``)
-or capped (``geo:q=1e-19``) at the int64 range, or infinite
-(``lap:b=inf``).
+``sample(..., terms=n)`` draws through them, a sum whose law is out of
+range as a sum of independent in-range sums of n // p or n // p + 1
+terms, p parts as few as can be. It refuses, with a ValueError naming the
+law, only a single draw (terms = 1) out of range: there numpy would refuse
+the intensity (``herm2:a1=1e19,a2=1``) or return values wrapped
+(``herm:a1=1,a2=5e18``) or capped (``geo:q=1e-19``) at the int64 range,
+or infinite (``lap:b=inf``). Compound-Poisson laws draw their counts
+through ``_poisson``, which keeps the Poisson law where numpy's does not.
 
 The mechanism grammar used by the CLI:
 
@@ -72,6 +74,12 @@ _INT64_MAX = float(np.iinfo(np.int64).max)
 # numpy.random's POISSON_LAM_MAX: its poisson refuses a larger intensity, and its
 # negative_binomial(n, p) a (1 - p) / p (n + 10 sqrt(n)) above it
 _LAM_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
+# numpy's poisson (PTRS) sums float terms of size lam log lam in its acceptance step,
+# so its log-pmf errs by about 2e-16 lam log lam: 5e-5 here, 9e3 at lam = 1e18 (from
+# 1e16 its draws' variance reads 1.4 to 1.6 lam); above this, ``_poisson`` draws instead
+_POISSON_PRECISE = 1e10
+# values per draw_sum call of the parts of a split sum (and of the bounds table)
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -344,8 +352,8 @@ class _HermiteLaw(CompoundPoisson):
     def _one_draw(self, rng, size, sign: int = 1, y=0):
         """y + sign * Y for a fresh Hermite draw Y; an array y is updated in
         place, so a two-sided draw holds two arrays of size, not three."""
-        y += sign * rng.poisson(self.a1, size=size)
-        y += (2 * sign) * rng.poisson(self.a2, size=size)
+        y += sign * _poisson(rng, self.a1, size)
+        y += (2 * sign) * _poisson(rng, self.a2, size)
         return y
 
     def sum_in_range(self, terms: int) -> bool:
@@ -429,7 +437,7 @@ class TwoSidePoisson(CompoundPoisson):
             raise ValueError("two-sided Poisson intensities must be >= 0, one of them > 0")
 
     def draw(self, rng, size):
-        return rng.poisson(self.lam, size=size) - rng.poisson(self.mu, size=size)
+        return _poisson(rng, self.lam, size) - _poisson(rng, self.mu, size)
 
     def moments(self) -> tuple[float, float]:
         return self.lam - self.mu, self.lam + self.mu
@@ -455,6 +463,40 @@ _MECHANISMS = {cls.name: cls for cls in (ContinuousLaplace, DiscreteLaplace,
 # ---------------------------------------------------------------------------
 # Poisson helpers
 # ---------------------------------------------------------------------------
+
+def _poisson(rng, lam: float, size):
+    """Poisson(lam) draws: ``rng.poisson``, but between _POISSON_PRECISE and
+    _LAM_MAX numpy's PTRS (Hormann 1993) with log P(k) in Stirling form,
+    -lam h((k - lam) / lam) - log(2 pi k) / 2 - 1 / (12 k), h(x) = (1 + x)
+    log1p(x) - x, whose float error is about 2e-16 |k - lam|. Proposals past
+    40 sd (mass below e^-800) or past int64 are rejected."""
+    if not _POISSON_PRECISE < lam <= _LAM_MAX:
+        return rng.poisson(lam, size=size)
+    slam, base = math.sqrt(lam), math.floor(lam)  # k = base + off, off a float
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    log_alpha, vr = math.log(1.1239 + 1.1328 / (b - 3.4)), 0.9277 - 3.6224 / (b - 2.0)
+    top = min(40.0 * slam, 2**63 - 1 - base)
+    out = np.empty(1 if size is None else size, dtype=np.int64)
+    flat, todo = out.reshape(-1), np.arange(out.size)
+    with np.errstate(divide="ignore", invalid="ignore"):  # us = 0 or v = 0: rejected
+        while todo.size:
+            u = rng.random(todo.size) - 0.5
+            v = rng.random(todo.size)
+            us = 0.5 - np.abs(u)
+            off = np.floor((2.0 * a / us + b) * u + (lam - base + 0.43))
+            ok = (us >= 0.07) & (v <= vr)
+            test = ~ok & (np.abs(off) <= top) & ((us >= 0.013) | (v <= us))
+            x = (off[test] - (lam - base)) / lam  # (k - lam) / lam
+            k = lam * (1.0 + x)
+            log_pk = (-lam * ((1.0 + x) * np.log1p(x) - x) - 0.5 * np.log(2.0 * math.pi * k)
+                      - 1.0 / (12.0 * k))
+            hat = np.log(v[test]) + log_alpha - np.log(a / (us[test] * us[test]) + b)
+            ok[test] = hat <= log_pk
+            flat[todo[ok]] = off[ok].astype(np.int64) + base
+            todo = todo[~ok]
+    return out if size is not None else out[0]
+
 
 def _poisson_pmf(lam: float, n: int) -> np.ndarray:
     """Poisson(lam) pmf on 0..n-1 (a point mass at 0 for lam = 0). Its logs
@@ -498,15 +540,35 @@ def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None, terms: int
     With size given the result is a fresh float64 array the caller may write.
 
     With terms > 1 each value is a draw of the sum of ``terms`` iid draws,
-    one ``draw_sum`` of that sum's own law. ValueError, for any terms,
-    where ``mech.sum_in_range(terms)`` is false: numpy would refuse the
-    draw or return values wrapped or capped at the int64 range, or
-    infinite."""
-    if not mech.sum_in_range(terms):
-        what = "a draw" if terms == 1 else f"the law of a sum of {terms} draws"
-        raise ValueError(f"{mechanism_label(mech)}: {what} is past numpy's range")
-    out = mech.draw(rng, size) if terms == 1 else mech.draw_sum(rng, terms, size)
-    return np.asarray(out, dtype=float) if size is not None else float(out)
+    one ``draw_sum`` of that sum's own law. Where ``mech.sum_in_range(terms)``
+    is false, it is the sum of p independent sums, p the fewest parts of at
+    most the largest in-range count: p - r sums of q terms, then r of q + 1
+    (q, r = divmod(terms, p); at p = 2, terms // 2 and then the rest). The
+    parts are drawn by ``draw_sum`` in blocks of max(1, _BLOCK // values)
+    parts. ValueError where a part is a single draw (terms = 1 included)
+    out of range: numpy would refuse it or return values wrapped or capped
+    at the int64 range, or infinite; and where a sum of parts leaves the
+    floats (``lap:b=1e306`` at 2^24 terms)."""
+    if mech.sum_in_range(terms):
+        out = mech.draw(rng, size) if terms == 1 else mech.draw_sum(rng, terms, size)
+        return np.asarray(out, dtype=float) if size is not None else float(out)
+    lo, hi = 1, terms  # the largest in-range count of terms is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mech.sum_in_range(mid) else (lo, mid)
+    parts = -(-terms // lo)
+    q, r = divmod(terms, parts)
+    if mech.sum_in_range(q):
+        shape = () if size is None else tuple(np.atleast_1d(size))
+        out, rows = np.zeros(shape), max(1, _BLOCK // (math.prod(shape) or 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # a lap sum past the floats
+            for count, part in ((parts - r, q), (r, q + 1)):
+                for start in range(0, count, rows):
+                    block = mech.draw_sum(rng, part, (min(rows, count - start), *shape))
+                    out += block.sum(axis=0, dtype=float)
+        if np.all(np.isfinite(out)):
+            return out if size is not None else float(out)
+    raise ValueError(f"{mechanism_label(mech)}: a draw is past numpy's range")
 
 
 def pmf(mech: NoiseMechanism, k: int) -> float:

@@ -3,6 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every hypothesis test draws the same examples on every run; each keeps its
+# own max_examples
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 sys.path.insert(0, str(Path(__file__).parent))  # golden_kapferer importable
 

@@ -613,10 +613,11 @@ def test_bounds_draws_in_blocks(tmp_path, monkeypatch):
         return real(mech, rng, size=size, terms=terms)
     monkeypatch.setattr(noise, "sample", counting)
     out = tmp_path / "b.csv"
-    # a sum whose law is past numpy's range is drawn term by term, in blocks
+    # a sum whose law is past numpy's range is one call too, which draws it
+    # in in-range parts
     assert main(["bounds", "--kind", "subgamma", "--noise", "herm:a1=1,a2=1e13",
                  "--n", "1048576", "--reps", "1", "--grid", "3", "--out", str(out)]) == 0
-    assert calls == [(2**16, 1)] * 16
+    assert calls == [(1, 2**20)]
     for kind, n, reps in (("subgamma", 1048576, 1), ("bernstein", 200, 50_000),
                           ("hermite", 5, 70_000), ("subexp", 1, 100_000),
                           ("subgammamax", 300, 1000), ("subgammamax", 3, 70_000)):
@@ -636,8 +637,8 @@ def test_bounds_draws_in_blocks(tmp_path, monkeypatch):
                                  "herm2:a1=1,a2=1e12"])
 def test_bounds_sum_past_the_generator_range(tmp_path, law):
     # the law of the whole sum is past numpy's negative_binomial / poisson
-    # range, or its Hermite draw could wrap in int64, so the sum is drawn
-    # term by term; its one |S - E S| is the grid's top, within 10 sd of 0
+    # range, or its Hermite draw could wrap in int64, so the sum is drawn in
+    # in-range parts; its one |S - E S| is the grid's top, within 10 sd of 0
     n = 16777216
     rows = _bounds_rows(tmp_path, "--kind", "subgamma", "--noise", law,
                         "--n", str(n), "--reps", "1", "--grid", "4")

@@ -701,7 +701,7 @@ def assert_same_result(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(st.sampled_from(LINKS), blocks())
 def test_block_front_end_gives_each_row_its_lone_result(link, block):
     # one pass screens, collapses and starts the whole block; every row gets
@@ -1137,6 +1137,23 @@ def test_confidence_interval_validation():
         confidence_interval(res, 1, 1)
     with pytest.raises(ValueError):
         confidence_interval(res, 0, 1, level=1.5)
+
+
+def test_interval_and_pair_statistic_refuse_indices_outside_the_fit():
+    # numpy would wrap -3 to coordinate 1 (the interval of alpha_2 - alpha_2)
+    # and refuse 4 with a bare IndexError
+    res = solve(LinkKind.LOGIT, np.array([1.0, 1.5, 1.2, 2.0]))
+    assert res.exists
+    for i, j in ((1, -3), (-1, 3), (0, 4), (4, 0)):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            confidence_interval(res, i, j)
+        with pytest.raises(ValueError, match="outside 0..3"):
+            xi_statistic(res, np.zeros(4), i, j)
+    for i in (4, -1, np.array([0, 4]), np.array([-1, 2])):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            confidence_interval(res, i)
+    lo, hi = confidence_interval(res, np.arange(4))
+    assert lo.shape == hi.shape == (4,)
 
 
 def test_normal_quantile_is_within_4_ulps_of_scipy():

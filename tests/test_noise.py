@@ -550,8 +550,99 @@ def test_a_laplace_draw_in_range_is_drawn():
     assert np.all(np.isfinite(y)) and np.abs(y).max() > 1e300
 
 
-def test_sample_refuses_a_sum_out_of_range():
+def test_sample_draws_a_sum_out_of_range_as_two_in_range_halves_in_order():
+    # N1 + 2 N2 of 2^24 herm:a1=1,a2=5e11 terms could wrap in int64; two parts
+    # are in range: terms // 2 and then the rest, equal halves in one call
     mech = parse_mechanism("herm:a1=1,a2=5e11")
-    with pytest.raises(ValueError, match=r"herm:a1=1\.0,a2=500000000000\.0: the law of a sum of "
-                                         r"16777216 draws is past numpy's range"):
-        sample(mech, np.random.default_rng(0), 4, terms=2**24)
+    for terms in (2**24, 2**24 + 1):
+        half, rest = terms // 2, terms - terms // 2
+        assert not mech.sum_in_range(terms) and mech.sum_in_range(rest)
+        for size in (None, 4, (2, 3)):
+            shape = () if size is None else np.atleast_1d(size)
+            rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+            got = sample(mech, rng, size, terms=terms)
+            if half == rest:
+                want = mech.draw_sum(ref, half, (2, *shape)).sum(axis=0, dtype=float)
+            else:
+                want = (mech.draw_sum(ref, half, (1, *shape))[0].astype(float) +
+                        mech.draw_sum(ref, rest, (1, *shape))[0])
+            assert np.array_equal(got, want)
+            assert isinstance(got, float) == (size is None)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_a_sum_of_many_parts_is_drawn_in_blocks_of_parts(monkeypatch):
+    # a sum of 2 tsp:lambda=5e18,mu=1 draws is past range, so 2^24 terms are
+    # 2^24 parts of one draw: 256 draw_sum calls of 2^16 parts, not one per part
+    mech = parse_mechanism("tsp:lambda=5e18,mu=1")
+    assert mech.sum_in_range(1) and not mech.sum_in_range(2)
+    calls = []
+    real = type(mech).draw_sum
+
+    def counting(self, rng, terms, size):
+        calls.append((terms, size))
+        return real(self, rng, terms, size)
+    monkeypatch.setattr(type(mech), "draw_sum", counting)
+    start = time.perf_counter()
+    y = sample(mech, np.random.default_rng(5), 1, terms=2**24)
+    assert time.perf_counter() - start < 20.0  # about 2 s on a 2-core Xeon
+    assert calls == [(1, (2**16, 1))] * 256
+    mean, var = (2**24 * m for m in mech.moments())
+    assert abs(y[0] - mean) <= 5 * math.sqrt(var)
+
+
+# herm2 is drawn by _poisson at 8.4e18, where numpy's poisson reads a variance
+# of 1.6 times the intensity and the sums 1.7 times the law's; the NegBin laws
+@pytest.mark.parametrize("text", ["herm2:a1=1e12,a2=1", "geo:q=1e-12",
+                                  "dlap:p=0.999999999999"])
+def test_a_sum_out_of_range_has_the_n_fold_mean_and_variance(text):
+    mech = parse_mechanism(text)
+    terms, reps = 2**24, 2000
+    assert not mech.sum_in_range(terms)
+    y = sample(mech, np.random.default_rng(11), reps, terms=terms)
+    mean, var = (terms * m for m in mech.moments())
+    assert abs(y.mean() - mean) <= 5 * math.sqrt(var / reps)
+    # the sums are near normal: the sample variance has sd about var sqrt(2 / reps)
+    assert abs(y.var() / var - 1.0) <= 5 * math.sqrt(2.0 / reps)
+
+
+def test_a_split_sum_past_the_floats_is_refused():
+    # 2 terms of lap:b=1e306 are in range, but a sum of 2^20 has sd 1.4e309:
+    # each of 8 such sums stays within the floats with probability 0.1
+    mech = parse_mechanism("lap:b=1e306")
+    assert mech.sum_in_range(2) and not mech.sum_in_range(3)
+    with pytest.raises(ValueError, match=r"^lap:b=1e\+306: a draw is past numpy's range$"):
+        sample(mech, np.random.default_rng(0), 8, terms=2**20)
+
+
+@pytest.mark.parametrize("lam", [1.1e10, 1e13, 3e15, 1e17, 8.4e18])
+def test_poisson_draws_above_numpys_precise_range_follow_the_law(lam):
+    # numpy's own draws read a variance of 0.87 lam at 3e15 and 1.4 to 1.6 lam
+    # from 1e16; at these intensities Poisson(lam) is normal to within 1e-5
+    reps = 200_000
+    y = noise._poisson(np.random.default_rng(7), lam, reps)
+    z = ((y - math.floor(lam)) - (lam - math.floor(lam))) / math.sqrt(lam)
+    assert abs(z.mean()) <= 5 / math.sqrt(reps)
+    assert abs(z.var() - 1.0) <= 5 * math.sqrt(2.0 / reps)
+    assert stats.kstest(z, "norm").pvalue > 1e-6
+    assert y.dtype == np.int64 and y.shape == (reps,)
+    assert noise._poisson(np.random.default_rng(7), lam, (2, 3)).shape == (2, 3)
+    assert np.ndim(noise._poisson(np.random.default_rng(7), lam, None)) == 0
+
+
+def test_poisson_is_numpys_up_to_its_precise_range():
+    for lam in (0.0, 3.5, 1e10):
+        got = noise._poisson(np.random.default_rng(3), lam, 1000)
+        assert np.array_equal(got, np.random.default_rng(3).poisson(lam, 1000))
+
+
+# geo:q=4.3e-18 is left out: its sums of 2 or more terms are NegBin draws in range
+@pytest.mark.parametrize("text", [t for t in PAST_THE_RANGE if t != "geo:q=4.3e-18"])
+def test_a_sum_whose_single_draw_is_out_of_range_is_refused_before_any_draw(text):
+    mech = parse_mechanism(text)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    label = re.escape(mechanism_label(mech))
+    with pytest.raises(ValueError, match=rf"^{label}: a draw is past numpy's range$"):
+        sample(mech, rng, 4, terms=2**24)
+    assert rng.bit_generator.state == state
