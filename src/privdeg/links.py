@@ -10,9 +10,10 @@ call it directly.
 Edges are independent Bernoulli(p_ij) with p_ij = p(alpha_i + alpha_j),
 no self-loops. The vertex parameter alpha_i measures the propensity of
 vertex i to form edges; the degree d_i = sum_j a_ij is the statistic
-released (possibly with noise) downstream. ``sample_graph`` returns a
-drawn graph as an ``EdgeList``, the package's one graph type, and
-``truth_vector`` gives the truth alpha*_i = i L / n of the scenario grid.
+released (possibly with noise) downstream. ``EdgeSampler`` draws graphs
+over chunks of whole rows, in 8 bytes a pair plus one chunk;
+``sample_graph`` returns one as an ``EdgeList``, the package's one graph
+type, and ``truth_vector`` gives the scenario grid's alpha*_i = i L / n.
 """
 
 from __future__ import annotations
@@ -188,74 +189,72 @@ def expected_degrees(link: LinkKind, alpha: np.ndarray) -> np.ndarray:
     return edge_prob_matrix(link, alpha).sum(axis=1)
 
 
-# Uniforms per chunk of ``EdgeSampler.block_degrees``: a chunk holds
-# max(1, _DRAW_BUDGET // P) rows of P = n(n-1)/2 pair uniforms, their edge
-# mask and as many n x n uint8 matrices, as ``estimator._ELEMENT_BUDGET``
-# bounds a stack's arrays. 2^14 drew as fast as 2^16 at n = 30, 100 and
-# 400 (2 cores), and its chunk of uniforms is a quarter of the size.
-_DRAW_BUDGET = 2**14
+# Cells of a chunk of the edge draw's rows, and pairs times generators of a
+# batch: 2^16 drew as fast as 2^14 and 2^15 at n = 100 and 400 (2 cores).
+_DRAW_BUDGET = 2**16
 
 
 class EdgeSampler:
     """Independent Bernoulli(p_ij) edges for one (link, alpha), set up once.
 
-    The draw stream is defined here and nowhere else: one
-    ``rng.random(n(n-1)/2)`` call, one uniform per pair i < j in row
-    order (that of ``np.triu_indices``), and pair k is an edge when its
-    uniform is below p_k. ``sample_graph`` lists the pairs of the upper
-    triangle that ``draw`` fills and ``block_degrees`` sums it, so both
-    consume the same generator state and agree on every degree. The pairs
-    are kept as an n x n boolean mask, an eighth of the size of two int64
-    index arrays.
+    ``p`` holds the n(n-1)/2 pair probabilities in row order (that of
+    ``np.triu_indices``): 8 bytes a pair, and nothing else of size n^2.
+    The draw stream is defined here and nowhere else: one uniform per pair
+    in that order, and a pair is an edge when its uniform is below its p.
+    ``_walk`` draws it over chunks of whole rows, one ``rng.random`` call
+    per chunk, which consumes a generator as one call for all pairs does;
+    ``sample_graph`` lists its edges and ``block_degrees`` sums them.
     """
 
     def __init__(self, link: LinkKind, alpha: np.ndarray):
         a = validate_params(link, alpha)
         self.n = a.size
         try:
-            i = np.arange(self.n)
-            self.upper = i[:, None] < i
-            # validate_params has checked the log domain of every pair
-            X = pair_sum_matrix(a)[self.upper]
-            self.p = link_values(link, X, np.empty_like(X))[0]
-        except MemoryError:
+            self.p = np.empty(self.n * (self.n - 1) // 2)
+        except (MemoryError, ValueError):
             raise ValueError(f"vertex count n={self.n} is too large "
                              "to hold its vertex pairs") from None
+        for lo, X, upper in self._chunks():  # validate_params checked the log domain
+            X[:] = (a[lo:lo + len(upper), None] + a[lo + 1:])[upper]
+            link_values(link, X, np.empty_like(X))  # writes p into X
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """Upper triangle (uint8, zero elsewhere) of one drawn adjacency matrix."""
-        A = np.zeros((self.n, self.n), dtype=np.uint8)
-        A[self.upper] = rng.random(self.p.size) < self.p
-        return A
+    def _chunks(self):
+        """(lo, p, upper) per chunk of whole rows lo..lo + len(upper) - 1: their
+        pairs' view of p, and their mask in a (rows, n - lo - 1) block (column c
+        is vertex lo + 1 + c) of at most max(_DRAW_BUDGET, n - lo - 1) cells."""
+        n, lo, start = self.n, 0, 0
+        while lo < n - 1:
+            w = n - lo - 1
+            rows = min(w, max(1, _DRAW_BUDGET // w))
+            stop = start + rows * w - rows * (rows - 1) // 2
+            yield lo, self.p[start:stop], np.arange(w) >= np.arange(rows)[:, None]
+            lo, start = lo + rows, stop
+
+    def _walk(self, rngs):
+        """(first, lo, A) per chunk and batch of max(1, _DRAW_BUDGET // pairs)
+        generators: A[g], overwritten by the next step, is the uint8 edge block
+        of rngs[first + g] in the chunk at row lo. Each fills its own block: one
+        mask assignment over the 3-d batch is many times slower."""
+        for lo, p, upper in self._chunks():
+            g = max(1, min(len(rngs), _DRAW_BUDGET // p.size))
+            u, A = np.empty(p.size), np.zeros((g, *upper.shape), dtype=np.uint8)
+            for first in range(0, len(rngs), g):
+                batch = rngs[first:first + g]
+                for r, rng in enumerate(batch):
+                    A[r][upper] = rng.random(out=u) < p
+                yield first, lo, A[:len(batch)]
 
     def block_degrees(self, rngs) -> np.ndarray:
         """Degree sequences (B, n) float64 of one graph drawn from each of B
-        generators, row r from rngs[r].
-
-        Each generator consumes exactly the uniforms of ``draw``, through
-        ``random(out=row)``, so what it draws next is unchanged. The rows
-        go in chunks of max(1, _DRAW_BUDGET // P) generators: a chunk's
-        uniforms are compared with p at once, each row's edges fill the
-        upper triangle of its own uint8 matrix (a per-row mask assignment:
-        one over the chunk's 3-d array is many times slower), and row plus
-        column sums, in the smallest integer type that holds n, give the
-        degrees exactly.
-        """
-        n, P, B = self.n, self.p.size, len(rngs)
-        rows = max(1, min(B, _DRAW_BUDGET // P))
-        U = np.empty((rows, P))
-        A = np.zeros((rows, n, n), dtype=np.uint8)
-        t = np.min_scalar_type(n)
-        out = np.empty((B, n))
-        for lo in range(0, B, rows):
-            c = min(rows, B - lo)
-            for r in range(c):
-                rngs[lo + r].random(out=U[r])
-            E = U[:c] < self.p
-            for r in range(c):
-                A[r][self.upper] = E[r]
-            out[lo:lo + c] = np.add(A[:c].sum(axis=2, dtype=t), A[:c].sum(axis=1, dtype=t))
-        return out
+        generators, row r from rngs[r]: the sums of each chunk's rows and
+        columns, in the smallest integer type that holds n, so exact."""
+        t = np.min_scalar_type(self.n)
+        D = np.zeros((len(rngs), self.n), dtype=t)
+        for first, lo, A in self._walk(rngs):
+            rows = D[first:first + len(A)]
+            rows[:, lo:lo + A.shape[1]] += A.sum(axis=2, dtype=t)
+            rows[:, lo + 1:] += A.sum(axis=1, dtype=t)
+        return D.astype(float)
 
     def degrees(self, rng: np.random.Generator) -> np.ndarray:
         """Degree sequence (float64) of one drawn graph: a block of one row."""
@@ -264,9 +263,10 @@ class EdgeSampler:
 
 def sample_graph(link: LinkKind, alpha: np.ndarray, rng: np.random.Generator) -> EdgeList:
     """One graph drawn by ``EdgeSampler``; the same generator state yields the
-    same graph. ``argwhere`` lists its pairs in canonical (row-major) order."""
+    same graph, its pairs listed chunk by chunk in canonical order."""
     sampler = EdgeSampler(link, alpha)
-    return EdgeList(sampler.n, np.argwhere(sampler.draw(rng)) + 1)
+    return EdgeList(sampler.n, np.concatenate(
+        [np.argwhere(A[0]) + (lo + 1, lo + 2) for _, lo, A in sampler._walk([rng])]))
 
 
 def degrees(g: EdgeList) -> np.ndarray:

@@ -545,10 +545,10 @@ def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None, terms: int
     most the largest in-range count: p - r sums of q terms, then r of q + 1
     (q, r = divmod(terms, p); at p = 2, terms // 2 and then the rest). The
     parts are drawn by ``draw_sum`` in blocks of max(1, _BLOCK // values)
-    parts. ValueError where a part is a single draw (terms = 1 included)
-    out of range: numpy would refuse it or return values wrapped or capped
-    at the int64 range, or infinite; and where a sum of parts leaves the
-    floats (``lap:b=1e306`` at 2^24 terms)."""
+    parts. ValueError where every part is a single draw (terms = 1
+    included) and ``sum_in_range(1)`` is false: numpy would refuse it or
+    return values wrapped or capped at the int64 range, or infinite; and
+    where a sum of parts leaves the floats (``lap:b=1e306`` at 2^24 terms)."""
     if mech.sum_in_range(terms):
         out = mech.draw(rng, size) if terms == 1 else mech.draw_sum(rng, terms, size)
         return np.asarray(out, dtype=float) if size is not None else float(out)
@@ -558,7 +558,11 @@ def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None, terms: int
         lo, hi = (mid, hi) if mech.sum_in_range(mid) else (lo, mid)
     parts = -(-terms // lo)
     q, r = divmod(terms, parts)
-    if mech.sum_in_range(q):
+    # no part has more than lo terms, and each law's draw_sum range is monotone
+    # in terms: lo >= 2 passed the bisection, and lo = 1, its unchecked start,
+    # is checked here. A part of 1 term beside parts of 2 is drawn by draw_sum
+    # (for geo a NegBin draw, in range where a single geometric draw may not be).
+    if mech.sum_in_range(lo):
         shape = () if size is None else tuple(np.atleast_1d(size))
         out, rows = np.zeros(shape), max(1, _BLOCK // (math.prod(shape) or 1))
         with np.errstate(over="ignore", invalid="ignore"):  # a lap sum past the floats

@@ -113,7 +113,8 @@ def _cell_model(link: LinkKind, n: int, L: float) -> tuple[np.ndarray, EdgeSampl
 
     Workers build their own copy on first use, so the pair probabilities
     are never pickled with a task. Cells run one after another, so only
-    the latest is kept (three arrays of n(n-1)/2 entries).
+    the latest is kept: its p, 8 bytes a pair (1.6 GB at n = 20,000), with
+    each draw adding one chunk of the sampler's row walk.
     """
     truth = truth_vector(n, L)
     truth.flags.writeable = False

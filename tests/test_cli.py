@@ -757,11 +757,16 @@ def test_pair_set_of_huge_n_exits_2(tmp_path, capsys):
 
 
 def test_pair_probabilities_that_do_not_fit_in_memory_exit_2(tmp_path, capsys, monkeypatch):
-    # the n x n pair sums are built after the pair mask, under the same guard
-    def no_memory(alpha):
-        raise MemoryError
+    # the sampler's one allocation of size n^2 is p, n(n-1)/2 floats from
+    # np.empty, before any pair is computed; links alone sees no memory
+    class NoMemory:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(links, "pair_sum_matrix", no_memory)
+        def empty(self, *args, **kwargs):
+            raise MemoryError
+
+    monkeypatch.setattr(links, "np", NoMemory())
     cell = tmp_path / "cell.scenario"
     cell.write_text("link = logit\nn = 50\nreplicates = 1\n")
     for argv in (["sample", "--n", "50"], ["simulate", str(cell)]):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from privdeg import links
 from privdeg.links import (DomainError, EdgeSampler, LinkKind, degrees,
                            edge_prob, edge_prob_deriv, edge_prob_matrix,
                            expected_degrees, link_inverse, link_values,
-                           sample_graph)
+                           sample_graph, truth_vector)
 from privdeg.netio import EdgeList
 
 LINKS = [LinkKind.LOG, LinkKind.LOGIT, LinkKind.CLOGLOG]
@@ -148,15 +149,24 @@ def test_sample_matches_expected_degrees():
     assert np.all(np.abs(acc / R - want) < 4 * np.sqrt(var / R))
 
 
+# a budget of 2^9 cells makes chunks of a few rows at n >= 100 (12 at
+# n = 100, 219 at n = 400), where the default makes one or two
+SMALL_BUDGET = 2**9
+
+
+@pytest.mark.parametrize("budget", [links._DRAW_BUDGET, SMALL_BUDGET])
 @pytest.mark.parametrize("link", LINKS)
 @pytest.mark.parametrize("n", [2, 3, 100, 401])
-def test_degree_sampler_matches_sample_graph(link, n):
+def test_degree_sampler_matches_sample_graph(link, n, budget, monkeypatch):
+    monkeypatch.setattr(links, "_DRAW_BUDGET", budget)
     rng = np.random.default_rng(n)
     if link == LinkKind.LOG:
         alpha = rng.uniform(-3.0, -0.2, n)
     else:
         alpha = rng.uniform(-1.5, 1.5, n)
     sampler = EdgeSampler(link, alpha)
+    if budget == SMALL_BUDGET and n >= 100:
+        assert len(list(sampler._chunks())) > 1
     for seed in range(4):
         streams = [np.random.default_rng(seed) for _ in range(3)]
         d = sampler.degrees(streams[0])
@@ -166,33 +176,57 @@ def test_degree_sampler_matches_sample_graph(link, n):
         assert np.array_equal(d, degrees(g))
         assert np.array_equal(g.edges, np.argwhere(np.triu(dense, 1)) + 1)
         # the noise draw that follows sees the same generator state
+        assert streams[0].bit_generator.state == streams[2].bit_generator.state
+        assert streams[1].bit_generator.state == streams[2].bit_generator.state
         nxt = [s.random() for s in streams]
         assert nxt[0] == nxt[1] == nxt[2]
 
 
-@pytest.mark.parametrize("budget", [links._DRAW_BUDGET, 4])
+@pytest.mark.parametrize("budget", [links._DRAW_BUDGET, SMALL_BUDGET, 4])
 @pytest.mark.parametrize("n", [2, 3, 100, 400])
 def test_block_draw_rows_are_lone_draws(n, budget, monkeypatch):
-    # P = n(n-1)/2 pairs lie below the chunk size at n <= 100 and above it at
-    # n = 400; B = 10 generators end in a part-filled chunk wherever a chunk
-    # holds several rows but fewer than B (n = 100, and n = 2 at budget 4)
+    # a chunk's B = 17 generators go in batches of max(1, budget // pairs):
+    # at the default budget n = 100 is one chunk in batches of 13 and 4, and
+    # n = 400 two chunks, the second in batches of 2; at 2^9 n = 100 and 400
+    # span many chunks and end in batches of 9 and 6; at 4 n = 2 is batches
+    # of 4 and every chunk holds at most 4 pairs
     monkeypatch.setattr(links, "_DRAW_BUDGET", budget)
-    B, link = 10, LinkKind.LOGIT
+    B, link = 17, LinkKind.LOGIT
     alpha = np.random.default_rng(n).uniform(-1.5, 1.5, n)
     sampler = EdgeSampler(link, alpha)
-    rows = max(1, budget // sampler.p.size)
-    assert rows == 1 or B % rows
+    pairs = [p.size for _, p, _ in sampler._chunks()]
+    assert sum(pairs) == n * (n - 1) // 2
+    batch = [max(1, min(B, budget // size)) for size in pairs]
+    if n >= 100 and budget == SMALL_BUDGET:
+        assert len(pairs) > 1 and B % batch[-1]  # several chunks, the last part-filled
     block = [np.random.default_rng(seed) for seed in range(B)]
     D = sampler.block_degrees(block)
     assert D.shape == (B, n) and D.dtype == float
     for seed, (row, after) in enumerate(zip(D, block)):
         lone = np.random.default_rng(seed)
         assert np.array_equal(row, sampler.degrees(lone))
-        dense = engine_reference.sample_graph(link, alpha, np.random.default_rng(seed))
+        ref = np.random.default_rng(seed)
+        dense = engine_reference.sample_graph(link, alpha, ref)
         assert np.array_equal(row, dense.sum(axis=1))
-        # each generator stands where the one-row draw leaves it
-        assert after.bit_generator.state == lone.bit_generator.state
+        # each generator stands where the one-row draw and the reference leave it
+        assert after.bit_generator.state == lone.bit_generator.state == ref.bit_generator.state
     assert sampler.block_degrees([]).shape == (0, n)
+
+
+def test_sampler_holds_its_pair_probabilities_and_one_chunk():
+    # p takes 8 bytes a pair (16 MB at n = 2000); set-up and a block draw of 3
+    # graphs add one chunk's arrays (about 2 MiB) and no n x n array
+    # (an n x n float64 matrix is 32 MB)
+    n = 2000
+    tracemalloc.start()
+    try:
+        sampler = EdgeSampler(LinkKind.CLOGLOG, truth_vector(n, 0.3))
+        sampler.block_degrees([np.random.default_rng(s) for s in range(3)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampler.p.nbytes == 8 * n * (n - 1) // 2
+    assert peak < sampler.p.nbytes + 4 * 2**20
 
 
 def test_degrees_edge_cases():

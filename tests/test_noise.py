@@ -606,6 +606,24 @@ def test_a_sum_out_of_range_has_the_n_fold_mean_and_variance(text):
     assert abs(y.var() / var - 1.0) <= 5 * math.sqrt(2.0 / reps)
 
 
+def test_a_geometric_sum_of_an_odd_count_of_terms_is_drawn():
+    # a single geo:q=2e-18 draw is past the range (40 means past 2^63 - 1) and
+    # a NegBin sum of 3 terms too, so 3, 5, 7 and 9 terms split into parts of 2
+    # and one part of 1, which draw_sum draws as NegBin(1, q), in range
+    mech = parse_mechanism("geo:q=2e-18")
+    assert not mech.sum_in_range(1) and mech.sum_in_range(2) and not mech.sum_in_range(3)
+    label = re.escape(mechanism_label(mech))
+    with pytest.raises(ValueError, match=rf"^{label}: a draw is past numpy's range$"):
+        sample(mech, np.random.default_rng(0), 4)
+    reps = 20_000
+    for terms in (3, 5, 7, 9):
+        y = sample(mech, np.random.default_rng(terms), reps, terms=terms)
+        var = terms * mech.moments()[1]
+        assert abs(y.mean()) <= 5 * math.sqrt(var / reps)
+        # a sum of t centered geometric draws has excess kurtosis 6 / t + q^2 / t
+        assert abs(y.var() / var - 1.0) <= 5 * math.sqrt((2.0 + 6.0 / terms) / reps)
+
+
 def test_a_split_sum_past_the_floats_is_refused():
     # 2 terms of lap:b=1e306 are in range, but a sum of 2^20 has sd 1.4e309:
     # each of 8 such sums stays within the floats with probability 0.1
