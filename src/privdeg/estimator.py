@@ -577,9 +577,8 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
     the converged rows record their fits, and they leave together with the
     rows that failed in the iteration before. A row fails on a singular
     Jacobian, a non-finite step or a stalled damping; ``stop`` records its
-    fit at once and flags it, and a flagged row takes no part in damping
-    and keeps zero rows of J and v until it leaves. Rows still running
-    after _MAX_ITER steps stop at the iteration limit.
+    fit at once and flags it, and a flagged row takes no part in damping.
+    Rows still running after _MAX_ITER steps stop at the iteration limit.
 
     Each point gives the residual F and an operator with the row sums v,
     a product x -> J x and the diagonal of J. A stack's operator is
@@ -591,9 +590,10 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
     running, so that a member's steps do not depend on its stack. An LU
     step factors the dense J, which a grid point evaluates densely for
     it. The operator of an accepted point is dropped once the step is
-    taken, so a damping trial holds only its own slope array and scratch
-    (and, after a partial acceptance, the array that gathers the accepted
-    rows).
+    taken, so a damping trial holds only its own slope array and scratch.
+    A stack whose rows were accepted at different damping trials is
+    evaluated again at the top of the next iteration; ``_evaluate`` is
+    row-independent, so each row gets the bits of its accepted trial.
     """
     g, k = u.shape
     alone = _ELEMENT_BUDGET // (k * k) <= 1  # a stack of one, see solve_many
@@ -616,9 +616,11 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
         point = _chebyshev(link, b[0], u[0], m[0]) if alone else None
         return dense(b, u, m) if point is None else point
 
-    F, op = evaluate(b, u, m)
-    res = np.max(np.abs(F), axis=1)
+    op = None
     for it in range(_MAX_ITER + 1):
+        if op is None and not failed.all():  # the start, or a stack accepted in parts
+            F, op = evaluate(b, u, m)
+            res = np.max(np.abs(F), axis=1)
         done = res <= tol  # never a failed row: it keeps the residual it failed at
         if done.any():
             for j, r, bj, vj in zip(rows[done].tolist(), res[done].tolist(), b[done],
@@ -654,9 +656,7 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
 
         # damping: halve until the sup-norm residual strictly decreases;
         # the rows still trying have all been halved alike and evaluate
-        # together; the operator is taken whole or, once a row of a stack is
-        # accepted apart from others, copied row by row into zeros, which
-        # the rows that stall or failed keep until they leave
+        # together; a trial accepted whole gives the next operator
         trying = np.flatnonzero(~failed)
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
@@ -671,11 +671,7 @@ def _newton(link: LinkKind, u: np.ndarray, m: np.ndarray, b: np.ndarray,
             if whole and ok.all():
                 b, F, res, op = b_try, F_try, res_try, op_try
             elif ok.any():  # only a stack: a lone row is accepted whole
-                acc = trying[ok]
-                if op is None:
-                    op = _Dense(np.zeros((rows.size, k, k)), np.zeros((rows.size, k)))
-                b[acc], F[acc], res[acc] = b_try[ok], F_try[ok], res_try[ok]
-                op.J[acc], op.v[acc] = op_try.J[ok], op_try.v[ok]
+                b[trying[ok]] = b_try[ok]
             del F_try, op_try  # so that op = None frees an accepted J after its step
             trying = trying[~ok]
             scale *= 0.5

@@ -15,29 +15,30 @@ Witness routes:
 
 * Compound-Poisson mechanisms (Hermite, two-sided Hermite, two-sided
   Poisson; subclasses of ``CompoundPoisson``) get the analytic witness
-  (variance, r/3), r the class constant ``jump``, the largest jump of the
-  compound representation. Each builds its pmf once, as one numpy array.
+  (variance, r/3), r = ``jump``, the largest jump of their table.
 * The others (discrete and continuous Laplace, centered geometric) go
   through the sub-exponential norm psi1 = inf{t > 0 : E exp(|X|/t) <= 2},
   by bisection on the exact expectation: (upsilon, c) = ((2 psi1)^2, 2 psi1).
 
-A new mechanism is a frozen dataclass subclassing ``NoiseMechanism``
-(or ``CompoundPoisson``, setting ``jump``). It sets the grammar ``name``
-and ``keys`` (one per field, in field order) and defines
-``draw(rng, size)`` (integer laws may return integers), ``moments()`` as
-exact (mean, variance), ``centered_mgf(s)`` on a float array and, outside
-``CompoundPoisson``, ``abs_exp_moment(t)`` for t > 0. A discrete law adds
-``support_cutoff(tail)`` and ``mass(k)`` at an integer k, or in
-``CompoundPoisson`` its pmf array ``_pmf_array(n)``. Listing the class in
-``_MECHANISMS`` lets the grammar parse it.
+A new mechanism is a frozen dataclass subclassing ``NoiseMechanism``.
+It sets the grammar ``name`` and ``keys`` (one per field, in field order)
+and defines ``draw(rng, size)`` (integer laws may return integers),
+``moments()`` as exact (mean, variance), ``centered_mgf(s)`` on a float
+array and ``abs_exp_moment(t)`` for t > 0; a discrete law adds
+``support_cutoff(tail)`` and ``mass(k)`` at an integer k. A compound-Poisson
+law subclasses ``CompoundPoisson`` and defines only its validation,
+``support_cutoff`` and its jump table ``sides()``, from which that class
+derives the rest. Listing the class in ``_MECHANISMS`` lets the grammar
+parse it.
 
 A law also defines ``draw_sum(rng, terms, size)``: draws of the sum of
 ``terms`` iid draws, each one draw of that sum's exact law (Laplace as a
 difference of Gamma(terms, b) draws, the geometric laws through
 NegBin(terms, .)), with ``sum_in_range(terms)`` false when numpy cannot draw
-every such law at once or its value could leave int64 or the float range.
-``CompoundPoisson`` defines both once: its sum law is the same class at
-``terms`` x every intensity field, all of which must be intensities.
+every such law at once or its value could leave int64 or the float range;
+it is monotone in ``terms``. ``CompoundPoisson`` defines both once: its sum
+law is the same class at ``terms`` x every intensity field, all of which
+must be intensities.
 ``sample(..., terms=n)`` draws through them, a sum whose law is out of
 range as a sum of independent in-range sums of n // p or n // p + 1
 terms, p parts as few as can be. It refuses, with a ValueError naming the
@@ -127,12 +128,61 @@ class NoiseMechanism:
 
 
 class CompoundPoisson(NoiseMechanism):
-    """A discrete law with a compound-Poisson representation whose largest
-    jump is ``jump``: witness (variance, jump / 3). ``_pmf_array(n)`` builds
-    its pmf once, as (k0, P) with P[i] = P(X = k0 + i), from Poisson pmf
-    tables of n = 2 K + 1 points, K the 1e-15 tail cutoff."""
+    """X = Y+ - Y-, each side a sum of j N_j over its jumps j, with
+    independent counts N_j ~ Poisson(lam_j). A law declares the table
+    ``sides()``, ((j, lam_j), ...) of Y+ and then of Y- (which may be empty),
+    and ``support_cutoff``; the draw, moments, MGF, pmf, sum range and sum
+    law come from the table, and the witness is (variance, jump / 3), jump
+    the largest j. ``_pmf_array(n)`` builds the pmf once, as (k0, P) with
+    P[i] = P(X = k0 + i), from Poisson pmf tables of n = 2 K + 1 points, K
+    the 1e-15 tail cutoff."""
 
-    jump: ClassVar[float]
+    @cached_property
+    def _counts(self) -> tuple[tuple[int, float], ...]:
+        """(+-j, lam_j) of each count, in draw order: Y+ first, jumps in order."""
+        plus, minus = self.sides()
+        return tuple((j, lam) for j, lam in plus) + tuple((-j, lam) for j, lam in minus)
+
+    @cached_property
+    def _side_moments(self) -> tuple[tuple[float, float], ...]:
+        """(sum j lam_j, sum j^2 lam_j): the mean and variance of Y+, then of Y-."""
+        return tuple((sum(j * lam for j, lam in side), sum(j * j * lam for j, lam in side))
+                     for side in self.sides())
+
+    @cached_property
+    def _reach(self) -> tuple[float, float]:
+        """The larger side mean and the larger side variance."""
+        return tuple(map(max, zip(*self._side_moments)))
+
+    @property
+    def jump(self) -> int:
+        return max(abs(j) for j, _ in self._counts)
+
+    def draw(self, rng, size):
+        (step, lam), *rest = self._counts
+        y = step * _poisson(rng, lam, size)  # then summed in place
+        for step, lam in rest:
+            y += step * _poisson(rng, lam, size)
+        return y
+
+    def moments(self) -> tuple[float, float]:
+        (m1, v1), (m2, v2) = self._side_moments
+        return m1 - m2, v1 + v2
+
+    def centered_mgf(self, s: np.ndarray) -> np.ndarray:
+        # log E exp(s (Y - E Y)) of a side is sum lam_j (e^(j s) - 1 - j s)
+        plus, minus = self.sides()
+        return np.exp(sum(lam * (np.exp(j * s) - 1.0 - j * s) for j, lam in plus) +
+                      sum(lam * (np.exp(j * -s) - 1.0 - j * -s) for j, lam in minus))
+
+    def _pmf_array(self, n: int) -> tuple[int, np.ndarray]:
+        # P(Y+ - Y- = k) = sum_m P(Y+ = k + m) P(Y- = m); equal sides (herm2)
+        # share one side table
+        plus, minus = self.sides()
+        tables = {side: _side_pmf(side, n) for side in (plus, minus) if side}
+        if not minus:
+            return 0, tables[plus]
+        return 1 - n, np.correlate(tables[plus], tables[minus], "full")
 
     def sub_gamma_witness(self) -> SubGammaParams:
         return SubGammaParams(self.moments()[1], self.jump / 3.0)
@@ -146,7 +196,12 @@ class CompoundPoisson(NoiseMechanism):
         return self.sum_law(terms).draw(rng, size)
 
     def sum_in_range(self, terms: int) -> bool:
-        return terms * max(getattr(self, f.name) for f in fields(self)) <= _LAM_MAX
+        # a draw of the sum's law forms each side in int64 from counts whose
+        # intensities numpy refuses past _LAM_MAX: a side's mean must be within
+        # that, and its mean plus 10 sd (numpy's own Poisson margin) within int64
+        mean, var = self._reach
+        return (terms * mean <= _LAM_MAX and
+                terms * mean + 10.0 * math.sqrt(terms * var) <= _INT64_MAX)
 
     @cached_property
     def _pmf_table(self) -> tuple[int, np.ndarray]:
@@ -295,10 +350,6 @@ class CenteredGeometric(NoiseMechanism):
         return rng.negative_binomial(terms, self.q, size=size) - terms * self.offset
 
     def sum_in_range(self, terms: int) -> bool:
-        # numpy's geometric saturates at 2^63 - 1: below 40 means, a single
-        # draw reaches it with probability about e^-40
-        if terms == 1 and 40.0 * self.offset > _INT64_MAX:
-            return False
         return _negbin_in_range(terms, self.q)
 
     def moments(self) -> tuple[float, float]:
@@ -336,90 +387,34 @@ class CenteredGeometric(NoiseMechanism):
 
 
 @dataclass(frozen=True)
-class _HermiteLaw(CompoundPoisson):
-    """Shared parts of the one- and two-sided Hermite laws, built on one
-    Hermite draw Y = N1 + 2 N2 with Poisson(a1) and Poisson(a2) counts."""
+class Hermite(CompoundPoisson):
+    """Hermite law Y = N1 + 2 N2 with independent Poisson(a1) and Poisson(a2)
+    counts: mean a1 + 2 a2, variance a1 + 4 a2, support the nonnegative integers."""
 
     a1: float
     a2: float
+    name = "herm"
     keys = ("a1", "a2")
-    jump = 2.0
 
     def __post_init__(self):
         if not (self.a1 > 0 and self.a2 > 0):
             raise ValueError("Hermite intensities a1, a2 must be positive")
 
-    def _one_draw(self, rng, size, sign: int = 1, y=0):
-        """y + sign * Y for a fresh Hermite draw Y; an array y is updated in
-        place, so a two-sided draw holds two arrays of size, not three."""
-        y += sign * _poisson(rng, self.a1, size)
-        y += (2 * sign) * _poisson(rng, self.a2, size)
-        return y
-
-    def sum_in_range(self, terms: int) -> bool:
-        # a draw of the sum's law forms N1 + 2 N2 in int64: its mean plus 10 sd
-        # (numpy's own Poisson margin) must fit, which keeps each intensity in range
-        mean, var = terms * (self.a1 + 2.0 * self.a2), terms * (self.a1 + 4.0 * self.a2)
-        return mean + 10.0 * math.sqrt(var) <= _INT64_MAX
-
-    def _one_cgf(self, s: np.ndarray) -> np.ndarray:
-        """log E exp(s (Y - E Y)) of one Hermite draw."""
-        return (self.a1 * (np.exp(s) - 1.0 - s) +
-                self.a2 * (np.exp(2.0 * s) - 1.0 - 2.0 * s))
+    def sides(self):
+        return ((1, self.a1), (2, self.a2)), ()
 
     def support_cutoff(self, tail: float) -> int:
         return _poisson_cutoff(self.a1, tail) + 2 * _poisson_cutoff(self.a2, tail)
 
-    def _one_pmf(self, n: int) -> np.ndarray:
-        """pmf of one draw on 0..n-1: Poisson(a1) convolved with Poisson(a2) on the evens."""
-        p2 = np.zeros(n)
-        p2[::2] = _poisson_pmf(self.a2, (n + 1) // 2)
-        return np.convolve(_poisson_pmf(self.a1, n), p2)[:n]
-
 
 @dataclass(frozen=True)
-class Hermite(_HermiteLaw):
-    """Hermite law Y = N1 + 2 N2 with independent Poisson counts.
-
-    a1 and a2 are the raw Poisson intensities of N1 and N2. Mean is
-    a1 + 2 a2 and variance a1 + 4 a2; support is the nonnegative
-    integers and the largest jump is 2.
-    """
-
-    name = "herm"
-
-    def draw(self, rng, size):
-        return self._one_draw(rng, size)
-
-    def moments(self) -> tuple[float, float]:
-        return self.a1 + 2.0 * self.a2, self.a1 + 4.0 * self.a2
-
-    def centered_mgf(self, s: np.ndarray) -> np.ndarray:
-        return np.exp(self._one_cgf(s))
-
-    def _pmf_array(self, n: int) -> tuple[int, np.ndarray]:
-        return 0, self._one_pmf(n)
-
-
-@dataclass(frozen=True)
-class TwoSideHermite(_HermiteLaw):
+class TwoSideHermite(Hermite):
     """Difference of two independent Hermite(a1, a2) draws (zero mean)."""
 
     name = "herm2"
 
-    def draw(self, rng, size):
-        return self._one_draw(rng, size, -1, self._one_draw(rng, size))
-
-    def moments(self) -> tuple[float, float]:
-        return 0.0, 2.0 * (self.a1 + 4.0 * self.a2)
-
-    def centered_mgf(self, s: np.ndarray) -> np.ndarray:
-        return np.exp(self._one_cgf(s) + self._one_cgf(-s))
-
-    def _pmf_array(self, n: int) -> tuple[int, np.ndarray]:
-        # P(Y1 - Y2 = k) = sum_m P(Y1 = k + m) P(Y2 = m), for k = 1-n..n-1
-        h = self._one_pmf(n)
-        return 1 - n, np.correlate(h, h, "full")
+    def sides(self):
+        return (super().sides()[0],) * 2
 
 
 @dataclass(frozen=True)
@@ -430,24 +425,13 @@ class TwoSidePoisson(CompoundPoisson):
     mu: float
     name = "tsp"
     keys = ("lambda", "mu")
-    jump = 1.0
 
     def __post_init__(self):
         if self.lam < 0 or self.mu < 0 or self.lam == self.mu == 0:
             raise ValueError("two-sided Poisson intensities must be >= 0, one of them > 0")
 
-    def draw(self, rng, size):
-        return _poisson(rng, self.lam, size) - _poisson(rng, self.mu, size)
-
-    def moments(self) -> tuple[float, float]:
-        return self.lam - self.mu, self.lam + self.mu
-
-    def centered_mgf(self, s: np.ndarray) -> np.ndarray:
-        return np.exp(self.lam * (np.exp(s) - 1.0 - s) +
-                      self.mu * (np.exp(-s) - 1.0 + s))
-
-    def _pmf_array(self, n: int) -> tuple[int, np.ndarray]:
-        return 1 - n, np.correlate(_poisson_pmf(self.lam, n), _poisson_pmf(self.mu, n), "full")
+    def sides(self):
+        return ((1, self.lam),), ((1, self.mu),)
 
     def support_cutoff(self, tail: float) -> int:
         return (_poisson_cutoff(max(self.lam, 1e-12), tail) +
@@ -511,6 +495,16 @@ def _poisson_pmf(lam: float, n: int) -> np.ndarray:
     return np.exp(log_mode + np.concatenate((-down, [0.0], up)))
 
 
+def _side_pmf(side: tuple[tuple[int, float], ...], n: int) -> np.ndarray:
+    """pmf on 0..n-1 of sum j N_j over a side's (j, lam_j), N_j ~ Poisson(lam_j)."""
+    out = None
+    for j, lam in side:
+        p = np.zeros(n)
+        p[::j] = _poisson_pmf(lam, -(-n // j))
+        out = p if out is None else np.convolve(out, p)[:n]
+    return out
+
+
 def _poisson_cutoff(lam: float, tail: float) -> int:
     """Smallest K with P(Poisson(lam) > K) below the requested tail mass, lam > 0."""
     k = int(lam)
@@ -526,9 +520,14 @@ def _poisson_cutoff(lam: float, tail: float) -> int:
 
 
 def _negbin_in_range(terms: int, p: float) -> bool:
-    """Whether numpy's negative_binomial accepts (terms, p): its own test, in
-    the same float operations."""
-    return (1.0 - p) / p * (terms + 10.0 * math.sqrt(terms)) <= _LAM_MAX
+    """Whether numpy's negative_binomial accepts (terms, p), by its own test
+    in the same float operations, and its draw Poisson(offset G), G ~
+    Gamma(t), stays in int64: offset x(t) must fit, P(G > x(t)) <= e^-40 by a
+    union bound over t exponentials and by G's sub-Gamma tail. At t = 1 it is
+    the 40 means within which a geometric draw stays below its 2^63 - 1 cap."""
+    offset = (1.0 - p) / p
+    x = min(terms * (40.0 + math.log(terms)), terms + math.sqrt(80.0 * terms) + 40.0)
+    return offset * (terms + 10.0 * math.sqrt(terms)) <= _LAM_MAX and offset * x <= _INT64_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +557,9 @@ def sample(mech: NoiseMechanism, rng: np.random.Generator, size=None, terms: int
         lo, hi = (mid, hi) if mech.sum_in_range(mid) else (lo, mid)
     parts = -(-terms // lo)
     q, r = divmod(terms, parts)
-    # no part has more than lo terms, and each law's draw_sum range is monotone
-    # in terms: lo >= 2 passed the bisection, and lo = 1, its unchecked start,
-    # is checked here. A part of 1 term beside parts of 2 is drawn by draw_sum
-    # (for geo a NegBin draw, in range where a single geometric draw may not be).
+    # no part has more than lo terms, and each law's range is monotone in
+    # terms: lo >= 2 passed the bisection, and lo = 1, its unchecked start,
+    # is checked here
     if mech.sum_in_range(lo):
         shape = () if size is None else tuple(np.atleast_1d(size))
         out, rows = np.zeros(shape), max(1, _BLOCK // (math.prod(shape) or 1))

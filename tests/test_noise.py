@@ -2,11 +2,12 @@ import json
 import math
 import re
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -606,15 +607,27 @@ def test_a_sum_out_of_range_has_the_n_fold_mean_and_variance(text):
     assert abs(y.var() / var - 1.0) <= 5 * math.sqrt(2.0 / reps)
 
 
-def test_a_geometric_sum_of_an_odd_count_of_terms_is_drawn():
-    # a single geo:q=2e-18 draw is past the range (40 means past 2^63 - 1) and
-    # a NegBin sum of 3 terms too, so 3, 5, 7 and 9 terms split into parts of 2
-    # and one part of 1, which draw_sum draws as NegBin(1, q), in range
+def test_a_geometric_law_past_40_means_is_refused_at_every_count_before_any_draw():
+    # a NegBin(t, 2e-18) draw is Poisson(5e17 G), G ~ Gamma(t), and G passes
+    # 2^63 / 5e17 = 18.4 with probability above e^-40 at every t: where this
+    # law's sums of 2 terms were drawn, one of 3e6 wrapped to -1.02e19
     mech = parse_mechanism("geo:q=2e-18")
-    assert not mech.sum_in_range(1) and mech.sum_in_range(2) and not mech.sum_in_range(3)
     label = re.escape(mechanism_label(mech))
-    with pytest.raises(ValueError, match=rf"^{label}: a draw is past numpy's range$"):
-        sample(mech, np.random.default_rng(0), 4)
+    for terms in (1, 2, 3, 9, 2**24):
+        assert not mech.sum_in_range(terms)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"^{label}: a draw is past numpy's range$"):
+            sample(mech, rng, 4, terms=terms)
+        assert rng.bit_generator.state == state
+
+
+def test_a_geometric_sum_of_an_odd_count_of_terms_is_drawn():
+    # a NegBin sum of 3 geo:q=6.1e-18 terms is past the range and one of 2 is
+    # not, so 3, 5, 7 and 9 terms split into parts of 2 and one part of 1,
+    # which draw_sum draws as NegBin(1, q)
+    mech = parse_mechanism("geo:q=6.1e-18")
+    assert mech.sum_in_range(1) and mech.sum_in_range(2) and not mech.sum_in_range(3)
     reps = 20_000
     for terms in (3, 5, 7, 9):
         y = sample(mech, np.random.default_rng(terms), reps, terms=terms)
@@ -654,8 +667,7 @@ def test_poisson_is_numpys_up_to_its_precise_range():
         assert np.array_equal(got, np.random.default_rng(3).poisson(lam, 1000))
 
 
-# geo:q=4.3e-18 is left out: its sums of 2 or more terms are NegBin draws in range
-@pytest.mark.parametrize("text", [t for t in PAST_THE_RANGE if t != "geo:q=4.3e-18"])
+@pytest.mark.parametrize("text", PAST_THE_RANGE)
 def test_a_sum_whose_single_draw_is_out_of_range_is_refused_before_any_draw(text):
     mech = parse_mechanism(text)
     rng = np.random.default_rng(0)
@@ -664,3 +676,129 @@ def test_a_sum_whose_single_draw_is_out_of_range_is_refused_before_any_draw(text
     with pytest.raises(ValueError, match=rf"^{label}: a draw is past numpy's range$"):
         sample(mech, rng, 4, terms=2**24)
     assert rng.bit_generator.state == state
+
+
+# ---------------------------------------------------------------------------
+# the compound-Poisson family: every law is its jump table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _TableLaw(noise.CompoundPoisson):
+    """X = N1 + 3 N3 - 2 N2, independent Poisson(a), Poisson(b) and Poisson(c)
+    counts: a law given by its table alone, and not registered."""
+
+    a: float
+    b: float
+    c: float
+    name = "table"
+    keys = ("a", "b", "c")
+
+    def sides(self):
+        return ((1, self.a), (3, self.b)), ((2, self.c),)
+
+    def support_cutoff(self, tail: float) -> int:
+        return max(noise._poisson_cutoff(self.a, tail) + 3 * noise._poisson_cutoff(self.b, tail),
+                   2 * noise._poisson_cutoff(self.c, tail))
+
+
+TABLE_LAW = _TableLaw(1.3, 0.4, 0.7)
+
+
+def _on_common_support(*tables):
+    """The (k0, P) tables as arrays over one support, zero outside each."""
+    lo = min(k0 for k0, _ in tables)
+    hi = max(k0 + p.size for k0, p in tables)
+    out = []
+    for k0, p in tables:
+        a = np.zeros(hi - lo)
+        a[k0 - lo:k0 - lo + p.size] = p
+        out.append(a)
+    return out
+
+
+def test_a_law_given_by_its_table_has_the_convolved_pmf():
+    # every (N1, N3, N2) up to 40 each, weighted by scipy's Poisson pmfs
+    i = np.arange(41)
+    w1, w3, w2 = (stats.poisson.pmf(i, lam) for lam in (1.3, 0.4, 0.7))
+    x = (i[:, None, None] + 3 * i[None, :, None] - 2 * i[None, None, :]).ravel()
+    brute = np.zeros(x.max() - x.min() + 1)
+    np.add.at(brute, x - x.min(), (w1[:, None, None] * w3[None, :, None] *
+                                   w2[None, None, :]).ravel())
+    got, want = _on_common_support(TABLE_LAW._pmf_table, (int(x.min()), brute))
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert pmf(TABLE_LAW, 4) == TABLE_LAW._pmf_table[1][4 - TABLE_LAW._pmf_table[0]]
+
+
+def test_a_law_given_by_its_table_has_the_moments_and_mgf_of_its_pmf():
+    k0, ps = TABLE_LAW._pmf_table
+    ks = np.arange(k0, k0 + ps.size)
+    mean, var = TABLE_LAW.moments()
+    assert (mean, var) == pytest.approx((1.3 + 3 * 0.4 - 2 * 0.7, 1.3 + 9 * 0.4 + 4 * 0.7),
+                                        rel=1e-15)
+    assert np.sum(ps * ks) == pytest.approx(mean, rel=1e-13)
+    assert np.sum(ps * (ks - mean) ** 2) == pytest.approx(var, rel=1e-13)
+    s = np.linspace(-0.5, 0.5, 11)
+    direct = np.sum(ps * np.exp(np.outer(s, ks - mean)), axis=1)
+    assert np.allclose(TABLE_LAW.centered_mgf(s), direct, rtol=1e-13, atol=0)
+    assert TABLE_LAW.jump == 3
+    assert TABLE_LAW.sub_gamma_witness() == noise.SubGammaParams(var, 1.0)
+
+
+def test_a_law_given_by_its_table_sums_to_its_n_fold_law():
+    k0, ps = TABLE_LAW._pmf_table
+    three = np.convolve(np.convolve(ps, ps), ps)
+    got, want = _on_common_support(TABLE_LAW.sum_law(3)._pmf_table, (3 * k0, three))
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert TABLE_LAW.sum_law(3) == _TableLaw(3 * 1.3, 3 * 0.4, 3 * 0.7)
+
+
+@pytest.mark.parametrize("terms", [1, 5])
+def test_a_law_given_by_its_table_draws_its_mean_and_variance(terms):
+    reps = 200_000
+    y = sample(TABLE_LAW, np.random.default_rng([terms, 41]), reps, terms=terms)
+    assert np.array_equal(y, np.rint(y))
+    mean, var = (terms * m for m in TABLE_LAW.moments())
+    assert abs(y.mean() - mean) <= 5 * math.sqrt(var / reps)
+    # excess kurtosis sum j^4 lam_j / var^2 / terms: 44.9 / 7.7^2 / terms
+    kurt = (1.3 + 81 * 0.4 + 16 * 0.7) / 7.7**2 / terms
+    assert abs(y.var() / var - 1.0) <= 5 * math.sqrt((2.0 + kurt) / reps)
+
+
+def test_compound_laws_define_only_their_table():
+    # draw, moments, MGF, pmf, range and sum law come from CompoundPoisson
+    derived = {"draw", "draw_sum", "moments", "centered_mgf", "_pmf_array",
+               "sum_in_range", "sum_law"}
+    compound = [cls for cls in noise._MECHANISMS.values()
+                if issubclass(cls, noise.CompoundPoisson)]
+    assert {"herm", "herm2", "tsp"} <= {cls.name for cls in compound}
+    for cls in compound:
+        for klass in cls.__mro__[:cls.__mro__.index(noise.CompoundPoisson)]:
+            own = derived & set(vars(klass))
+            assert not own, f"{klass.__name__} defines {sorted(own)}"
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# every registered law's parameters, log-uniform up to numpy's limits
+LAW_PARAMS = {
+    "lap": st.builds(ContinuousLaplace, _log_uniform(1e-3, 1e308)),
+    "dlap": st.builds(DiscreteLaplace, _log_uniform(1e-16, 0.999).map(lambda x: 1.0 - x)),
+    "geo": st.builds(CenteredGeometric, _log_uniform(1e-20, 0.999)),
+    "herm": st.builds(Hermite, _log_uniform(1e-3, 1e19), _log_uniform(1e-3, 1e19)),
+    "herm2": st.builds(TwoSideHermite, _log_uniform(1e-3, 1e19), _log_uniform(1e-3, 1e19)),
+    "tsp": st.builds(TwoSidePoisson, _log_uniform(1e-3, 1e19), _log_uniform(1e-3, 1e19)),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(mech=st.sampled_from(sorted(LAW_PARAMS)).flatmap(LAW_PARAMS.get),
+       pair=st.integers(2, 2**40).flatmap(
+           lambda t: st.tuples(st.integers(1, t - 1), st.just(t))))
+@example(mech=CenteredGeometric(2e-18), pair=(1, 2))
+def test_sum_range_is_monotone_in_terms(mech, pair):
+    # sample splits a sum at the largest in-range count, found by bisection
+    assert set(LAW_PARAMS) == set(noise._MECHANISMS)
+    fewer, terms = pair
+    assert mech.sum_in_range(fewer) or not mech.sum_in_range(terms)
